@@ -1,8 +1,11 @@
 #include "dsps/executor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <charconv>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "ckpt/recovery.hpp"
@@ -23,6 +26,18 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
+}
+
+/// Room for a short state-key prefix plus any 64-bit integer in decimal.
+using KeyBuf = std::array<char, 32>;
+
+/// `prefix` followed by `n` in decimal — the text of
+/// prefix + std::to_string(n) — formatted into `buf` without allocating.
+template <typename Int>
+std::string_view numbered_key(KeyBuf& buf, std::string_view prefix, Int n) {
+  char* end = std::copy(prefix.begin(), prefix.end(), buf.data());
+  end = std::to_chars(end, buf.data() + buf.size(), n).ptr;
+  return {buf.data(), static_cast<std::size_t>(end - buf.data())};
 }
 
 }  // namespace
@@ -321,13 +336,14 @@ void Executor::pump() {
 }
 
 void Executor::apply_user_logic(const Event& ev) {
+  KeyBuf buf;
   state_["processed"] += 1;
   state_["sig"] ^= static_cast<std::int64_t>(mix64(ev.id));
   if (ev.replayed) state_["replayed_seen"] += 1;
   if (platform_.topology().task(ref_.task).keyed_state) {
-    state_["key/" + std::to_string(ev.key)] += 1;
+    state_[numbered_key(buf, "key/", ev.key)] += 1;
   }
-  state_["v" + std::to_string(logic_version_)] += 1;
+  state_[numbered_key(buf, "v", logic_version_)] += 1;
 }
 
 void Executor::finish_user_event(const Event& ev) {

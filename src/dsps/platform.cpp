@@ -1,6 +1,7 @@
 #include "dsps/platform.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/attribution.hpp"
@@ -72,6 +73,16 @@ void Platform::deploy(Topology topology, std::vector<VmId> worker_vms,
   topology_ = std::move(topology);
   worker_vms_ = std::move(worker_vms);
 
+  executor_base_.assign(1, 0);
+  for (const TaskDef& def : topology_.tasks()) {
+    const int replicas = def.kind == TaskKind::Source ? 0 : def.parallelism;
+    executor_base_.push_back(executor_base_.back() +
+                             static_cast<std::size_t>(replicas));
+    selectivity_permille_.push_back(
+        static_cast<int>(std::lround(def.selectivity * 1000.0)));
+  }
+  executors_.resize(executor_base_.back());
+
   // Sources and sinks live on the dedicated I/O VM (paper §5: "they are
   // not migrated, to allow logging of end-to-end statistics").
   std::vector<SlotId> io_slots = cluster_.vacant_slots_on({io_vm_});
@@ -101,7 +112,7 @@ void Platform::deploy(Topology topology, std::vector<VmId> worker_vms,
       ex->bind_slot(slot);
       cluster_.occupy(slot, iid);
       ex->set_ready(false);
-      executors_.emplace(ref, std::move(ex));
+      executors_[executor_index(ref)] = std::move(ex);
     }
   }
 
@@ -120,8 +131,12 @@ void Platform::deploy(Topology topology, std::vector<VmId> worker_vms,
     ex->bind_slot(slot);
     cluster_.occupy(slot, iid);
     ex->set_ready(false);
-    executors_.emplace(ref, std::move(ex));
+    executors_[executor_index(ref)] = std::move(ex);
   }
+  for (const auto& ex : executors_) {
+    if (!ex) throw std::logic_error("scheduler left an instance unplaced");
+  }
+  routes_.assign(next_instance_ * topology_.edges().size(), Route{});
   deployed_ = true;
 }
 
@@ -155,16 +170,16 @@ void Platform::set_tracer(obs::Tracer* tracer) {
     tracer->set_thread_name(obs::instance_track(spout->id().value),
                             topology_.task(task).name + "[src]");
   }
-  for (const auto& [ref, ex] : executors_) {
+  for (const auto& ex : executors_) {
     tracer->set_thread_name(obs::instance_track(ex->id().value),
-                            topology_.task(ref.task).name + "[" +
-                                std::to_string(ref.replica) + "]");
+                            topology_.task(ex->task()).name + "[" +
+                                std::to_string(ex->ref().replica) + "]");
   }
 }
 
 void Platform::sample_depths() {
   if (tracer_ == nullptr) return;
-  for (const auto& [ref, ex] : executors_) {
+  for (const auto& ex : executors_) {
     const obs::Track track = obs::instance_track(ex->id().value);
     tracer_->counter(track, "queue_depth",
                      static_cast<double>(ex->queue_depth()));
@@ -199,16 +214,22 @@ void Platform::stop() {
 
 void Platform::set_user_acking(bool on) { user_acking_ = on; }
 
+std::size_t Platform::executor_index(InstanceRef ref) const {
+  const std::size_t t = ref.task.value;
+  if (t + 1 >= executor_base_.size() || ref.replica < 0 ||
+      static_cast<std::size_t>(ref.replica) >=
+          executor_base_[t + 1] - executor_base_[t]) {
+    throw std::logic_error("unknown instance");
+  }
+  return executor_base_[t] + static_cast<std::size_t>(ref.replica);
+}
+
 Executor& Platform::executor(InstanceRef ref) {
-  auto it = executors_.find(ref);
-  if (it == executors_.end()) throw std::logic_error("unknown instance");
-  return *it->second;
+  return *executors_[executor_index(ref)];
 }
 
 const Executor& Platform::executor(InstanceRef ref) const {
-  auto it = executors_.find(ref);
-  if (it == executors_.end()) throw std::logic_error("unknown instance");
-  return *it->second;
+  return *executors_[executor_index(ref)];
 }
 
 Spout& Platform::spout(TaskId source_task) {
@@ -270,9 +291,7 @@ EventId Platform::fresh_event_id() noexcept {
 
 int Platform::shuffle_replica(InstanceId from, EdgeId edge, int parallelism) {
   if (parallelism == 1) return 0;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(from.value) << 32) | edge.value;
-  int& counter = shuffle_counters_[key];
+  int& counter = route(from, edge).shuffle;
   const int replica = counter % parallelism;
   ++counter;
   return replica;
@@ -291,21 +310,17 @@ int Platform::route_replica(InstanceId from, const EdgeDef& edge,
 }
 
 int Platform::emit_user_children(Executor& from, const Event& parent) {
-  const TaskDef& def = topology_.task(from.task());
+  const int permille = selectivity_permille_[from.task().value];
   int emitted = 0;
   for (EdgeId eid : topology_.out_edges(from.task())) {
     const EdgeDef& e = topology_.edge(eid);
-    // Fractional selectivity accumulates per (instance, edge) so e.g.
-    // 0.5 emits every other event, deterministically.
-    const std::uint64_t acc_key =
-        (static_cast<std::uint64_t>(from.id().value) << 32) |
-        (0x80000000u | eid.value);
-    // Reuse shuffle_counters_ storage for the integer part bookkeeping is
-    // too clever; keep a dedicated accumulator map.
-    double& acc = selectivity_acc_[acc_key];
-    acc += def.selectivity;
-    int count = static_cast<int>(acc);
-    acc -= count;
+    // Fractional selectivity accumulates per (instance, edge) in whole
+    // per-mille, so e.g. 0.5 emits every other event, deterministically
+    // and without floating-point drift.
+    int& acc = route(from.id(), eid).selectivity_acc;
+    acc += permille;
+    const int count = acc / 1000;
+    acc %= 1000;
 
     const TaskDef& dst_def = topology_.task(e.to);
     for (int k = 0; k < count; ++k) {
@@ -336,7 +351,7 @@ int Platform::emit_user_children(Executor& from, const Event& parent) {
       // tuples whose key range already moved go to the shadow slot's VM.
       const net::SendOutcome sent = network_->send(
           cluster_.vm_of(from.slot()), cluster_.vm_of(dst.delivery_slot(child)),
-          // lint: lifetime-ok(dst is a platform-owned Executor; the map never erases)
+          // lint: lifetime-ok(dst is a platform-owned Executor; executors_ never shrinks)
           child.payload_size, [&dst, child] { dst.enqueue(child); });
       if (child.sampled && attributor_ != nullptr) {
         if (sent.dropped)
@@ -374,7 +389,7 @@ void Platform::emit_from_source(Spout& spout, const Event& root_copy_template,
                                 engine_.now());
     const net::SendOutcome sent = network_->send(
         cluster_.vm_of(spout.slot()), cluster_.vm_of(dst.delivery_slot(copy)),
-        // lint: lifetime-ok(dst is a platform-owned Executor; the map never erases)
+        // lint: lifetime-ok(dst is a platform-owned Executor; executors_ never shrinks)
         copy.payload_size, [&dst, copy] { dst.enqueue(copy); });
     if (copy.sampled && attributor_ != nullptr) {
       if (sent.dropped)
@@ -451,7 +466,7 @@ SimDuration Platform::user_service_time(const Executor& ex) const {
   if (config_.vm_steal_permille <= 0) return def.service_time;
   const VmId vm = cluster_.vm_of(ex.slot());
   std::int64_t busy_neighbours = 0;
-  for (const auto& [ref, other] : executors_) {
+  for (const auto& other : executors_) {
     if (other.get() == &ex || !other->busy()) continue;
     if (cluster_.vm_of(other->slot()) == vm) ++busy_neighbours;
   }

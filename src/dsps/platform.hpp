@@ -16,7 +16,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -219,6 +218,19 @@ class RILL_ISLAND(ctrl) RILL_PINNED Platform {
  private:
   friend class Rebalancer;
 
+  /// Routing state of one (sender instance, edge) pair.
+  struct Route {
+    /// Shuffle-grouping round-robin counter.
+    int shuffle{0};
+    /// Fractional-selectivity accumulator, in per-mille.
+    int selectivity_acc{0};
+  };
+  [[nodiscard]] Route& route(InstanceId from, EdgeId edge) noexcept {
+    return routes_[from.value * topology_.edges().size() + edge.value];
+  }
+  /// Position of `ref` in executors_; throws for refs with no executor.
+  [[nodiscard]] std::size_t executor_index(InstanceRef ref) const;
+
   /// Choose a destination replica for a user event on `edge` (shuffle).
   int shuffle_replica(InstanceId from, EdgeId edge, int parallelism);
   /// Grouping-aware replica choice: Fields routes by hash(event key).
@@ -247,7 +259,11 @@ class RILL_ISLAND(ctrl) RILL_PINNED Platform {
   std::vector<VmId> store_vms_;
   std::vector<VmId> worker_vms_;
 
-  std::map<InstanceRef, std::unique_ptr<Executor>> executors_;
+  /// Worker and sink executors, ordered by (task, replica): task t's
+  /// replicas sit at [executor_base_[t], executor_base_[t + 1]).  Sources
+  /// have an empty range.
+  std::vector<std::unique_ptr<Executor>> executors_;
+  std::vector<std::size_t> executor_base_;
   std::map<TaskId, std::unique_ptr<Spout>> spouts_;
   std::uint32_t next_instance_{1};
 
@@ -268,10 +284,10 @@ class RILL_ISLAND(ctrl) RILL_PINNED Platform {
   std::unique_ptr<sim::PeriodicTimer> trace_sampler_;
   void sample_depths();
 
-  /// Shuffle-grouping round-robin counters per (sender instance, edge).
-  std::unordered_map<std::uint64_t, int> shuffle_counters_;
-  /// Fractional-selectivity accumulators per (sender instance, edge).
-  std::unordered_map<std::uint64_t, double> selectivity_acc_;
+  /// Per (sender InstanceId, EdgeId) routing state, row-major by instance.
+  std::vector<Route> routes_;
+  /// Each task's selectivity rounded to whole per-mille at deploy.
+  std::vector<int> selectivity_permille_;
 
   PlatformStats stats_;
 };

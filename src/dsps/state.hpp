@@ -19,6 +19,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -28,29 +29,34 @@ namespace rill::dsps {
 
 /// In-memory state of a stateful task instance.  An ordered map keeps
 /// serialisation deterministic; ordered dirty/deleted sets keep delta
-/// serialisation deterministic too.
+/// serialisation deterministic too.  All three use transparent comparison,
+/// so a string_view key is looked up without building a std::string.
 struct TaskState {
-  std::map<std::string, std::int64_t> counters;
+  using Counters = std::map<std::string, std::int64_t, std::less<>>;
+  using KeySet = std::set<std::string, std::less<>>;
+
+  Counters counters;
 
   /// Mutable access marks the key dirty (and revives it if it was deleted).
   /// Direct mutation through `counters` bypasses dirty tracking and must
   /// only be used by code that never checkpoints incrementally (tests).
-  std::int64_t& operator[](const std::string& key) {
-    dirty_.insert(key);
-    deleted_.erase(key);
-    return counters[key];
+  /// One search per container; a key string is built only on first insert.
+  std::int64_t& operator[](std::string_view key) {
+    upsert(dirty_, key);
+    if (auto it = deleted_.find(key); it != deleted_.end()) deleted_.erase(it);
+    return upsert(counters, key)->second;
   }
 
   /// Removes a key, recording the deletion for the next delta.  An absent
   /// key is still tombstoned: it may exist in the persisted base even
   /// though it is already gone from memory.
-  void erase(const std::string& key) {
-    counters.erase(key);
-    dirty_.erase(key);
-    deleted_.insert(key);
+  void erase(std::string_view key) {
+    if (auto it = counters.find(key); it != counters.end()) counters.erase(it);
+    if (auto it = dirty_.find(key); it != dirty_.end()) dirty_.erase(it);
+    upsert(deleted_, key);
   }
 
-  [[nodiscard]] std::int64_t get(const std::string& key) const {
+  [[nodiscard]] std::int64_t get(std::string_view key) const {
     auto it = counters.find(key);
     return it == counters.end() ? 0 : it->second;
   }
@@ -61,12 +67,8 @@ struct TaskState {
     return a.counters == b.counters;
   }
 
-  [[nodiscard]] const std::set<std::string>& dirty_keys() const noexcept {
-    return dirty_;
-  }
-  [[nodiscard]] const std::set<std::string>& deleted_keys() const noexcept {
-    return deleted_;
-  }
+  [[nodiscard]] const KeySet& dirty_keys() const noexcept { return dirty_; }
+  [[nodiscard]] const KeySet& deleted_keys() const noexcept { return deleted_; }
   [[nodiscard]] bool has_dirty() const noexcept {
     return !dirty_.empty() || !deleted_.empty();
   }
@@ -98,8 +100,19 @@ struct TaskState {
   [[nodiscard]] static TaskState deserialize(BytesReader& r);
 
  private:
-  std::set<std::string> dirty_;
-  std::set<std::string> deleted_;
+  /// Find-or-insert with a single tree search.
+  static Counters::iterator upsert(Counters& map, std::string_view key) {
+    auto it = map.lower_bound(key);
+    if (it == map.end() || it->first != key) it = map.emplace_hint(it, key, 0);
+    return it;
+  }
+  static void upsert(KeySet& set, std::string_view key) {
+    auto it = set.lower_bound(key);
+    if (it == set.end() || *it != key) set.emplace_hint(it, key);
+  }
+
+  KeySet dirty_;
+  KeySet deleted_;
 };
 
 /// Serialisation of a single event for the CCR pending-event list.

@@ -14,6 +14,7 @@ TaskId Topology::add_task(TaskDef def) {
   if (def.parallelism < 1) throw TopologyError("parallelism must be >= 1");
   if (def.selectivity < 0.0) throw TopologyError("selectivity must be >= 0");
   tasks_.push_back(std::move(def));
+  out_edges_.emplace_back();
   return id;
 }
 
@@ -56,6 +57,7 @@ EdgeId Topology::add_edge(TaskId from, TaskId to, Grouping grouping) {
   }
   const EdgeId id{static_cast<std::uint32_t>(edges_.size())};
   edges_.push_back(EdgeDef{id, from, to, grouping});
+  out_edges_[from.value].push_back(id);
   return id;
 }
 
@@ -73,12 +75,9 @@ TaskDef& Topology::task_mut(TaskId id) {
   return tasks_[id.value];
 }
 
-std::vector<EdgeId> Topology::out_edges(TaskId id) const {
-  std::vector<EdgeId> out;
-  for (const EdgeDef& e : edges_) {
-    if (e.from == id) out.push_back(e.id);
-  }
-  return out;
+const std::vector<EdgeId>& Topology::out_edges(TaskId id) const {
+  check_id(id);
+  return out_edges_[id.value];
 }
 
 std::vector<EdgeId> Topology::in_edges(TaskId id) const {

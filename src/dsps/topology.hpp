@@ -34,6 +34,10 @@ struct TaskDef {
   /// Number of instances (executors), each on its own 1-core slot.
   int parallelism{1};
   /// Output events generated per input event, per out-edge (paper: 1:1).
+  /// The platform applies it in whole per-mille: it is rounded to the
+  /// nearest 0.001 at deploy, and each (instance, out-edge) pair emits one
+  /// child per 1000 accumulated, so 0.1 emits exactly 100 children per
+  /// 1000 inputs, the first on the 10th.
   double selectivity{1.0};
   /// When true, the user logic also maintains per-key counters
   /// ("key/<k>"), exercising keyed state across migrations.
@@ -91,7 +95,8 @@ class Topology {
   [[nodiscard]] const std::vector<TaskDef>& tasks() const noexcept { return tasks_; }
   [[nodiscard]] const std::vector<EdgeDef>& edges() const noexcept { return edges_; }
 
-  [[nodiscard]] std::vector<EdgeId> out_edges(TaskId id) const;
+  /// Out-edges of `id` in insertion order (also before validate()).
+  [[nodiscard]] const std::vector<EdgeId>& out_edges(TaskId id) const;
   [[nodiscard]] std::vector<EdgeId> in_edges(TaskId id) const;
   [[nodiscard]] const EdgeDef& edge(EdgeId id) const;
 
@@ -128,6 +133,8 @@ class Topology {
   std::string name_;
   std::vector<TaskDef> tasks_;
   std::vector<EdgeDef> edges_;
+  /// Per-task out-edge lists, indexed by TaskId, filled by add_edge().
+  std::vector<std::vector<EdgeId>> out_edges_;
   std::vector<TaskId> topo_order_;
   bool validated_{false};
 };

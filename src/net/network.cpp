@@ -5,16 +5,20 @@
 
 namespace rill::net {
 
-namespace {
-
-std::uint64_t pair_key(VmId from, VmId to) noexcept {
-  return (static_cast<std::uint64_t>(from.value) << 32) | to.value;
-}
-
-}  // namespace
-
 SimTime Network::fifo_arrival(VmId from, VmId to, SimTime proposed) {
-  auto& last = last_arrival_[pair_key(from, to)];
+  const std::size_t need = std::max(from.value, to.value) + std::size_t{1};
+  if (need > vm_dim_) {
+    const std::size_t dim = std::max(need, 2 * vm_dim_);
+    std::vector<SimTime> grown(dim * dim, 0);
+    for (std::size_t f = 0; f < vm_dim_; ++f) {
+      for (std::size_t t = 0; t < vm_dim_; ++t) {
+        grown[f * dim + t] = last_arrival_[f * vm_dim_ + t];
+      }
+    }
+    last_arrival_ = std::move(grown);
+    vm_dim_ = dim;
+  }
+  SimTime& last = last_arrival_[from.value * vm_dim_ + to.value];
   const SimTime arrival = std::max(proposed, last);
   last = arrival;
   return arrival;

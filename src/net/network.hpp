@@ -9,14 +9,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "common/ids.hpp"
 #include "common/island.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
+#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 
 namespace rill::net {
@@ -60,7 +60,7 @@ struct NetworkStats {
 /// delivery is a callback; the network itself is payload-agnostic.
 class RILL_SHARED RILL_PINNED Network {
  public:
-  using Deliver = std::function<void()>;
+  using Deliver = sim::Callback;
 
   /// Fault-injection hook (implemented by chaos::ChaosInjector).  Consulted
   /// per message: a dropped message is simply never delivered — the layers
@@ -103,8 +103,11 @@ class RILL_SHARED RILL_PINNED Network {
   Rng rng_;
   NetworkStats stats_;
   FaultHook* fault_hook_{nullptr};
-  /// Last delivery time per directed VM pair, for FIFO enforcement.
-  std::unordered_map<std::uint64_t, SimTime> last_arrival_;
+  /// Last delivery time per directed VM pair, for FIFO enforcement: a
+  /// dense `vm_dim_` × `vm_dim_` table indexed by raw VmId values, grown
+  /// when a send names a VM provisioned after the last growth.
+  std::vector<SimTime> last_arrival_;
+  std::size_t vm_dim_{0};
 };
 
 }  // namespace rill::net

@@ -203,8 +203,8 @@ std::string Tracer::to_chrome_json() const {
                     "{\"ph\":\"C\",\"ts\":%" PRIu64 ",\"pid\":%d,\"tid\":%d,"
                     "\"cat\":\"counter\",\"name\":\"sink_arrivals\","
                     "\"args\":{\"value\":%" PRIu64 "}}",
-                    static_cast<SimTime>(s) * 1'000'000ull, kTrackSinks.pid,
-                    kTrackSinks.tid, per_sec[s]);
+                    static_cast<std::uint64_t>(s * 1'000'000ull),
+                    kTrackSinks.pid, kTrackSinks.tid, per_sec[s]);
       out += buf;
     }
   }

@@ -5,12 +5,7 @@
 
 namespace rill::sim {
 
-TimerId Engine::schedule(SimDuration delay, Callback cb) {
-  const SimTime when = delay <= 0 ? now_ : now_ + static_cast<SimTime>(delay);
-  return schedule_at(when, std::move(cb));
-}
-
-TimerId Engine::schedule_at(SimTime when, Callback cb) {
+TimerId Engine::push(SimTime when, Callback&& cb) {
   if (when < now_) when = now_;
   const std::uint64_t seq = next_seq_++;
   std::uint32_t index;
@@ -32,7 +27,6 @@ TimerId Engine::schedule_at(SimTime when, Callback cb) {
 Engine::Callback Engine::release(std::uint32_t index) {
   Slot& slot = slots_[index];
   Callback cb = std::move(slot.cb);
-  slot.cb = nullptr;
   slot.active = false;
   ++slot.gen;  // invalidates the heap entry and any outstanding TimerId
   free_slots_.push_back(index);

@@ -8,12 +8,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/island.hpp"
 #include "common/time.hpp"
+#include "sim/callback.hpp"
 
 namespace rill::sim {
 
@@ -26,7 +27,7 @@ struct TimerId {
 /// The simulation clock and event loop.
 class RILL_SHARED Engine {
  public:
-  using Callback = std::function<void()>;
+  using Callback = sim::Callback;
 
   Engine() = default;
   Engine(const Engine&) = delete;
@@ -39,23 +40,25 @@ class RILL_SHARED Engine {
   /// The returned TimerId is the only handle for cancellation; callers that
   /// intend to never cancel must say so via schedule_detached().
   [[nodiscard("keep the TimerId to cancel, or use schedule_detached")]]
-  TimerId schedule(SimDuration delay, Callback cb);
+  TimerId schedule(SimDuration delay, Callback cb) {
+    return push(at(delay), std::move(cb));
+  }
 
   /// Schedule `cb` at an absolute instant (clamped to now if in the past).
   [[nodiscard("keep the TimerId to cancel, or use schedule_at_detached")]]
-  TimerId schedule_at(SimTime when, Callback cb);
+  TimerId schedule_at(SimTime when, Callback cb) {
+    return push(when, std::move(cb));
+  }
 
   /// Fire-and-forget variants for callbacks that are never cancelled — the
   /// callback itself must be safe to run late (e.g. it re-checks an epoch
   /// or a liveness flag).  Exists so discarding a TimerId is an explicit
   /// decision rather than a silent one.
   void schedule_detached(SimDuration delay, Callback cb) {
-    // lint: nodiscard-ok(this is the blessed discard point for detached timers)
-    static_cast<void>(schedule(delay, std::move(cb)));
+    push(at(delay), std::move(cb));
   }
   void schedule_at_detached(SimTime when, Callback cb) {
-    // lint: nodiscard-ok(this is the blessed discard point for detached timers)
-    static_cast<void>(schedule_at(when, std::move(cb)));
+    push(when, std::move(cb));
   }
 
   /// Cancel a pending callback.  Returns false if it already fired or was
@@ -83,9 +86,10 @@ class RILL_SHARED Engine {
 
  private:
   // Callbacks live in an index-stable slot vector with a free-list, so the
-  // schedule/fire hot path never hashes.  A slot's generation counter is
-  // bumped on release, which both invalidates stale heap entries (lazy
-  // cancellation) and stale TimerIds (ABA protection on slot reuse).
+  // schedule/fire hot path never hashes; with inline callback storage it
+  // never allocates once the vectors have grown.  A slot's generation
+  // counter is bumped on release, which both invalidates stale heap entries
+  // (lazy cancellation) and stale TimerIds (ABA protection on slot reuse).
   struct Slot {
     Callback cb;
     std::uint32_t gen{0};
@@ -110,6 +114,13 @@ class RILL_SHARED Engine {
     const Slot& s = slots_[e.index];
     return s.active && s.gen == e.gen;
   }
+
+  [[nodiscard]] SimTime at(SimDuration delay) const noexcept {
+    return delay <= 0 ? now_ : now_ + static_cast<SimTime>(delay);
+  }
+
+  // Stores `cb` in a free slot and queues it at `when` (clamped to now).
+  TimerId push(SimTime when, Callback&& cb);
 
   // Marks the slot free and returns its callback.  The heap entry (if any)
   // becomes stale via the generation bump.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
 #include "test_util.hpp"
 
@@ -128,6 +129,65 @@ TEST(Platform, FractionalSelectivityEmitsDeterministically) {
   h.run_for(time::sec(20));
   // 8 ev/s × 20 s × 0.5 ≈ 80 sink arrivals.
   EXPECT_NEAR(static_cast<double>(h.collector.sink_arrivals()), 80.0, 8.0);
+}
+
+TEST(Platform, SelectivityAccumulatesInWholePerMille) {
+  // A double accumulator summing 0.1 reaches only 0.9999999999999999 after
+  // ten inputs, so it emitted 99 children per 1000 (the first on input 11);
+  // 0.3 gave 299.  Whole per-mille has no drift.
+  for (const auto& [selectivity, children, first] :
+       {std::tuple{0.1, 100, 10}, std::tuple{0.3, 300, 4},
+        std::tuple{2.0, 2000, 1}}) {
+    Topology t("sel");
+    const TaskId s = t.add_source("s");
+    TaskDef def;
+    def.name = "w";
+    def.selectivity = selectivity;
+    const TaskId w = t.add_task(std::move(def));
+    const TaskId k = t.add_sink("k");
+    t.add_edge(s, w);
+    t.add_edge(w, k);
+    t.validate();
+
+    Harness h(std::move(t));
+    Executor& ex = h.p().executor(InstanceRef{w, 0});
+    const Event parent;
+    int emitted = 0;
+    int first_at = 0;
+    for (int input = 1; input <= 1000; ++input) {
+      const int n = h.p().emit_user_children(ex, parent);
+      if (n > 0 && first_at == 0) first_at = input;
+      emitted += n;
+    }
+    EXPECT_EQ(emitted, children) << "selectivity " << selectivity;
+    EXPECT_EQ(first_at, first) << "selectivity " << selectivity;
+  }
+}
+
+TEST(Platform, ExecutorLookupRejectsRefsWithoutAnExecutor) {
+  Harness h(testutil::mini_diamond());  // D has two replicas
+  Platform& p = h.p();
+  const Platform& cp = p;
+  const Topology& t = p.topology();
+  for (const InstanceRef& ref : p.worker_and_sink_instances()) {
+    EXPECT_EQ(p.executor(ref).ref(), ref);
+  }
+  const TaskId src = t.sources()[0];
+  const TaskId d = [&] {
+    for (const TaskDef& def : t.tasks()) {
+      if (def.name == "D") return def.id;
+    }
+    throw std::logic_error("no D");
+  }();
+  const int parallelism = t.task(d).parallelism;
+  ASSERT_EQ(parallelism, 2);
+  const auto past_end = static_cast<std::uint32_t>(t.tasks().size());
+  for (const InstanceRef& bad :
+       {InstanceRef{src, 0}, InstanceRef{d, parallelism}, InstanceRef{d, -1},
+        InstanceRef{TaskId{past_end}, 0}}) {
+    EXPECT_THROW((void)p.executor(bad), std::logic_error);
+    EXPECT_THROW((void)cp.executor(bad), std::logic_error);
+  }
 }
 
 TEST(Platform, StatefulWorkersCountProcessedEvents) {

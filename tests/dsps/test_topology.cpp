@@ -94,6 +94,35 @@ TEST(Topology, TopoOrderRespectsEdges) {
   EXPECT_LT(pos("D"), pos("sink"));
 }
 
+TEST(Topology, OutEdgesKeepInsertionOrderBeforeAndAfterValidate) {
+  // Emit order follows out_edges(), so it is part of the determinism
+  // contract; build_random_dag also reads it before validating.
+  Topology t("fan");
+  const TaskId s = t.add_source("s");
+  const TaskId a = t.add_worker("a");
+  const TaskId b = t.add_worker("b");
+  const TaskId c = t.add_worker("c");
+  const TaskId k = t.add_sink("k");
+  // Interleaved across tasks, and not in the targets' id order.
+  const EdgeId sc = t.add_edge(s, c);
+  const EdgeId ck = t.add_edge(c, k);
+  const EdgeId sa = t.add_edge(s, a);
+  const EdgeId ab = t.add_edge(a, b);
+  const EdgeId sb = t.add_edge(s, b);
+  const EdgeId bk = t.add_edge(b, k);
+  const EdgeId ak = t.add_edge(a, k);
+  const auto check = [&] {
+    EXPECT_EQ(t.out_edges(s), (std::vector<EdgeId>{sc, sa, sb}));
+    EXPECT_EQ(t.out_edges(a), (std::vector<EdgeId>{ab, ak}));
+    EXPECT_EQ(t.out_edges(b), (std::vector<EdgeId>{bk}));
+    EXPECT_EQ(t.out_edges(c), (std::vector<EdgeId>{ck}));
+    EXPECT_TRUE(t.out_edges(k).empty());
+  };
+  check();
+  t.validate();
+  check();
+}
+
 TEST(Topology, InputRateDuplicatesAcrossOutEdges) {
   Topology t = testutil::mini_diamond();
   // A duplicates to B and C; D receives B + C = 2× source rate.

@@ -62,6 +62,24 @@ TEST_F(NetFixture, FifoPerVmPair) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
+TEST_F(NetFixture, FifoHoldsAcrossVmsProvisionedAfterEarlierSends) {
+  // The FIFO clock is a dense VM x VM table.  A send naming a VM
+  // provisioned after the last growth grows it, and no channel may lose its
+  // last arrival time in the process.
+  NetworkConfig cfg;
+  cfg.ns_per_byte = 1000.0;
+  cfg.jitter_frac = 0.0;
+  Network net(engine, clu, cfg, Rng(1));
+  std::vector<int> order;
+  net.send(vm1, vm2, 10000, [&] { order.push_back(1); });  // holds vm1→vm2
+  const std::vector<VmId> late =
+      clu.provision_n(cluster::VmType::D2, 8, "late");
+  net.send(late.back(), vm1, 0, [&] { order.push_back(2); });  // grows it
+  net.send(vm1, vm2, 0, [&] { order.push_back(3); });  // still behind 1
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
+}
+
 TEST_F(NetFixture, IndependentPairsDoNotBlock) {
   NetworkConfig cfg;
   cfg.ns_per_byte = 1000.0;

@@ -1,11 +1,33 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <memory>
+#include <numeric>
+#include <type_traits>
 #include <vector>
 
+#include "dsps/event.hpp"
 #include "sim/engine.hpp"
 
 namespace rill::sim {
 namespace {
+
+// Callbacks are moved, never copied, so captures are never duplicated.
+static_assert(!std::is_copy_constructible_v<Callback>);
+static_assert(!std::is_copy_assignable_v<Callback>);
+static_assert(std::is_nothrow_move_constructible_v<Callback>);
+static_assert(std::is_nothrow_move_assignable_v<Callback>);
+
+// The largest per-tuple capture, the executor's service completion
+// (this + Event + epoch), is stored without a heap allocation.
+constexpr auto kServiceCapture = [p = static_cast<void*>(nullptr),
+                                  ev = dsps::Event{}, epoch = 0ull] {
+  static_cast<void>(p);
+  static_cast<void>(ev);
+  static_cast<void>(epoch);
+};
+static_assert(Callback::fits_inline<decltype(kServiceCapture)>());
 
 TEST(Engine, FiresInTimeOrder) {
   Engine e;
@@ -192,6 +214,70 @@ TEST(Engine, RescheduleFromOwnCallbackReusesSlotSafely) {
   e.run();
   EXPECT_EQ(chain, 100);
   EXPECT_EQ(e.executed(), 100u);
+}
+
+TEST(Engine, CaptureLargerThanInlineStorageStillRuns) {
+  Engine e;
+  std::array<std::uint64_t, 32> big{};
+  std::iota(big.begin(), big.end(), 1);
+  std::uint64_t sum = 0;
+  auto cb = [big, &sum] {
+    for (std::uint64_t v : big) sum += v;
+  };
+  static_assert(!Callback::fits_inline<decltype(cb)>());
+  e.schedule_detached(time::ms(1), std::move(cb));
+  // A heap-stored callable survives being moved between Callbacks.
+  Callback moved = [big, &sum] { sum += big.back(); };
+  Callback target = std::move(moved);
+  e.schedule_detached(time::ms(2), std::move(target));
+  e.run();
+  EXPECT_EQ(sum, 32u * 33u / 2u + 32u);
+}
+
+TEST(Engine, CancelDestroysCapturedStateImmediately) {
+  // Inline and heap-stored captures alike are released by cancel(), not
+  // when the stale heap entry is swept or the engine is destroyed.
+  Engine e;
+  auto token = std::make_shared<int>(0);
+  std::array<char, 2 * Callback::kInlineBytes> pad{};
+  const TimerId small = e.schedule(time::sec(1), [token] {});
+  const TimerId large = e.schedule(time::sec(2), [token, pad] {
+    static_cast<void>(pad);
+  });
+  EXPECT_EQ(token.use_count(), 3);
+  EXPECT_TRUE(e.cancel(small));
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(e.cancel(large));
+  EXPECT_EQ(token.use_count(), 1);
+  e.run();
+  EXPECT_EQ(e.executed(), 0u);
+}
+
+TEST(Engine, CallbackGrowingTheSlotVectorCompletes) {
+  // The running callback was moved out of its slot, so the slot vector can
+  // reallocate under it while it schedules; the nested timers still fire
+  // in (time, seq) order.
+  Engine e;
+  constexpr int kTimers = 1000;
+  std::vector<int> fired;
+  std::array<int, 16> payload{};
+  payload.fill(3);
+  int payload_sum = 0;
+  e.schedule_detached(time::ms(1), [&e, &fired, &payload_sum, payload] {
+    for (int i = 0; i < kTimers; ++i) {
+      e.schedule_detached(time::us((kTimers - i) % 7),
+                          [&fired, i] { fired.push_back(i); });
+    }
+    for (int v : payload) payload_sum += v;  // read after the growth
+  });
+  e.run();
+  EXPECT_EQ(payload_sum, 48);
+  std::vector<int> expected(kTimers);
+  std::iota(expected.begin(), expected.end(), 0);
+  std::stable_sort(expected.begin(), expected.end(), [](int a, int b) {
+    return (kTimers - a) % 7 < (kTimers - b) % 7;
+  });
+  EXPECT_EQ(fired, expected);
 }
 
 TEST(Engine, ExecutedCounter) {

@@ -53,7 +53,10 @@
 # observability layer's zero-cost-when-disabled and <5%-when-sampling
 # overhead contracts, and bench_fig9_latency --check asserts the fluid
 # strategy's whole-run p99 stays strictly below CCR's pause-bounded p99
-# under the 420 s seed-1 Grid scale-in. `--skip-bench` opts out.
+# under the 420 s seed-1 Grid scale-in. The stage ends with the repository
+# benchmark's self-test (perfbench/run.py --self-test: its silence metric,
+# seed plumbing and correctness gate), built in .bench_build/.
+# `--skip-bench` opts out.
 #
 # Usage: tools/ci.sh [--tsan] [--skip-asan] [--skip-bench] [--skip-lint]
 #                    [--regen-determinism]
@@ -251,6 +254,8 @@ if [ "$run_bench" = 1 ]; then
     ./bench_autoscale --check &&
     ./bench_micro --check &&
     ./bench_fig9_latency --check )
+  echo "==> bench gate: perfbench self-test"
+  python3 perfbench/run.py --self-test
 fi
 
 if [ "$run_asan" = 1 ]; then
