@@ -1,18 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "workloads/scenario.hpp"
 #include "workloads/dags.hpp"
 
 namespace rill::workloads {
 namespace {
 
+// gtest prints a parameter that has no printer as its raw bytes, and that
+// dump is part of each test's listed name. The padding after `dag` is a
+// member so those bytes are always zero, not leftover stack contents.
 struct Table1Row {
   DagKind dag;
+  std::uint8_t pad[3];
   int slots;
   int default_d2;
   int scale_in_d3;
   int scale_out_d1;
 };
+static_assert(sizeof(Table1Row) == 20, "Table1Row must have no implicit padding");
 
 class Table1Plans : public ::testing::TestWithParam<Table1Row> {};
 
@@ -27,11 +34,11 @@ TEST_P(Table1Plans, MatchesPaperTable1) {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperRows, Table1Plans,
-    ::testing::Values(Table1Row{DagKind::Linear, 5, 3, 2, 5},
-                      Table1Row{DagKind::Diamond, 8, 4, 2, 8},
-                      Table1Row{DagKind::Star, 8, 4, 2, 8},
-                      Table1Row{DagKind::Grid, 21, 11, 6, 21},
-                      Table1Row{DagKind::Traffic, 13, 7, 4, 13}),
+    ::testing::Values(Table1Row{DagKind::Linear, {}, 5, 3, 2, 5},
+                      Table1Row{DagKind::Diamond, {}, 8, 4, 2, 8},
+                      Table1Row{DagKind::Star, {}, 8, 4, 2, 8},
+                      Table1Row{DagKind::Grid, {}, 21, 11, 6, 21},
+                      Table1Row{DagKind::Traffic, {}, 13, 7, 4, 13}),
     [](const ::testing::TestParamInfo<Table1Row>& info) {
       return std::string(to_string(info.param.dag));
     });
