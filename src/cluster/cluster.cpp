@@ -7,7 +7,7 @@
 namespace rill::cluster {
 
 VmId Cluster::provision(VmType type, std::string label) {
-  const VmId id{next_vm_++};
+  const VmId id{static_cast<std::uint32_t>(vms_.size() + 1)};
   Vm vm;
   vm.id = id;
   vm.type = type;
@@ -16,12 +16,11 @@ VmId Cluster::provision(VmType type, std::string label) {
                            : std::move(label);
   vm.provisioned_at = engine_.now();
   for (int c = 0; c < cores(type); ++c) {
-    const SlotId sid{next_slot_++};
-    slots_.emplace(sid, Slot{sid, id, std::nullopt});
+    const SlotId sid{static_cast<std::uint32_t>(slots_.size() + 1)};
+    slots_.push_back(Slot{sid, id, std::nullopt});
     vm.slots.push_back(sid);
   }
-  vm_order_.push_back(id);
-  vms_.emplace(id, std::move(vm));
+  vms_.push_back(std::move(vm));
   return id;
 }
 
@@ -36,21 +35,18 @@ std::vector<VmId> Cluster::provision_n(VmType type, int count,
 }
 
 void Cluster::release(VmId id) {
-  auto& vm = vms_.at(id);
+  Vm& vm = vm_mut(id);
   if (!vm.active()) throw std::logic_error("release: VM already released");
   for (SlotId s : vm.slots) {
-    if (slots_.at(s).occupant.has_value()) {
+    if (slot(s).occupant.has_value()) {
       throw std::logic_error("release: VM " + vm.label + " has occupied slots");
     }
   }
   vm.released_at = engine_.now();
 }
 
-const Vm& Cluster::vm(VmId id) const { return vms_.at(id); }
-const Slot& Cluster::slot(SlotId id) const { return slots_.at(id); }
-
 void Cluster::occupy(SlotId slot, InstanceId instance) {
-  auto& s = slots_.at(slot);
+  Slot& s = slot_mut(slot);
   if (s.occupant.has_value()) {
     throw std::logic_error("occupy: slot already taken");
   }
@@ -58,7 +54,7 @@ void Cluster::occupy(SlotId slot, InstanceId instance) {
 }
 
 void Cluster::vacate(SlotId slot) {
-  auto& s = slots_.at(slot);
+  Slot& s = slot_mut(slot);
   if (!s.occupant.has_value()) {
     throw std::logic_error("vacate: slot already empty");
   }
@@ -67,11 +63,10 @@ void Cluster::vacate(SlotId slot) {
 
 std::vector<SlotId> Cluster::vacant_slots() const {
   std::vector<SlotId> out;
-  for (VmId vid : vm_order_) {
-    const Vm& vm = vms_.at(vid);
+  for (const Vm& vm : vms_) {
     if (!vm.active()) continue;
     for (SlotId s : vm.slots) {
-      if (!slots_.at(s).occupant.has_value()) out.push_back(s);
+      if (!slot(s).occupant.has_value()) out.push_back(s);
     }
   }
   return out;
@@ -81,10 +76,10 @@ std::vector<SlotId> Cluster::vacant_slots_on(
     const std::vector<VmId>& vms) const {
   std::vector<SlotId> out;
   for (VmId vid : vms) {
-    const Vm& vm = vms_.at(vid);
+    const Vm& vm = this->vm(vid);
     if (!vm.active()) continue;
     for (SlotId s : vm.slots) {
-      if (!slots_.at(s).occupant.has_value()) out.push_back(s);
+      if (!slot(s).occupant.has_value()) out.push_back(s);
     }
   }
   return out;
@@ -92,16 +87,15 @@ std::vector<SlotId> Cluster::vacant_slots_on(
 
 std::vector<VmId> Cluster::active_vms() const {
   std::vector<VmId> out;
-  for (VmId vid : vm_order_) {
-    if (vms_.at(vid).active()) out.push_back(vid);
+  for (const Vm& vm : vms_) {
+    if (vm.active()) out.push_back(vm.id);
   }
   return out;
 }
 
 double Cluster::billed_cents() const {
   double total = 0.0;
-  for (VmId vid : vm_order_) {
-    const Vm& vm = vms_.at(vid);
+  for (const Vm& vm : vms_) {
     const SimTime end = vm.released_at.value_or(engine_.now());
     const double minutes =
         std::ceil(time::to_sec(static_cast<SimDuration>(end - vm.provisioned_at)) / 60.0);
@@ -114,11 +108,11 @@ double Cluster::utilisation(const std::vector<VmId>& vms) const {
   std::size_t total = 0;
   std::size_t used = 0;
   for (VmId vid : vms) {
-    const Vm& vm = vms_.at(vid);
+    const Vm& vm = this->vm(vid);
     total += vm.slots.size();
     used += static_cast<std::size_t>(
         std::count_if(vm.slots.begin(), vm.slots.end(), [&](SlotId s) {
-          return slots_.at(s).occupant.has_value();
+          return slot(s).occupant.has_value();
         }));
   }
   return total == 0 ? 0.0 : static_cast<double>(used) / static_cast<double>(total);

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/vm.hpp"
@@ -30,8 +29,12 @@ class Cluster {
   /// Release a VM; its slots must be vacant.
   void release(VmId vm);
 
-  [[nodiscard]] const Vm& vm(VmId id) const;
-  [[nodiscard]] const Slot& slot(SlotId id) const;
+  /// Ids are dense from 1 and never reused, so both lookups index a table;
+  /// an id this cluster never issued throws std::out_of_range.
+  [[nodiscard]] const Vm& vm(VmId id) const { return vms_.at(id.value - 1); }
+  [[nodiscard]] const Slot& slot(SlotId id) const {
+    return slots_.at(id.value - 1);
+  }
 
   /// Which VM hosts a slot — the network model uses this to decide
   /// intra- vs inter-VM latency.
@@ -63,12 +66,13 @@ class Cluster {
   [[nodiscard]] double utilisation(const std::vector<VmId>& vms) const;
 
  private:
+  Vm& vm_mut(VmId id) { return vms_.at(id.value - 1); }
+  Slot& slot_mut(SlotId id) { return slots_.at(id.value - 1); }
+
   sim::Engine& engine_;
-  std::unordered_map<VmId, Vm> vms_;
-  std::unordered_map<SlotId, Slot> slots_;
-  std::vector<VmId> vm_order_;  // creation order for determinism
-  std::uint32_t next_vm_{1};
-  std::uint32_t next_slot_{1};
+  /// Indexed by id - 1, so index order is creation order.
+  std::vector<Vm> vms_;
+  std::vector<Slot> slots_;
 };
 
 }  // namespace rill::cluster

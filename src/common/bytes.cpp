@@ -5,19 +5,34 @@ namespace rill {
 namespace {
 
 template <typename T>
-void append_le(Bytes& buf, T v) {
+void store_le(std::uint8_t* out, T v) {
   for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
 }
 
 template <typename T>
-T read_le(const Bytes& buf, std::size_t pos) {
+void append_le(Bytes& buf, T v) {
+  const std::size_t at = buf.size();
+  buf.resize(at + sizeof(T));
+  store_le(buf.data() + at, v);
+}
+
+template <typename T>
+T read_le(const std::uint8_t* in) {
   T v = 0;
   for (std::size_t i = 0; i < sizeof(T); ++i) {
-    v |= static_cast<T>(buf[pos + i]) << (8 * i);
+    v |= static_cast<T>(in[i]) << (8 * i);
   }
   return v;
+}
+
+/// Appends a u32 length prefix and `n` raw bytes with one resize.
+void append_prefixed(Bytes& buf, const void* src, std::size_t n) {
+  const std::size_t at = buf.size();
+  buf.resize(at + 4 + n);
+  store_le(buf.data() + at, static_cast<std::uint32_t>(n));
+  if (n != 0) std::memcpy(buf.data() + at + 4, src, n);
 }
 
 }  // namespace
@@ -37,13 +52,18 @@ void BytesWriter::put_f64(double v) {
 }
 
 void BytesWriter::put_string(std::string_view s) {
-  put_u32(static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  append_prefixed(buf_, s.data(), s.size());
 }
 
 void BytesWriter::put_bytes(const Bytes& b) {
-  put_u32(static_cast<std::uint32_t>(b.size()));
-  buf_.insert(buf_.end(), b.begin(), b.end());
+  append_prefixed(buf_, b.data(), b.size());
+}
+
+void BytesWriter::patch_u32(std::size_t at, std::uint32_t v) {
+  if (at > buf_.size() || buf_.size() - at < 4) {
+    throw std::out_of_range("BytesWriter::patch_u32: offset past the end");
+  }
+  store_le(buf_.data() + at, v);
 }
 
 void BytesReader::require(std::size_t n) const {
@@ -55,19 +75,19 @@ void BytesReader::require(std::size_t n) const {
 
 std::uint8_t BytesReader::get_u8() {
   require(1);
-  return (*buf_)[pos_++];
+  return data_[pos_++];
 }
 
 std::uint32_t BytesReader::get_u32() {
   require(4);
-  auto v = read_le<std::uint32_t>(*buf_, pos_);
+  auto v = read_le<std::uint32_t>(data_ + pos_);
   pos_ += 4;
   return v;
 }
 
 std::uint64_t BytesReader::get_u64() {
   require(8);
-  auto v = read_le<std::uint64_t>(*buf_, pos_);
+  auto v = read_le<std::uint64_t>(data_ + pos_);
   pos_ += 8;
   return v;
 }
@@ -86,18 +106,17 @@ double BytesReader::get_f64() {
 std::string BytesReader::get_string() {
   const auto n = get_u32();
   require(n);
-  std::string s(reinterpret_cast<const char*>(buf_->data() + pos_), n);
+  std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += n;
   return s;
 }
 
-Bytes BytesReader::get_bytes() {
+BytesReader BytesReader::get_nested() {
   const auto n = get_u32();
   require(n);
-  Bytes b(buf_->begin() + static_cast<std::ptrdiff_t>(pos_),
-          buf_->begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const BytesReader nested(data_ + pos_, n);
   pos_ += n;
-  return b;
+  return nested;
 }
 
 }  // namespace rill

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <charconv>
 #include <set>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -398,9 +399,9 @@ void Executor::handle_control(const Event& ev, std::uint64_t span) {
 }
 
 void Executor::snapshot_for_prepare(std::uint64_t cid) {
-  // Dirty-set custody: the snapshot copy carries every change recorded
-  // since the last blob that persisted them (clear_dirty below restarts
-  // recording for the *next* wave).  If the previous snapshot was never
+  // Dirty-set custody: the snapshot takes over every change recorded since
+  // the last blob that persisted them, and the live state restarts
+  // recording for the *next* wave.  If the previous snapshot was never
   // durably persisted (its wave failed or this is a re-PREPARE of the same
   // wave), its recorded changes must flow back first, or a later delta
   // would silently drop them.
@@ -408,9 +409,9 @@ void Executor::snapshot_for_prepare(std::uint64_t cid) {
       committed_checkpoint_ != prepared_checkpoint_) {
     state_.merge_dirty_from(*prepared_state_);
   }
-  prepared_state_ = state_;
+  if (!prepared_state_.has_value()) prepared_state_.emplace();
+  state_.hand_over_snapshot(*prepared_state_);
   prepared_checkpoint_ = cid;
-  state_.clear_dirty();
 }
 
 void Executor::on_prepare(const Event& ev, std::uint64_t span) {
@@ -456,20 +457,10 @@ void Executor::decide_commit_form(std::uint64_t cid) {
   if (cfg.ckpt_full_every > 0 && delta_chain_len_ + 1 >= cfg.ckpt_full_every) {
     return;
   }
-  // Size guard: a delta close to the full state only lengthens the restore
-  // chain.  Both serialisations carry the same pending list, so comparing
-  // the state payloads alone is enough (and cheaper).
+  // Size guard, on sizes computed from the snapshot without encoding it.
   const TaskState& snap = prepared_state_.has_value() ? *prepared_state_
                                                       : state_;
-  const CheckpointBlob probe =
-      CheckpointBlob::make_delta(cid, delta_base_cid_, snap, {});
-  CheckpointBlob full_probe;
-  full_probe.checkpoint_id = cid;
-  full_probe.state = snap;
-  const std::size_t delta_bytes = probe.serialize().size();
-  const std::size_t full_bytes = full_probe.serialize().size();
-  if (static_cast<double>(delta_bytes) >
-      cfg.ckpt_delta_max_ratio * static_cast<double>(full_bytes)) {
+  if (!CheckpointBlob::delta_within_ratio(snap, cfg.ckpt_delta_max_ratio)) {
     return;
   }
   decided_base_ = delta_base_cid_;
@@ -536,19 +527,16 @@ void Executor::persist_commit_blob(const Event& ev, std::uint64_t span) {
       platform_.checkpoint_mode() == CheckpointMode::Capture;
   decide_commit_form(ev.checkpoint_id);
 
-  CheckpointBlob blob;
-  blob.checkpoint_id = ev.checkpoint_id;
   const TaskState& snap = prepared_state_.has_value() ? *prepared_state_
                                                       : state_;
-  if (decided_base_ != 0) {
-    blob = CheckpointBlob::make_delta(ev.checkpoint_id, decided_base_, snap,
-                                      {});
-  } else {
-    blob.state = snap;
-  }
-  if (capture_mode) blob.pending = pending_capture_;
+  std::span<const Event> pending;
+  if (capture_mode) pending = pending_capture_;
   const std::size_t pending_at_serialize = pending_capture_.size();
-  Bytes raw = blob.serialize();
+  Bytes raw = decided_base_ != 0
+                  ? CheckpointBlob::encode_delta(ev.checkpoint_id,
+                                                 decided_base_, snap, pending)
+                  : CheckpointBlob::encode_full(ev.checkpoint_id, snap,
+                                                pending);
   const std::size_t bytes = raw.size();
 
   const std::uint64_t epoch = epoch_;
@@ -813,7 +801,7 @@ void Executor::finish_init_restore(InitFetch& fetch) {
     restored.state = std::move(st);
     restored.pending = std::move(fetch.chain.front().pending);
   }
-  restore_from_blob(restored);
+  restore_from_blob(std::move(restored));
   if (platform_.checkpoint_mode() == CheckpointMode::Wave) {
     platform_.forward_control(*this, ev);
   }
@@ -821,8 +809,8 @@ void Executor::finish_init_restore(InitFetch& fetch) {
   trace_end(fetch.span);
 }
 
-void Executor::restore_from_blob(const CheckpointBlob& blob) {
-  state_ = blob.state;
+void Executor::restore_from_blob(CheckpointBlob&& blob) {
+  state_ = std::move(blob.state);
   state_.clear_dirty();  // the restored map IS the next full baseline
   awaiting_init_ = false;
   capturing_ = false;
@@ -851,7 +839,7 @@ void Executor::restore_from_blob(const CheckpointBlob& blob) {
   }
   pend_until_init_.clear();
   for (auto it = blob.pending.rbegin(); it != blob.pending.rend(); ++it) {
-    queue_.push_front(*it);
+    queue_.push_front(std::move(*it));
   }
   pump();
 }
@@ -934,10 +922,7 @@ void Executor::fgm_move_next_batch(std::function<void(FgmMoveOutcome)> done) {
   const StatePartitionMap map(fgm_partitions_);
   TaskState part = extract_partition(state_, map, next);
 
-  CheckpointBlob blob;
-  blob.checkpoint_id = ++fgm_batch_seq_;
-  blob.state = part;
-  Bytes raw = blob.serialize();
+  Bytes raw = CheckpointBlob::encode_full(++fgm_batch_seq_, part, {});
   const std::size_t bytes = raw.size();
   const std::string key =
       CheckpointBlob::fgm_key(fgm_batch_seq_, ref_.task, ref_.replica);

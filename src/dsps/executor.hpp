@@ -261,7 +261,7 @@ class RILL_ISLAND(vm) RILL_PINNED Executor {
   bool aligned(const Event& ev, int expected);
 
   void apply_user_logic(const Event& ev);
-  void restore_from_blob(const CheckpointBlob& blob);
+  void restore_from_blob(CheckpointBlob&& blob);
 
   /// Key-range bucket `ev` belongs to: its key's partition for keyed tasks,
   /// the reserved bucket otherwise (non-keyed state mutates on every event).

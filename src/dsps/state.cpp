@@ -1,5 +1,6 @@
 #include "dsps/state.hpp"
 
+#include <algorithm>
 #include <string_view>
 
 namespace rill::dsps {
@@ -11,15 +12,99 @@ namespace {
 /// wire layout (which leads with the id) stays unambiguous.
 constexpr std::uint64_t kDeltaMagic = ~0ull;
 
+/// Wire sizes.  A serialised event is its eleven fields: seven u64, two
+/// u32 and two u8 (see serialize_event).
+constexpr std::size_t kEventWireBytes = 7 * 8 + 2 * 4 + 2;
+/// Framing of each form around its entries and pending tail.  Full: cid
+/// and the state payload's length.  Delta: magic, cid, base cid and the
+/// upsert and deletion counts.
+constexpr std::size_t kFullFramingBytes = 8 + 4;
+constexpr std::size_t kDeltaFramingBytes = 3 * 8 + 2 * 4;
+
+constexpr std::size_t key_size(std::string_view k) { return 4 + k.size(); }
+constexpr std::size_t entry_size(std::string_view k) {
+  return key_size(k) + 8;
+}
+constexpr std::size_t pending_size(std::size_t events) {
+  return 4 + events * kEventWireBytes;
+}
+
+/// Size of TaskState::serialize()'s output: a count and one entry per key.
+std::size_t state_payload_size(const TaskState::Counters& counters) {
+  std::size_t bytes = 4;
+  for (const auto& [k, v] : counters) bytes += entry_size(k);
+  return bytes;
+}
+
+void put_entry(BytesWriter& w, std::string_view k, std::int64_t v) {
+  w.put_string(k);
+  w.put_i64(v);
+}
+
+void put_state(BytesWriter& w, const TaskState::Counters& counters) {
+  w.put_u32(static_cast<std::uint32_t>(counters.size()));
+  for (const auto& [k, v] : counters) put_entry(w, k, v);
+}
+
+void put_pending(BytesWriter& w, std::span<const Event> pending) {
+  w.put_u32(static_cast<std::uint32_t>(pending.size()));
+  for (const Event& ev : pending) serialize_event(w, ev);
+}
+
+/// Writes one delta-form blob in wire order: the header, the upserts, the
+/// deletions, then the pending tail.  Each section's count is patched in
+/// once its items are written, so a caller can filter while it writes.
+class DeltaEncoder {
+ public:
+  DeltaEncoder(std::uint64_t cid, std::uint64_t base_cid, std::size_t reserve) {
+    w_.reserve(reserve);
+    w_.put_u64(kDeltaMagic);
+    w_.put_u64(cid);
+    w_.put_u64(base_cid);
+    open_section();
+  }
+
+  void upsert(std::string_view k, std::int64_t v) {
+    put_entry(w_, k, v);
+    ++count_;
+  }
+
+  /// Closes the upserts; every later item is a deletion.
+  void begin_deletions() {
+    close_section();
+    open_section();
+  }
+
+  void deletion(std::string_view k) {
+    w_.put_string(k);
+    ++count_;
+  }
+
+  [[nodiscard]] Bytes finish(std::span<const Event> pending) {
+    close_section();
+    put_pending(w_, pending);
+    return w_.take();
+  }
+
+ private:
+  void open_section() {
+    count_at_ = w_.size();
+    count_ = 0;
+    w_.put_u32(0);
+  }
+  void close_section() { w_.patch_u32(count_at_, count_); }
+
+  BytesWriter w_;
+  std::size_t count_at_{0};
+  std::uint32_t count_{0};
+};
+
 }  // namespace
 
 Bytes TaskState::serialize() const {
   BytesWriter w;
-  w.put_u32(static_cast<std::uint32_t>(counters.size()));
-  for (const auto& [k, v] : counters) {
-    w.put_string(k);
-    w.put_i64(v);
-  }
+  w.reserve(state_payload_size(counters));
+  put_state(w, counters);
   return w.take();
 }
 
@@ -28,7 +113,10 @@ TaskState TaskState::deserialize(BytesReader& r) {
   const auto n = r.get_u32();
   for (std::uint32_t i = 0; i < n; ++i) {
     std::string k = r.get_string();
-    s.counters[std::move(k)] = r.get_i64();
+    const std::int64_t v = r.get_i64();
+    // Keys arrive in map order, so the end hint makes each insert constant
+    // time; a repeated key (a hand-built blob) keeps its last value.
+    s.counters.insert_or_assign(s.counters.end(), std::move(k), v);
   }
   return s;
 }
@@ -63,27 +151,73 @@ Event deserialize_event(BytesReader& r) {
   return ev;
 }
 
-Bytes CheckpointBlob::serialize() const {
+Bytes CheckpointBlob::encode_full(std::uint64_t cid, const TaskState& state,
+                                  std::span<const Event> pending) {
+  const std::size_t payload = state_payload_size(state.counters);
   BytesWriter w;
-  if (is_delta()) {
-    w.put_u64(kDeltaMagic);
-    w.put_u64(checkpoint_id);
-    w.put_u64(base_checkpoint_id);
-    w.put_u32(static_cast<std::uint32_t>(changed.size()));
-    for (const auto& [k, v] : changed) {
-      w.put_string(k);
-      w.put_i64(v);
-    }
-    w.put_u32(static_cast<std::uint32_t>(deleted.size()));
-    for (const auto& k : deleted) w.put_string(k);
-  } else {
-    w.put_u64(checkpoint_id);
-    const Bytes state_bytes = state.serialize();
-    w.put_bytes(state_bytes);
-  }
-  w.put_u32(static_cast<std::uint32_t>(pending.size()));
-  for (const Event& ev : pending) serialize_event(w, ev);
+  w.reserve(kFullFramingBytes + payload + pending_size(pending.size()));
+  w.put_u64(cid);
+  w.put_u32(static_cast<std::uint32_t>(payload));
+  put_state(w, state.counters);
+  put_pending(w, pending);
   return w.take();
+}
+
+Bytes CheckpointBlob::encode_delta(std::uint64_t cid, std::uint64_t base_cid,
+                                   const TaskState& state,
+                                   std::span<const Event> pending) {
+  // Reserve as if every dirty key were still present: exact in the usual
+  // case, 8 bytes over per dirty key that was erased through `counters`.
+  std::size_t reserve = kDeltaFramingBytes + pending_size(pending.size());
+  for (const auto& k : state.dirty_keys()) reserve += entry_size(k);
+  for (const auto& k : state.deleted_keys()) reserve += key_size(k);
+  DeltaEncoder enc(cid, base_cid, reserve);
+  // A dirty key can be absent if user code erased it through `counters`
+  // directly; it is written as a deletion so the delta stays faithful.
+  std::vector<std::string_view> absent;
+  for (const auto& k : state.dirty_keys()) {
+    if (auto it = state.counters.find(k); it != state.counters.end()) {
+      enc.upsert(k, it->second);
+    } else {
+      absent.push_back(k);
+    }
+  }
+  enc.begin_deletions();
+  for (const std::string_view k : absent) enc.deletion(k);
+  for (const auto& k : state.deleted_keys()) enc.deletion(k);
+  return enc.finish(pending);
+}
+
+std::size_t CheckpointBlob::full_size(const TaskState& state) {
+  return kFullFramingBytes + state_payload_size(state.counters) +
+         pending_size(0);
+}
+
+std::size_t CheckpointBlob::delta_size(const TaskState& state) {
+  std::size_t bytes = kDeltaFramingBytes + pending_size(0);
+  for (const auto& k : state.dirty_keys()) {
+    bytes += state.counters.contains(k) ? entry_size(k) : key_size(k);
+  }
+  for (const auto& k : state.deleted_keys()) bytes += key_size(k);
+  return bytes;
+}
+
+bool CheckpointBlob::delta_within_ratio(const TaskState& state,
+                                        double max_ratio) {
+  return !(static_cast<double>(delta_size(state)) >
+           max_ratio * static_cast<double>(full_size(state)));
+}
+
+Bytes CheckpointBlob::serialize() const {
+  if (!is_delta()) return encode_full(checkpoint_id, state, pending);
+  std::size_t bytes = kDeltaFramingBytes + pending_size(pending.size());
+  for (const auto& [k, v] : changed) bytes += entry_size(k);
+  for (const auto& k : deleted) bytes += key_size(k);
+  DeltaEncoder enc(checkpoint_id, base_checkpoint_id, bytes);
+  for (const auto& [k, v] : changed) enc.upsert(k, v);
+  enc.begin_deletions();
+  for (const auto& k : deleted) enc.deletion(k);
+  return enc.finish(pending);
 }
 
 CheckpointBlob CheckpointBlob::deserialize(const Bytes& raw) {
@@ -99,19 +233,22 @@ CheckpointBlob CheckpointBlob::deserialize(const Bytes& raw) {
     const auto nc = r.get_u32();
     for (std::uint32_t i = 0; i < nc; ++i) {
       std::string k = r.get_string();
-      b.changed[std::move(k)] = r.get_i64();
+      const std::int64_t v = r.get_i64();
+      b.changed.insert_or_assign(b.changed.end(), std::move(k), v);
     }
+    // Counts come from the blob: reserve no more than the remaining bytes
+    // can hold (a key takes at least its length prefix), so a corrupt count
+    // fails in the read loop as a DeserializeError, not an allocation error.
     const auto nd = r.get_u32();
-    b.deleted.reserve(nd);
+    b.deleted.reserve(std::min<std::size_t>(nd, r.remaining() / key_size({})));
     for (std::uint32_t i = 0; i < nd; ++i) b.deleted.push_back(r.get_string());
   } else {
     b.checkpoint_id = head;
-    const Bytes state_bytes = r.get_bytes();
-    BytesReader sr(state_bytes);
-    b.state = TaskState::deserialize(sr);
+    BytesReader payload = r.get_nested();
+    b.state = TaskState::deserialize(payload);
   }
   const auto n = r.get_u32();
-  b.pending.reserve(n);
+  b.pending.reserve(std::min<std::size_t>(n, r.remaining() / kEventWireBytes));
   for (std::uint32_t i = 0; i < n; ++i) b.pending.push_back(deserialize_event(r));
   return b;
 }

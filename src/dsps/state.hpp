@@ -18,6 +18,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,6 +79,17 @@ struct TaskState {
   void clear_dirty() {
     dirty_.clear();
     deleted_.clear();
+  }
+
+  /// PREPARE hand-over: makes `snap` a copy of this map that owns the
+  /// recorded changes, and leaves this state clean.  The result equals
+  /// `snap = *this; clear_dirty();`, but the dirty and deleted sets move
+  /// instead of being copied, and `snap`'s map nodes are reused.
+  void hand_over_snapshot(TaskState& snap) {
+    snap.counters = counters;
+    snap.dirty_ = std::move(dirty_);
+    snap.deleted_ = std::move(deleted_);
+    clear_dirty();
   }
 
   /// Unions `other`'s recorded changes into ours.  Used on ROLLBACK: the
@@ -143,6 +155,31 @@ struct CheckpointBlob {
 
   [[nodiscard]] Bytes serialize() const;
   [[nodiscard]] static CheckpointBlob deserialize(const Bytes& raw);
+
+  /// The two wire forms written straight from a state and a pending list,
+  /// without building a blob.  encode_full gives the bytes of a full blob
+  /// holding `state`; encode_delta gives those of
+  /// make_delta(cid, base_cid, state, pending).serialize().
+  [[nodiscard]] static Bytes encode_full(std::uint64_t cid,
+                                         const TaskState& state,
+                                         std::span<const Event> pending);
+  [[nodiscard]] static Bytes encode_delta(std::uint64_t cid,
+                                          std::uint64_t base_cid,
+                                          const TaskState& state,
+                                          std::span<const Event> pending);
+
+  /// Exact sizes of encode_full / encode_delta for `state` with no pending
+  /// events, computed without encoding: the full form from one pass over
+  /// the map, the delta form from the dirty and deleted sets.
+  [[nodiscard]] static std::size_t full_size(const TaskState& state);
+  [[nodiscard]] static std::size_t delta_size(const TaskState& state);
+
+  /// The delta-or-full size guard: true unless `state`'s delta form is
+  /// larger than `max_ratio` times its full form, both without pending
+  /// events (the two forms carry the same list).  A delta close to the
+  /// full state only lengthens the restore chain.
+  [[nodiscard]] static bool delta_within_ratio(const TaskState& state,
+                                               double max_ratio);
 
   /// Builds a delta blob carrying `state`'s dirty/deleted keys on top of
   /// the blob committed as `base_cid`.  The pending list is always full.

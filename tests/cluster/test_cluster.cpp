@@ -120,5 +120,35 @@ TEST_F(ClusterFixture, ActiveVmsTracksReleases) {
   EXPECT_EQ(active[0], b);
 }
 
+TEST_F(ClusterFixture, UnissuedIdsThrowOutOfRange) {
+  const VmId a = clu.provision(VmType::D2);  // slots 1 and 2
+  EXPECT_THROW(static_cast<void>(clu.vm(VmId{0})), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(clu.vm(VmId{a.value + 1})), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(clu.slot(SlotId{0})), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(clu.slot(SlotId{3})), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(clu.vm_of(SlotId{3})), std::out_of_range);
+  EXPECT_THROW(clu.occupy(SlotId{0}, InstanceId{1}), std::out_of_range);
+  EXPECT_THROW(clu.vacate(SlotId{3}), std::out_of_range);
+  EXPECT_THROW(clu.release(VmId{2}), std::out_of_range);
+}
+
+TEST_F(ClusterFixture, ListingsFollowCreationOrder) {
+  const VmId a = clu.provision(VmType::D1);  // slot 1
+  const VmId b = clu.provision(VmType::D2);  // slots 2, 3
+  const VmId c = clu.provision(VmType::D3);  // slots 4..7
+  const VmId d = clu.provision(VmType::D2);  // slots 8, 9
+  clu.release(b);
+  clu.occupy(SlotId{5}, InstanceId{1});
+  clu.occupy(SlotId{8}, InstanceId{2});
+  EXPECT_EQ(clu.active_vms(), (std::vector<VmId>{a, c, d}));
+  EXPECT_EQ(clu.vacant_slots(),
+            (std::vector<SlotId>{SlotId{1}, SlotId{4}, SlotId{6}, SlotId{7},
+                                 SlotId{9}}));
+  EXPECT_EQ(clu.vacant_slots_on({d, a}),
+            (std::vector<SlotId>{SlotId{9}, SlotId{1}}));
+  EXPECT_EQ(clu.vm_of(SlotId{7}), c);
+  EXPECT_EQ(clu.vm_count(), 4u);
+}
+
 }  // namespace
 }  // namespace rill::cluster

@@ -44,9 +44,10 @@ TEST(Bytes, RoundtripNestedBytes) {
   outer.put_string("tail");
 
   BytesReader r(outer.data());
-  const Bytes blob = r.get_bytes();
-  BytesReader ir(blob);
+  BytesReader ir = r.get_nested();
   EXPECT_EQ(ir.get_u32(), 7u);
+  EXPECT_TRUE(ir.exhausted());
+  EXPECT_THROW(ir.get_u8(), DeserializeError);  // bounded to its length
   EXPECT_EQ(r.get_string(), "tail");
 }
 

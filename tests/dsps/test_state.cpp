@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "dsps/config.hpp"
 #include "dsps/state.hpp"
 
 namespace rill::dsps {
@@ -261,6 +262,155 @@ TEST(CheckpointBlob, SeededFuzzRoundtripAndChainEquivalence) {
     }
     EXPECT_EQ(restored, live) << "round " << round;
   }
+}
+
+TEST(CheckpointBlob, CorruptElementCountsThrowDeserializeError) {
+  // A count read from the blob must not size an allocation beyond what the
+  // remaining bytes can hold: both blobs end right after a 2^32-1 count.
+  BytesWriter full;
+  full.put_u64(1);            // checkpoint id
+  full.put_u32(4);            // state payload length
+  full.put_u32(0);            // no keys
+  full.put_u32(0xFFFFFFFFu);  // pending count
+  ASSERT_EQ(full.size(), 20u);
+  EXPECT_THROW(static_cast<void>(CheckpointBlob::deserialize(full.data())),
+               DeserializeError);
+
+  BytesWriter delta;
+  delta.put_u64(~0ull);        // delta magic
+  delta.put_u64(2);            // checkpoint id
+  delta.put_u64(1);            // base checkpoint id
+  delta.put_u32(0);            // no upserts
+  delta.put_u32(0xFFFFFFFFu);  // deleted count
+  ASSERT_EQ(delta.size(), 32u);
+  EXPECT_THROW(static_cast<void>(CheckpointBlob::deserialize(delta.data())),
+               DeserializeError);
+}
+
+/// The wire format spelled out from BytesWriter primitives: the full form
+/// nests TaskState::serialize() as a length-prefixed payload; the delta
+/// form lists the changed entries and then the deleted keys.
+Bytes reference_bytes(const CheckpointBlob& b) {
+  BytesWriter w;
+  if (b.is_delta()) {
+    w.put_u64(~0ull);
+    w.put_u64(b.checkpoint_id);
+    w.put_u64(b.base_checkpoint_id);
+    w.put_u32(static_cast<std::uint32_t>(b.changed.size()));
+    for (const auto& [k, v] : b.changed) {
+      w.put_string(k);
+      w.put_i64(v);
+    }
+    w.put_u32(static_cast<std::uint32_t>(b.deleted.size()));
+    for (const auto& k : b.deleted) w.put_string(k);
+  } else {
+    w.put_u64(b.checkpoint_id);
+    w.put_bytes(b.state.serialize());
+  }
+  w.put_u32(static_cast<std::uint32_t>(b.pending.size()));
+  for (const Event& ev : b.pending) serialize_event(w, ev);
+  return w.take();
+}
+
+/// A random state with a random change record: upserts, tombstones (some
+/// of keys that were never there), and dirty keys erased through
+/// `counters` directly.  Round 0 is the empty state.
+TaskState random_state(Rng& rng, int round) {
+  TaskState s;
+  if (round == 0) return s;
+  const std::uint64_t keys = rng.uniform_int(0, 20);
+  for (std::uint64_t k = 0; k < keys; ++k) {
+    s["k" + std::to_string(k)] = static_cast<std::int64_t>(rng.next());
+  }
+  if (rng.uniform01() < 0.5) s.clear_dirty();
+  const std::uint64_t muts = rng.uniform_int(0, 12);
+  for (std::uint64_t m = 0; m < muts; ++m) {
+    const std::string key = "k" + std::to_string(rng.next() % (keys + 4));
+    const double roll = rng.uniform01();
+    if (roll < 0.5) {
+      s[key] = static_cast<std::int64_t>(rng.next());
+    } else if (roll < 0.75) {
+      s.erase(key);
+    } else {
+      s[key] = 1;
+      s.counters.erase(key);  // dirty, but gone from the map
+    }
+  }
+  return s;
+}
+
+TEST(CheckpointBlob, EncodersMatchTheBlobPath) {
+  Rng rng(0x5EEDC0DEull);
+  for (int round = 0; round < 200; ++round) {
+    const TaskState state = random_state(rng, round);
+    std::vector<Event> pending;
+    const std::uint64_t events = rng.uniform_int(0, 3);
+    for (std::uint64_t i = 0; i < events; ++i) {
+      Event ev = sample_event();
+      ev.id = rng.next();
+      ev.key = rng.next();
+      pending.push_back(ev);
+    }
+    const std::uint64_t cid = rng.uniform_int(2, 1000);
+    const std::uint64_t base = cid - 1;
+
+    CheckpointBlob full;
+    full.checkpoint_id = cid;
+    full.state = state;
+    full.pending = pending;
+    const Bytes full_bytes = CheckpointBlob::encode_full(cid, state, pending);
+    EXPECT_EQ(full_bytes, full.serialize()) << "round " << round;
+    EXPECT_EQ(full_bytes, reference_bytes(full)) << "round " << round;
+
+    const CheckpointBlob delta =
+        CheckpointBlob::make_delta(cid, base, state, pending);
+    const Bytes delta_bytes =
+        CheckpointBlob::encode_delta(cid, base, state, pending);
+    EXPECT_EQ(delta_bytes, delta.serialize()) << "round " << round;
+    EXPECT_EQ(delta_bytes, reference_bytes(delta)) << "round " << round;
+
+    EXPECT_EQ(CheckpointBlob::full_size(state),
+              CheckpointBlob::encode_full(cid, state, {}).size())
+        << "round " << round;
+    EXPECT_EQ(CheckpointBlob::delta_size(state),
+              CheckpointBlob::encode_delta(cid, base, state, {}).size())
+        << "round " << round;
+
+    // PREPARE hand-over into a snapshot that still holds an older wave.
+    TaskState live = state;
+    TaskState snap = random_state(rng, round + 1);
+    live.hand_over_snapshot(snap);
+    EXPECT_FALSE(live.has_dirty()) << "round " << round;
+    EXPECT_EQ(live.counters, state.counters) << "round " << round;
+    EXPECT_EQ(snap.counters, state.counters) << "round " << round;
+    EXPECT_EQ(snap.dirty_keys(), state.dirty_keys()) << "round " << round;
+    EXPECT_EQ(snap.deleted_keys(), state.deleted_keys()) << "round " << round;
+  }
+}
+
+/// One clean key of `clean_len` bytes and the dirty key "d".  Full form:
+/// 20 B of framing + (12 + clean_len) + 13; delta form: 36 + 13 = 49 B.
+TaskState one_dirty_key(std::size_t clean_len) {
+  TaskState s;
+  s[std::string(clean_len, 'c')] = 1;
+  s.clear_dirty();
+  s["d"] = 2;
+  return s;
+}
+
+TEST(CheckpointBlob, RatioGuardKeepsAHalfSizeDeltaAndNotOneByteMore) {
+  const double ratio = PlatformConfig{}.ckpt_delta_max_ratio;
+  ASSERT_EQ(ratio, 0.5);
+
+  const TaskState at_half = one_dirty_key(53);
+  ASSERT_EQ(CheckpointBlob::full_size(at_half), 98u);
+  ASSERT_EQ(CheckpointBlob::delta_size(at_half), 49u);
+  EXPECT_TRUE(CheckpointBlob::delta_within_ratio(at_half, ratio));
+
+  const TaskState over = one_dirty_key(51);
+  ASSERT_EQ(CheckpointBlob::full_size(over), 96u);
+  ASSERT_EQ(CheckpointBlob::delta_size(over), 49u);
+  EXPECT_FALSE(CheckpointBlob::delta_within_ratio(over, ratio));
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: RelWithDebInfo build + full test suite, then the ASan
-# preset (build + the fast chaos/FGM teardown subset). The TSan preset
-# (`--tsan`) is opt-in and build-only — the simulator is single-threaded
-# until the parallel engine lands, so there are no races to run down yet.
+# preset (build + the fast chaos/FGM teardown and codec subset). The TSan
+# preset (`--tsan`) is opt-in and build-only — the simulator is
+# single-threaded until the parallel engine lands, so there are no races to
+# run down yet.
 #
 # A lint gate runs right after the default-preset tests:
 #   * rill_lint (tools/lint) enforces the determinism rules R1–R4, the
@@ -263,12 +264,15 @@ if [ "$run_asan" = 1 ]; then
   # while callbacks are still scheduled (chaos crash/respawn, FGM fluid
   # migration, capture-window retries) — the lifetimes rill_lint's R6
   # reasons about statically get checked dynamically here without paying
-  # for the full suite under instrumentation.
-  echo "==> asan: configure + build + fast chaos/FGM subset"
+  # for the full suite under instrumentation.  It also runs the blob codec
+  # suites (TaskState, EventSerde, Bytes): the codec writes and reads
+  # through raw pointers (patched counts, nested readers that borrow the
+  # outer buffer), so an off-by-one there is an ASan report, not a misread.
+  echo "==> asan: configure + build + fast chaos/FGM/codec subset"
   cmake --preset asan
   cmake --build --preset asan -j "$jobs"
   ctest --preset asan -j "$jobs" \
-    -R 'Chaos|CaptureWindow|Fgm|StatePartition|ExtractPartition|Checkpoint'
+    -R 'Chaos|CaptureWindow|Fgm|StatePartition|ExtractPartition|Checkpoint|TaskState|EventSerde|^Bytes\.'
 fi
 
 if [ "$run_tsan" = 1 ]; then
