@@ -101,13 +101,17 @@ ArmOut run_arm(const workloads::ExperimentConfig& cfg) {
     out.burn_per_mille = out.r.slo_burn_per_mille;
     out.windows = out.r.slo_windows;
   } else {
-    // Same window semantics as the controller's online monitor, computed
-    // batch over the sink-arrival log.
-    obs::SloMonitor slo(obs::SloConfig{kTargetP99Us, 10});
-    for (const metrics::LatencySeries::Sample& s :
-         out.r.collector.latency().samples()) {
+    // The controller's window semantics, rebuilt after the run from the
+    // sink-arrival log.
+    obs::OnlineSloMonitor slo(obs::SloConfig{kTargetP99Us, 10});
+    const auto& samples = out.r.collector.latency().samples();
+    for (const metrics::LatencySeries::Sample& s : samples) {
       slo.record(s.arrival,
                  static_cast<std::uint64_t>(s.latency > 0 ? s.latency : 0));
+    }
+    if (!samples.empty()) {
+      slo.advance_to(samples.back().arrival +
+                     slo.config().window_sec * 1'000'000ull);
     }
     slo.finalize();
     out.burn_per_mille = slo.burn_per_mille();

@@ -43,7 +43,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/island.hpp"
+#include "common/pinned.hpp"
 #include "common/time.hpp"
 #include "core/controller.hpp"
 #include "core/strategy.hpp"
@@ -146,7 +146,7 @@ struct AutoscaleStats {
 /// The closed-loop controller.  Sits between the platform and the real
 /// listener (tee): call attach() AFTER the runner installs its collector,
 /// then start() after Platform::start().
-class RILL_ISLAND(ctrl) RILL_PINNED AutoscaleController final
+class RILL_PINNED AutoscaleController final
     : public dsps::EventListener {
  public:
   AutoscaleController(dsps::Platform& platform,

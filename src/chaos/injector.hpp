@@ -16,7 +16,7 @@
 #include <optional>
 
 #include "chaos/plan.hpp"
-#include "common/island.hpp"
+#include "common/pinned.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "kvstore/store.hpp"
@@ -52,7 +52,7 @@ struct ChaosStats {
   }
 };
 
-class RILL_ISLAND(ctrl) RILL_PINNED ChaosInjector final
+class RILL_PINNED ChaosInjector final
     : public net::Network::FaultHook,
                             public kvstore::Store::FaultHook {
  public:

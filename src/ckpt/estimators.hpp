@@ -20,12 +20,11 @@
 #include <optional>
 
 #include "chaos/plan.hpp"
-#include "common/island.hpp"
 #include "common/time.hpp"
 
 namespace rill::ckpt {
 
-class RILL_ISLAND(ctrl) MttfEstimator {
+class MttfEstimator {
  public:
   explicit MttfEstimator(double alpha = 0.3) noexcept : alpha_(alpha) {}
 
@@ -57,7 +56,7 @@ class RILL_ISLAND(ctrl) MttfEstimator {
   std::uint64_t failures_{0};
 };
 
-class RILL_ISLAND(ctrl) MttrEstimator {
+class MttrEstimator {
  public:
   explicit MttrEstimator(double alpha = 0.3) noexcept : alpha_(alpha) {}
 

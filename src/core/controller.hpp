@@ -24,7 +24,7 @@
 #include <memory>
 #include <optional>
 
-#include "common/island.hpp"
+#include "common/pinned.hpp"
 #include "core/strategy.hpp"
 #include "dsps/platform.hpp"
 
@@ -59,7 +59,7 @@ struct RecoveryStats {
   std::optional<double> first_abort_latency_sec;
 };
 
-class RILL_ISLAND(ctrl) RILL_PINNED MigrationController {
+class RILL_PINNED MigrationController {
  public:
   MigrationController(dsps::Platform& platform, MigrationStrategy& strategy,
                       ControllerConfig config = {})

@@ -1,17 +1,6 @@
 #include "core/strategies.hpp"
-#include "obs/trace.hpp"
 
 namespace rill::core {
-
-namespace {
-
-void strategy_instant(dsps::Platform& platform, const char* name) {
-  if (auto* tr = platform.tracer()) {
-    tr->instant(obs::kTrackController, "strategy", name);
-  }
-}
-
-}  // namespace
 
 void DsmStrategy::configure(dsps::Platform& platform) {
   // Reliability is always-on: ack every user event, checkpoint

@@ -2,19 +2,8 @@
 #include <utility>
 
 #include "core/strategies.hpp"
-#include "obs/trace.hpp"
 
 namespace rill::core {
-
-namespace {
-
-void strategy_instant(dsps::Platform& platform, const char* name) {
-  if (auto* tr = platform.tracer()) {
-    tr->instant(obs::kTrackController, "strategy", name);
-  }
-}
-
-}  // namespace
 
 /// Shared state of one fluid attempt: the per-instance batch chains run
 /// concurrently and the last one to park (AllMoved or Failed) decides the

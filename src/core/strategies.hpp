@@ -6,6 +6,9 @@
 
 namespace rill::core {
 
+/// Control-plane instant on the controller lane (no-op when tracing is off).
+void strategy_instant(dsps::Platform& platform, const char* name);
+
 /// Default Storm Migration: always-on acking for every user event plus
 /// periodic checkpoints; migration = immediate rebalance with timeout 0,
 /// then an INIT wave that is re-sent only on 30 s ack-timeout failures.

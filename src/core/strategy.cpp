@@ -9,16 +9,11 @@
 
 namespace rill::core {
 
-namespace {
-
-/// Control-plane instant on the controller lane (no-op when tracing is off).
 void strategy_instant(dsps::Platform& platform, const char* name) {
   if (auto* tr = platform.tracer()) {
     tr->instant(obs::kTrackController, "strategy", name);
   }
 }
-
-}  // namespace
 
 namespace {
 

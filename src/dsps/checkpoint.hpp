@@ -28,7 +28,6 @@
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
-#include "common/island.hpp"
 #include "common/time.hpp"
 #include "dsps/config.hpp"
 #include "dsps/event.hpp"
@@ -65,7 +64,7 @@ struct CheckpointStats {
   std::uint64_t init_chain_fetches{0};  ///< extra base-blob fetches on restore
 };
 
-class RILL_ISLAND(ctrl) CheckpointCoordinator {
+class CheckpointCoordinator {
  public:
   using Done = std::function<void(bool success)>;
 

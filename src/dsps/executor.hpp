@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "common/ids.hpp"
-#include "common/island.hpp"
+#include "common/pinned.hpp"
 #include "common/time.hpp"
 #include "dsps/config.hpp"
 #include "dsps/event.hpp"
@@ -86,7 +86,7 @@ enum class FgmMoveOutcome : std::uint8_t {
 /// client reconnect behaviour).  Running: processing normally.
 enum class LifeState : std::uint8_t { Dead, Starting, Running };
 
-class RILL_ISLAND(vm) RILL_PINNED Executor {
+class RILL_PINNED Executor {
  public:
   Executor(Platform& platform, InstanceId id, InstanceRef ref);
 
@@ -280,7 +280,7 @@ class RILL_ISLAND(vm) RILL_PINNED Executor {
   InstanceRef ref_;
   SlotId slot_{};
 
-  RILL_ISLAND(vm) std::deque<Event> queue_;
+  std::deque<Event> queue_;
   bool busy_{false};
   LifeState life_{LifeState::Dead};
   bool awaiting_init_{false};
@@ -363,7 +363,7 @@ class RILL_ISLAND(vm) RILL_PINNED Executor {
   /// Lazily-built "task/replica" label for attribution hops.
   std::string attr_label_;
 
-  RILL_SHARED ExecutorStats stats_;
+  ExecutorStats stats_;
 };
 
 }  // namespace rill::dsps

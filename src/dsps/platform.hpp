@@ -20,7 +20,7 @@
 
 #include "cluster/cluster.hpp"
 #include "common/ids.hpp"
-#include "common/island.hpp"
+#include "common/pinned.hpp"
 #include "common/rng.hpp"
 #include "dsps/acker.hpp"
 #include "dsps/checkpoint.hpp"
@@ -54,7 +54,7 @@ struct PlatformStats {
   std::uint64_t replayed_emissions{0};  ///< emissions tainted `replayed`
 };
 
-class RILL_ISLAND(ctrl) RILL_PINNED Platform {
+class RILL_PINNED Platform {
  public:
   Platform(sim::Engine& engine, PlatformConfig config);
   ~Platform();

@@ -15,7 +15,7 @@
 
 #include "cluster/cluster.hpp"
 #include "common/ids.hpp"
-#include "common/island.hpp"
+#include "common/pinned.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "dsps/scheduler.hpp"
@@ -56,7 +56,7 @@ struct RebalanceRecord {
   std::uint64_t events_lost_in_queues{0};
 };
 
-class RILL_ISLAND(ctrl) RILL_PINNED Rebalancer {
+class RILL_PINNED Rebalancer {
  public:
   explicit Rebalancer(Platform& platform);
 

@@ -31,12 +31,12 @@
 #include <utility>
 #include <vector>
 
-#include "common/island.hpp"
+#include "common/pinned.hpp"
 #include "kvstore/store.hpp"
 
 namespace rill::kvstore {
 
-class RILL_ISLAND(ctrl) RILL_PINNED ShardedStore {
+class RILL_PINNED ShardedStore {
  public:
   using PutDone = Store::PutDone;
   using GetDone = Store::GetDone;

@@ -28,8 +28,8 @@
 
 #include "cluster/cluster.hpp"
 #include "common/bytes.hpp"
-#include "common/island.hpp"
 #include "common/ids.hpp"
+#include "common/pinned.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "net/network.hpp"
@@ -103,7 +103,7 @@ struct StoreStats {
 
 /// The server side: an in-memory map living on a dedicated VM, plus the
 /// hardened client logic (the two halves share the latency model).
-class RILL_ISLAND(vm) RILL_PINNED Store {
+class RILL_PINNED Store {
  public:
   /// Availability hook (implemented by chaos::ChaosInjector): consulted
   /// when a request reaches the server VM.  `shard` identifies which

@@ -13,7 +13,7 @@
 
 #include "cluster/cluster.hpp"
 #include "common/ids.hpp"
-#include "common/island.hpp"
+#include "common/pinned.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "sim/callback.hpp"
@@ -58,7 +58,7 @@ struct NetworkStats {
 
 /// Point-to-point delivery between VMs with a latency model.  Payload
 /// delivery is a callback; the network itself is payload-agnostic.
-class RILL_SHARED RILL_PINNED Network {
+class RILL_PINNED Network {
  public:
   using Deliver = sim::Callback;
 

@@ -1,7 +1,6 @@
 #include "obs/attribution.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/names.hpp"
 #include "obs/registry.hpp"
@@ -35,17 +34,6 @@ struct HopSplit {
   s.queue = h.svc_start - h.released;
   s.service = h.svc_end - h.svc_start;
   return s;
-}
-
-[[nodiscard]] std::uint64_t nearest_rank(const std::vector<std::uint64_t>& sorted,
-                                         double q) {
-  if (sorted.empty()) return 0;
-  const auto n = sorted.size();
-  auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(n)));
-  if (rank == 0) rank = 1;
-  if (rank > n) rank = n;
-  return sorted[rank - 1];
 }
 
 [[nodiscard]] constexpr Track tuple_track(RootId root) noexcept {

@@ -17,14 +17,26 @@
 // increments with no allocation.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
-
-#include "common/island.hpp"
+#include <vector>
 
 namespace rill::obs {
+
+/// Nearest-rank q-quantile of an ascending-sorted sample: the value at
+/// rank ceil(q·n), clamped to [1, n].  0 for an empty sample.
+[[nodiscard]] inline std::uint64_t nearest_rank(
+    const std::vector<std::uint64_t>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  const std::size_t n = sorted.size();
+  auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
+  if (rank == 0) rank = 1;
+  if (rank > n) rank = n;
+  return sorted[rank - 1];
+}
 
 class Counter {
  public:
@@ -91,7 +103,7 @@ class Histogram {
 
 /// Named instrument store.  std::map keeps instrument addresses stable
 /// across inserts, so `counter("x")` may be cached for the whole run.
-class RILL_SHARED MetricsRegistry {
+class MetricsRegistry {
  public:
   [[nodiscard]] Counter* counter(const std::string& name) {
     return &counters_[name];

@@ -1,96 +1,11 @@
 #include "obs/slo.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/names.hpp"
 #include "obs/registry.hpp"
 
 namespace rill::obs {
-
-namespace {
-
-[[nodiscard]] std::uint64_t nearest_rank(const std::vector<std::uint64_t>& sorted,
-                                         double q) {
-  if (sorted.empty()) return 0;
-  const auto n = sorted.size();
-  auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
-  if (rank == 0) rank = 1;
-  if (rank > n) rank = n;
-  return sorted[rank - 1];
-}
-
-}  // namespace
-
-SloMonitor::SloMonitor(SloConfig config) : config_(config) {
-  if (config_.window_sec == 0) config_.window_sec = 1;
-}
-
-void SloMonitor::record(SimTime arrival, std::uint64_t latency_us) {
-  samples_.push_back(RawSample{arrival, latency_us});
-  finalized_ = false;
-}
-
-void SloMonitor::finalize() {
-  windows_.clear();
-  violations_.clear();
-  finalized_ = true;
-  if (samples_.empty()) return;
-
-  const std::uint64_t width_us = config_.window_sec * 1'000'000ull;
-  SimTime lo = samples_.front().arrival;
-  SimTime hi = lo;
-  for (const RawSample& s : samples_) {
-    lo = std::min(lo, s.arrival);
-    hi = std::max(hi, s.arrival);
-  }
-  const std::uint64_t first = lo / width_us;
-  const std::uint64_t last = hi / width_us;
-
-  std::vector<std::vector<std::uint64_t>> buckets(last - first + 1);
-  for (const RawSample& s : samples_)
-    buckets[s.arrival / width_us - first].push_back(s.latency_us);
-
-  for (std::uint64_t w = 0; w < buckets.size(); ++w) {
-    auto& values = buckets[w];
-    std::sort(values.begin(), values.end());
-    SloWindow win;
-    win.start_sec = (first + w) * config_.window_sec;
-    win.count = values.size();
-    win.p50_us = nearest_rank(values, 0.50);
-    win.p95_us = nearest_rank(values, 0.95);
-    win.p99_us = nearest_rank(values, 0.99);
-    if (config_.target_p99_us > 0) {
-      // An interior window with no arrivals is a violation too: the sinks
-      // went silent (typically a migration pause), which no per-sample
-      // threshold would ever catch.
-      win.violated =
-          values.empty() ? true : win.p99_us > config_.target_p99_us;
-    }
-    windows_.push_back(win);
-  }
-
-  for (std::size_t i = 0; i < windows_.size(); ++i) {
-    if (!windows_[i].violated) continue;
-    std::size_t j = i;
-    while (j + 1 < windows_.size() && windows_[j + 1].violated) ++j;
-    violations_.push_back(SloViolation{
-        windows_[i].start_sec, windows_[j].start_sec + config_.window_sec});
-    i = j;
-  }
-}
-
-std::uint64_t SloMonitor::violated_windows() const noexcept {
-  std::uint64_t n = 0;
-  for (const SloWindow& w : windows_)
-    if (w.violated) ++n;
-  return n;
-}
-
-std::uint64_t SloMonitor::burn_per_mille() const noexcept {
-  if (windows_.empty()) return 0;
-  return violated_windows() * 1000 / windows_.size();
-}
 
 OnlineSloMonitor::OnlineSloMonitor(SloConfig config) : config_(config) {
   if (config_.window_sec == 0) config_.window_sec = 1;
@@ -99,14 +14,13 @@ OnlineSloMonitor::OnlineSloMonitor(SloConfig config) : config_(config) {
 void OnlineSloMonitor::record(SimTime arrival, std::uint64_t latency_us) {
   const std::uint64_t width_us = config_.window_sec * 1'000'000ull;
   if (!opened_) {
-    // Anchor the first window at the first arrival, like the batch
-    // monitor: windows before any traffic simply do not exist.
+    // Anchor the first window at the first arrival: windows before any
+    // traffic simply do not exist.
     open_start_us_ = arrival / width_us * width_us;
     opened_ = true;
   }
   // A sample past the open window's end proves those windows elapsed.
   while (arrival >= open_start_us_ + width_us) close_window();
-  seen_sample_ = true;
   current_.push_back(latency_us);
 }
 
@@ -167,10 +81,23 @@ int OnlineSloMonitor::ok_streak() const noexcept {
   return n;
 }
 
-void SloMonitor::export_to(MetricsRegistry& reg) const {
+std::vector<SloViolation> OnlineSloMonitor::violations() const {
+  std::vector<SloViolation> runs;
+  for (std::size_t i = 0; i < windows_.size(); ++i) {
+    if (!windows_[i].violated) continue;
+    std::size_t j = i;
+    while (j + 1 < windows_.size() && windows_[j + 1].violated) ++j;
+    runs.push_back(SloViolation{
+        windows_[i].start_sec, windows_[j].start_sec + config_.window_sec});
+    i = j;
+  }
+  return runs;
+}
+
+void OnlineSloMonitor::export_to(MetricsRegistry& reg) const {
   reg.counter(names::slo_metric("windows"))->add(windows_.size());
   reg.counter(names::slo_metric("violated_windows"))->add(violated_windows());
-  reg.counter(names::slo_metric("violations"))->add(violations_.size());
+  reg.counter(names::slo_metric("violations"))->add(violations().size());
   reg.counter(names::slo_metric("burn_per_mille"))->add(burn_per_mille());
   reg.counter(names::slo_metric("target_p99_us"))->add(config_.target_p99_us);
   Histogram* p50 = reg.histogram(names::slo_metric("window_p50_us"));

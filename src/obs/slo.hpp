@@ -9,9 +9,10 @@
 // violated when a target is set: a migration that silences the sinks for
 // 30 s is an SLO breach even though no sample exceeded the target.
 //
-// This is the exact signal the ROADMAP item-2 autoscale controller will
-// subscribe to; until then it is exported into --task-metrics JSON
-// (slo.* instruments) and reused offline by rill_trace.
+// The autoscale controller folds its sink feed into this monitor live and
+// decides on the closed windows.  After a run, the runner exports the same
+// series into --task-metrics JSON (slo.* instruments); rill_trace and
+// bench_autoscale rebuild it offline from a trace or an arrival log.
 #pragma once
 
 #include <cstdint>
@@ -46,66 +47,26 @@ struct SloViolation {
   std::uint64_t end_sec{0};
 };
 
-class OnlineSloMonitor;
-
-class SloMonitor {
- public:
-  explicit SloMonitor(SloConfig config);
-
-  /// Feed one sink arrival.  Arrivals may come in any order.
-  void record(SimTime arrival, std::uint64_t latency_us);
-
-  /// Build the window series + violation runs.  Call once after feeding.
-  void finalize();
-
-  [[nodiscard]] const SloConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const std::vector<SloWindow>& windows() const noexcept {
-    return windows_;
-  }
-  [[nodiscard]] const std::vector<SloViolation>& violations() const noexcept {
-    return violations_;
-  }
-  [[nodiscard]] std::uint64_t violated_windows() const noexcept;
-  /// violated windows / total windows, per mille (integer; R3-clean).
-  [[nodiscard]] std::uint64_t burn_per_mille() const noexcept;
-
-  /// Export slo.* instruments (counters + per-window percentile
-  /// histograms) into the registry.
-  void export_to(MetricsRegistry& reg) const;
-
- private:
-  struct RawSample {
-    SimTime arrival{0};
-    std::uint64_t latency_us{0};
-  };
-
-  SloConfig config_;
-  std::vector<RawSample> samples_;
-  std::vector<SloWindow> windows_;
-  std::vector<SloViolation> violations_;
-  bool finalized_{false};
-};
-
-/// Incremental variant of SloMonitor for online (mid-run) querying — the
-/// autoscale controller's live signal.
+/// The monitor evaluates only *closed* windows, so it can be queried
+/// mid-run (the autoscale controller's live signal):
 ///
-/// The batch monitor's empty-window rule misfires when applied to a run
-/// that is still in progress: the window containing "now" has not elapsed
-/// yet, so its emptiness (or a low sample count) proves nothing.  This
-/// monitor therefore only ever evaluates *closed* windows:
-///
-///  * a window closes when sim time passes its end (advance_to);
+///  * a window closes when sim time passes its end (advance_to) or a later
+///    sample arrives;
 ///  * the current, not-yet-elapsed window is never counted — violated or
-///    otherwise;
-///  * leading empty windows (before the first sample ever) are skipped
-///    entirely, exactly as the batch monitor starts at the first arrival;
+///    otherwise — since its emptiness (or a low sample count) proves
+///    nothing yet;
+///  * leading empty windows (before the first sample ever) do not exist:
+///    the series starts at the first arrival's window;
 ///  * empty closed windows after traffic has started count as violated
 ///    while the run is live (sink silence IS a breach online);
-///  * finalize() trims trailing empty windows so the finished series
-///    matches SloMonitor::finalize() over the same samples byte for byte.
+///  * finalize() trims trailing empty windows (the silence past the last
+///    arrival is the shutdown, not a breach).
 ///
 /// Samples must arrive in non-decreasing arrival order (the sink feed is
-/// causal); a sample implicitly closes every window it has passed.
+/// causal); a sample implicitly closes every window it has passed.  To
+/// build a finished run's series, record every arrival, advance_to(last
+/// arrival + one window) so the window holding the last arrival closes,
+/// then finalize().
 class OnlineSloMonitor {
  public:
   explicit OnlineSloMonitor(SloConfig config);
@@ -132,6 +93,12 @@ class OnlineSloMonitor {
   [[nodiscard]] int violated_streak() const noexcept;
   /// Consecutive non-violated windows at the tail of the closed series.
   [[nodiscard]] int ok_streak() const noexcept;
+  /// Maximal runs of consecutive violated closed windows, oldest first.
+  [[nodiscard]] std::vector<SloViolation> violations() const;
+
+  /// Export slo.* instruments (counters + per-window percentile
+  /// histograms) into the registry.
+  void export_to(MetricsRegistry& reg) const;
 
  private:
   void close_window();
@@ -140,8 +107,7 @@ class OnlineSloMonitor {
   std::vector<SloWindow> windows_;       ///< closed windows
   std::vector<std::uint64_t> current_;   ///< latencies in the open window
   std::uint64_t open_start_us_{0};       ///< open window start, µs
-  bool seen_sample_{false};  ///< a sample has ever arrived (leading-empty rule)
-  bool opened_{false};       ///< open_start_us_ is anchored
+  bool opened_{false};                   ///< open_start_us_ is anchored
 };
 
 }  // namespace rill::obs

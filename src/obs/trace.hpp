@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "common/island.hpp"
 #include "common/time.hpp"
 
 namespace rill::sim {
@@ -76,7 +75,7 @@ struct Arg {
 [[nodiscard]] Arg arg(std::string key, double value);
 [[nodiscard]] Arg arg(std::string key, bool value);
 
-class RILL_SHARED Tracer {
+class Tracer {
  public:
   /// Record phase, matching Chrome's "ph" field.
   enum class Phase : char { Span = 'X', Instant = 'i', Counter = 'C' };

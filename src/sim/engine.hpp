@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/island.hpp"
 #include "common/time.hpp"
 #include "sim/callback.hpp"
 
@@ -25,7 +24,7 @@ struct TimerId {
 };
 
 /// The simulation clock and event loop.
-class RILL_SHARED Engine {
+class Engine {
  public:
   using Callback = sim::Callback;
 

@@ -179,8 +179,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.request_queue = controller.queue_stats();
 
   if (config.autoscale.enabled) {
-    // Close out the online SLO series so its burn rate matches what the
-    // batch monitor would compute over the same arrivals.
+    // Close out the controller's live SLO series: close the windows that
+    // ended by run end, then trim the trailing shutdown silence.
     autoscaler.slo().advance_to(static_cast<SimTime>(config.run_duration));
     autoscaler.slo().finalize();
     result.autoscale = autoscaler.stats();
@@ -298,11 +298,17 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // Windowed SLO series over the sink-arrival log, exported as slo.*
   // instruments (the autoscaler's live feed when enabled).
   if (config.metrics != nullptr) {
-    obs::SloMonitor slo(config.slo);
-    for (const metrics::LatencySeries::Sample& s :
-         collector.latency().samples()) {
+    obs::OnlineSloMonitor slo(config.slo);
+    const auto& samples = collector.latency().samples();
+    for (const metrics::LatencySeries::Sample& s : samples) {
       slo.record(s.arrival, static_cast<std::uint64_t>(
                                 s.latency > 0 ? s.latency : 0));
+    }
+    if (!samples.empty()) {
+      // Close the window holding the last arrival: one landing exactly on
+      // run_duration sits past the run's last window boundary.
+      slo.advance_to(samples.back().arrival +
+                     slo.config().window_sec * 1'000'000ull);
     }
     slo.finalize();
     slo.export_to(*config.metrics);

@@ -150,8 +150,8 @@ struct ExperimentResult {
 
   /// Closed-loop controller accounting (zeros when autoscale was off).
   autoscale::AutoscaleStats autoscale;
-  /// Finalized online SLO series (autoscale runs only): closed windows and
-  /// integer burn rate, matching the batch monitor's semantics at run end.
+  /// The controller's SLO series, finalized at run end (autoscale runs
+  /// only): closed windows and integer burn rate.
   std::uint64_t slo_windows{0};
   std::uint64_t slo_burn_per_mille{0};
   /// One char per closed window, in order: '.' healthy, 'X' violated.

@@ -24,8 +24,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/pinned.hpp"
 #include "common/rng.hpp"
-#include "common/island.hpp"
 #include "common/time.hpp"
 #include "sim/engine.hpp"
 
@@ -99,7 +99,7 @@ class ZipfKeys {
 /// Applies a RateSchedule to every spout of a platform, once per update
 /// period, and installs the Zipf key picker.  Start before (or after)
 /// Platform::start(); set_rate() is phase-continuous either way.
-class RILL_ISLAND(ctrl) RILL_PINNED TrafficDriver {
+class RILL_PINNED TrafficDriver {
  public:
   TrafficDriver(dsps::Platform& platform, TrafficConfig config);
 

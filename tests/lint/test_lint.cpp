@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -285,65 +284,6 @@ TEST(RillLint, R6DtorCancelMustReachTheMember) {
   EXPECT_TRUE(has(fs, "R6/callback-lifetime", 7));
 }
 
-// --------------------------------------------------------------------- R7
-
-TEST(RillLint, R7IslandFixture) {
-  const auto fs = lint_one("r7_island.cpp");
-  EXPECT_TRUE(has(fs, "R7/island-affinity", 17)) << "w.depth_ += 1";
-  EXPECT_TRUE(has(fs, "R7/island-affinity", 18)) << "w.queue_.push_back";
-  EXPECT_EQ(fs.size(), 2u)
-      << "self-writes, own-member writes, reads, sanctioned crossings and "
-         "the island-ok waiver must stay silent";
-}
-
-TEST(RillLint, R7SharedMembersAreWritableAnywhere) {
-  const auto fs = run({{"x.cpp",
-                        "struct RILL_ISLAND(vm) W {\n"
-                        "  int hot_ = 0;\n"
-                        "  RILL_SHARED long stats_ = 0;\n"
-                        "};\n"
-                        "struct RILL_ISLAND(ctrl) D {\n"
-                        "  void f(W& w) { w.stats_ += 1; }\n"
-                        "};\n"}});
-  EXPECT_TRUE(fs.empty());
-}
-
-// -------------------------------------------------------------- island map
-
-TEST(RillLint, IslandMapCoversAnnotatedClasses) {
-  const Analysis a =
-      analyze({{"r7_island.cpp", fixture("r7_island.cpp")}});
-  ASSERT_EQ(a.islands.classes.size(), 2u);
-  // Sorted by class name: Driver, Worker.
-  EXPECT_EQ(a.islands.classes[0].name, "Driver");
-  EXPECT_EQ(a.islands.classes[0].island, "ctrl");
-  EXPECT_EQ(a.islands.classes[1].name, "Worker");
-  EXPECT_EQ(a.islands.classes[1].island, "vm");
-  EXPECT_EQ(a.islands.classes[1].file, "r7_island.cpp");
-
-  const std::string json = write_islands_json(a.islands);
-  EXPECT_NE(json.find("\"version\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"vm\""), std::string::npos);
-  EXPECT_NE(json.find("\"ctrl\""), std::string::npos);
-  EXPECT_NE(json.find("\"Worker\""), std::string::npos);
-  EXPECT_NE(json.find("\"depth_\""), std::string::npos);
-  EXPECT_EQ(write_islands_json(a.islands), json) << "deterministic";
-}
-
-TEST(RillLint, IslandMapRecordsSharedAndPinned) {
-  const Analysis a = analyze(
-      {{"x.cpp",
-        "struct RILL_SHARED Reg { int n_ = 0; };\n"
-        "struct RILL_ISLAND(vm) RILL_PINNED Exec { int d_ = 0; };\n"}});
-  ASSERT_EQ(a.islands.classes.size(), 2u);
-  EXPECT_EQ(a.islands.classes[0].name, "Exec");
-  EXPECT_TRUE(a.islands.classes[0].pinned);
-  EXPECT_EQ(a.islands.classes[1].island, "shared");
-  const std::string json = write_islands_json(a.islands);
-  EXPECT_NE(json.find("\"shared\""), std::string::npos);
-  EXPECT_NE(json.find("\"pinned\": true"), std::string::npos);
-}
-
 // ------------------------------------------------------------- parallelism
 
 TEST(RillLint, ParallelAnalysisIsDeterministic) {
@@ -352,22 +292,20 @@ TEST(RillLint, ParallelAnalysisIsDeterministic) {
       {"r2_unordered.cpp", fixture("r2_unordered.cpp")},
       {"r4_nodiscard.cpp", fixture("r4_nodiscard.cpp")},
       {"r6_lifetime.cpp", fixture("r6_lifetime.cpp")},
-      {"r7_island.cpp", fixture("r7_island.cpp")},
       {"clean.cpp", fixture("clean.cpp")}};
   Options seq;
   seq.jobs = 1;
   Options par;
   par.jobs = 8;
-  const Analysis a = analyze(files, seq);
-  const Analysis b = analyze(files, par);
-  ASSERT_EQ(a.findings.size(), b.findings.size());
-  for (std::size_t i = 0; i < a.findings.size(); ++i) {
-    EXPECT_EQ(a.findings[i].file, b.findings[i].file);
-    EXPECT_EQ(a.findings[i].line, b.findings[i].line);
-    EXPECT_EQ(a.findings[i].rule, b.findings[i].rule);
+  const std::vector<Finding> a = run(files, seq);
+  const std::vector<Finding> b = run(files, par);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].file, b[i].file);
+    EXPECT_EQ(a[i].line, b[i].line);
+    EXPECT_EQ(a[i].rule, b[i].rule);
   }
-  EXPECT_EQ(write_baseline(a.findings), write_baseline(b.findings));
-  EXPECT_EQ(write_islands_json(a.islands), write_islands_json(b.islands));
+  EXPECT_EQ(write_baseline(a), write_baseline(b));
 }
 
 // ---------------------------------------------------------- full-tree gate
@@ -398,26 +336,12 @@ std::vector<SourceFile> load_tree() {
 TEST(RillLint, FullTreeIsCleanUnderAllRules) {
   Options opts;
   opts.jobs = 4;
-  const Analysis a = analyze(load_tree(), opts);
-  for (const Finding& f : a.findings) {
+  const std::vector<Finding> fs = run(load_tree(), opts);
+  for (const Finding& f : fs) {
     ADD_FAILURE() << f.file << ":" << f.line << " " << f.rule << " "
                   << f.message;
   }
-  EXPECT_TRUE(a.findings.empty());
-}
-
-TEST(RillLint, FullTreeIslandMapCoversCoreSubsystems) {
-  const Analysis a = analyze(load_tree());
-  EXPECT_FALSE(a.islands.classes.empty());
-  std::set<std::string> prefixes;
-  for (const IslandClass& c : a.islands.classes) {
-    const std::size_t slash = c.file.find('/', c.file.find('/') + 1);
-    prefixes.insert(c.file.substr(0, slash));
-  }
-  for (const char* want :
-       {"src/sim", "src/dsps", "src/net", "src/kvstore"}) {
-    EXPECT_TRUE(prefixes.contains(want)) << "island map misses " << want;
-  }
+  EXPECT_TRUE(fs.empty());
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "metrics/series.hpp"
 #include "obs/names.hpp"
 #include "obs/registry.hpp"
@@ -12,9 +16,16 @@ namespace {
 
 constexpr std::uint64_t kSec = 1'000'000;
 
-TEST(SloMonitor, NoSamplesYieldsNoWindows) {
-  SloMonitor slo(SloConfig{/*target_p99_us=*/1000, /*window_sec=*/10});
+// A finished run's series: close the window holding the last arrival, then
+// trim trailing empties.
+void finish(OnlineSloMonitor& slo, SimTime last_arrival) {
+  slo.advance_to(last_arrival + slo.config().window_sec * kSec);
   slo.finalize();
+}
+
+TEST(SloMonitor, NoSamplesYieldsNoWindows) {
+  OnlineSloMonitor slo(SloConfig{/*target_p99_us=*/1000, /*window_sec=*/10});
+  finish(slo, 0);
   EXPECT_TRUE(slo.windows().empty());
   EXPECT_TRUE(slo.violations().empty());
   EXPECT_EQ(slo.violated_windows(), 0u);
@@ -22,13 +33,13 @@ TEST(SloMonitor, NoSamplesYieldsNoWindows) {
 }
 
 TEST(SloMonitor, BucketsByArrivalWindowAndComputesNearestRank) {
-  SloMonitor slo(SloConfig{/*target_p99_us=*/0, /*window_sec=*/10});
+  OnlineSloMonitor slo(SloConfig{/*target_p99_us=*/0, /*window_sec=*/10});
   // Window [0,10): latencies 10, 20, 30.  Window [10,20): latency 500.
   slo.record(1 * kSec, 30);
   slo.record(2 * kSec, 10);
   slo.record(9 * kSec, 20);
   slo.record(15 * kSec, 500);
-  slo.finalize();
+  finish(slo, 15 * kSec);
 
   ASSERT_EQ(slo.windows().size(), 2u);
   const SloWindow& w0 = slo.windows()[0];
@@ -46,9 +57,9 @@ TEST(SloMonitor, BucketsByArrivalWindowAndComputesNearestRank) {
 }
 
 TEST(SloMonitor, WindowSeriesStartsAtFirstArrivalWindow) {
-  SloMonitor slo(SloConfig{0, 10});
+  OnlineSloMonitor slo(SloConfig{0, 10});
   slo.record(95 * kSec, 1);
-  slo.finalize();
+  finish(slo, 95 * kSec);
   ASSERT_EQ(slo.windows().size(), 1u);
   EXPECT_EQ(slo.windows()[0].start_sec, 90u);
 }
@@ -57,10 +68,10 @@ TEST(SloMonitor, EmptyInteriorWindowIsViolatedWhenTargetSet) {
   // Arrivals at [0,10) and [30,40); windows [10,20) and [20,30) are silent
   // — a migration pause — and must be flagged even though no sample
   // exceeded the target.
-  SloMonitor slo(SloConfig{/*target_p99_us=*/1000, /*window_sec=*/10});
+  OnlineSloMonitor slo(SloConfig{/*target_p99_us=*/1000, /*window_sec=*/10});
   slo.record(5 * kSec, 100);
   slo.record(35 * kSec, 100);
-  slo.finalize();
+  finish(slo, 35 * kSec);
 
   ASSERT_EQ(slo.windows().size(), 4u);
   EXPECT_FALSE(slo.windows()[0].violated);
@@ -79,20 +90,20 @@ TEST(SloMonitor, EmptyInteriorWindowIsViolatedWhenTargetSet) {
 }
 
 TEST(SloMonitor, EmptyInteriorWindowIsFineWithoutTarget) {
-  SloMonitor slo(SloConfig{/*target_p99_us=*/0, /*window_sec=*/10});
+  OnlineSloMonitor slo(SloConfig{/*target_p99_us=*/0, /*window_sec=*/10});
   slo.record(5 * kSec, 100);
   slo.record(25 * kSec, 100);
-  slo.finalize();
+  finish(slo, 25 * kSec);
   ASSERT_EQ(slo.windows().size(), 3u);
   EXPECT_EQ(slo.violated_windows(), 0u);
 }
 
 TEST(SloMonitor, SeparateViolationRunsStaySeparate) {
-  SloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
+  OnlineSloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
   slo.record(5 * kSec, 100);    // violated
   slo.record(15 * kSec, 10);    // fine
   slo.record(25 * kSec, 200);   // violated
-  slo.finalize();
+  finish(slo, 25 * kSec);
   ASSERT_EQ(slo.violations().size(), 2u);
   EXPECT_EQ(slo.violations()[0].start_sec, 0u);
   EXPECT_EQ(slo.violations()[0].end_sec, 10u);
@@ -100,32 +111,20 @@ TEST(SloMonitor, SeparateViolationRunsStaySeparate) {
   EXPECT_EQ(slo.violations()[1].end_sec, 30u);
 }
 
-TEST(SloMonitor, RecordAfterFinalizeRebuildsOnNextFinalize) {
-  SloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
-  slo.record(5 * kSec, 10);
-  slo.finalize();
-  EXPECT_EQ(slo.violated_windows(), 0u);
-  slo.record(6 * kSec, 999);
-  slo.finalize();
-  ASSERT_EQ(slo.windows().size(), 1u);
-  EXPECT_EQ(slo.windows()[0].count, 2u);
-  EXPECT_TRUE(slo.windows()[0].violated);
-}
-
 TEST(SloMonitor, ZeroWindowWidthClampsToOneSecond) {
-  SloMonitor slo(SloConfig{/*target_p99_us=*/0, /*window_sec=*/0});
+  OnlineSloMonitor slo(SloConfig{/*target_p99_us=*/0, /*window_sec=*/0});
   EXPECT_EQ(slo.config().window_sec, 1u);
   slo.record(0, 5);
   slo.record(1 * kSec + 1, 7);
-  slo.finalize();
+  finish(slo, 1 * kSec + 1);
   EXPECT_EQ(slo.windows().size(), 2u);
 }
 
 TEST(SloMonitor, ExportToWritesSloInstruments) {
-  SloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
+  OnlineSloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
   slo.record(5 * kSec, 100);   // violated
   slo.record(15 * kSec, 10);   // fine
-  slo.finalize();
+  finish(slo, 15 * kSec);
 
   MetricsRegistry reg;
   slo.export_to(reg);
@@ -139,10 +138,10 @@ TEST(SloMonitor, ExportToWritesSloInstruments) {
   EXPECT_EQ(p99.max(), 100u);
 }
 
-// ---- OnlineSloMonitor: the incremental, window-closing variant ----
+// ---- OnlineSloMonitor: queried live, mid-run ----
 //
-// Edge pins for the online empty-window rule (ISSUE 10 satellite): the
-// current, not-yet-elapsed window must never count as violated, and
+// Edge pins for the online empty-window rule: the current,
+// not-yet-elapsed window must never count as violated, and
 // leading/trailing empty windows stay excluded.
 
 TEST(OnlineSloMonitor, OpenWindowIsNeverViolated) {
@@ -191,7 +190,7 @@ TEST(OnlineSloMonitor, TrailingEmptyWindowsAreTrimmedAtFinalize) {
   slo.record(5 * kSec, 10);
   // Run ends at t=60 s with the sinks silent since t=10 s.  Live, the
   // silent closed windows count as violated; at finalize they turn out to
-  // be the shutdown tail and are excluded, matching the batch monitor.
+  // be the shutdown tail and are excluded.
   slo.advance_to(60 * kSec);
   EXPECT_EQ(slo.windows().size(), 6u);
   EXPECT_EQ(slo.violated_windows(), 5u);
@@ -238,31 +237,112 @@ TEST(OnlineSloMonitor, StreaksTrackTheTailOfTheClosedSeries) {
   EXPECT_EQ(slo.violated_windows(), 2u);
 }
 
+// Brute-force reference for a finished run: every window from the first
+// arrival's to the last arrival's, each bucketed independently, with the
+// nearest rank computed in integers (rank = ceil(permille * n / 1000)).
+std::vector<SloWindow> reference_series(
+    const SloConfig& cfg,
+    const std::vector<std::pair<SimTime, std::uint64_t>>& samples) {
+  std::vector<SloWindow> out;
+  if (samples.empty()) return out;
+  const std::uint64_t width = cfg.window_sec * kSec;
+  const std::uint64_t first = samples.front().first / width;
+  const std::uint64_t last = samples.back().first / width;
+  for (std::uint64_t w = first; w <= last; ++w) {
+    std::vector<std::uint64_t> values;
+    for (const auto& [at, latency] : samples) {
+      if (at / width == w) values.push_back(latency);
+    }
+    std::sort(values.begin(), values.end());
+    const auto rank = [&](std::uint64_t permille) -> std::uint64_t {
+      if (values.empty()) return 0;
+      const std::uint64_t r = (permille * values.size() + 999) / 1000;
+      return values[std::max<std::uint64_t>(r, 1) - 1];
+    };
+    SloWindow win;
+    win.start_sec = w * cfg.window_sec;
+    win.count = values.size();
+    win.p50_us = rank(500);
+    win.p95_us = rank(950);
+    win.p99_us = rank(990);
+    win.violated = cfg.target_p99_us > 0 &&
+                   (values.empty() || win.p99_us > cfg.target_p99_us);
+    out.push_back(win);
+  }
+  return out;
+}
+
 TEST(OnlineSloMonitor, FinalizedSeriesMatchesBatchMonitor) {
-  // Equivalence: the same sample stream, advanced past the end and
-  // finalized, must reproduce the batch monitor's window series exactly.
-  const SloConfig cfg{/*target_p99_us=*/200, /*window_sec=*/10};
-  SloMonitor batch(cfg);
-  OnlineSloMonitor online(cfg);
-  const std::uint64_t lat[] = {10, 500, 40, 250, 90, 70, 320, 15};
-  for (int i = 0; i < 8; ++i) {
-    // Arrivals spread over [12, 96] s with an interior gap at [40,60).
-    const std::uint64_t t = (i < 4 ? 12 + 9 * i : 60 + 9 * (i - 4)) * kSec;
-    batch.record(t, lat[i]);
-    online.record(t, lat[i]);
+  // Equivalence: over seeded random arrival streams, a finalized monitor
+  // reproduces the brute-force window series, violation runs and burn
+  // exactly — whether advanced just past the last arrival or further.
+  std::uint64_t boundary_samples = 0;
+  std::uint64_t gap_windows = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const SloConfig cfg{/*target_p99_us=*/rng.uniform_int(0, 1) * 300,
+                        /*window_sec=*/rng.uniform_int(1, 10)};
+    const std::uint64_t width = cfg.window_sec * kSec;
+    std::vector<std::pair<SimTime, std::uint64_t>> samples;
+    SimTime t = rng.uniform_int(0, 100) * kSec;
+    const std::uint64_t n = rng.uniform_int(1, 120);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t pick = rng.uniform_int(0, 99);
+      if (pick < 5) {
+        t += rng.uniform_int(2, 4) * width;  // interior gap
+      } else if (pick < 20) {
+        t = (t / width + 1) * width;  // exactly on the next boundary
+      } else if (pick >= 30) {
+        t += rng.uniform_int(0, width / 3);
+      }  // else (10 %): a tie with the previous arrival
+      if (t % width == 0) ++boundary_samples;
+      samples.emplace_back(t, rng.uniform_int(1, 600));
+    }
+
+    OnlineSloMonitor online(cfg);
+    for (const auto& [at, latency] : samples) online.record(at, latency);
+    if (seed % 2 == 0) {
+      finish(online, t);
+    } else {
+      online.advance_to(t + rng.uniform_int(1, 5) * width);
+      online.finalize();
+    }
+
+    const std::vector<SloWindow> ref = reference_series(cfg, samples);
+    ASSERT_EQ(online.windows().size(), ref.size()) << "seed " << seed;
+    std::uint64_t violated = 0;
+    std::vector<SloViolation> runs;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      const SloWindow& got = online.windows()[i];
+      EXPECT_EQ(got.start_sec, ref[i].start_sec) << "seed " << seed;
+      EXPECT_EQ(got.count, ref[i].count) << "seed " << seed;
+      EXPECT_EQ(got.p50_us, ref[i].p50_us) << "seed " << seed;
+      EXPECT_EQ(got.p95_us, ref[i].p95_us) << "seed " << seed;
+      EXPECT_EQ(got.p99_us, ref[i].p99_us) << "seed " << seed;
+      EXPECT_EQ(got.violated, ref[i].violated) << "seed " << seed;
+      if (ref[i].count == 0) ++gap_windows;
+      if (!ref[i].violated) continue;
+      ++violated;
+      const std::uint64_t end = ref[i].start_sec + cfg.window_sec;
+      if (!runs.empty() && runs.back().end_sec == ref[i].start_sec) {
+        runs.back().end_sec = end;
+      } else {
+        runs.push_back(SloViolation{ref[i].start_sec, end});
+      }
+    }
+    EXPECT_EQ(online.violated_windows(), violated) << "seed " << seed;
+    EXPECT_EQ(online.burn_per_mille(), violated * 1000 / ref.size())
+        << "seed " << seed;
+    const std::vector<SloViolation> got_runs = online.violations();
+    ASSERT_EQ(got_runs.size(), runs.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(got_runs[i].start_sec, runs[i].start_sec) << "seed " << seed;
+      EXPECT_EQ(got_runs[i].end_sec, runs[i].end_sec) << "seed " << seed;
+    }
   }
-  batch.finalize();
-  online.advance_to(200 * kSec);
-  online.finalize();
-  ASSERT_EQ(online.windows().size(), batch.windows().size());
-  for (std::size_t i = 0; i < batch.windows().size(); ++i) {
-    EXPECT_EQ(online.windows()[i].start_sec, batch.windows()[i].start_sec);
-    EXPECT_EQ(online.windows()[i].count, batch.windows()[i].count);
-    EXPECT_EQ(online.windows()[i].p50_us, batch.windows()[i].p50_us);
-    EXPECT_EQ(online.windows()[i].p99_us, batch.windows()[i].p99_us);
-    EXPECT_EQ(online.windows()[i].violated, batch.windows()[i].violated);
-  }
-  EXPECT_EQ(online.burn_per_mille(), batch.burn_per_mille());
+  // The streams exercised the two edges the equivalence hinges on.
+  EXPECT_GT(boundary_samples, 100u);
+  EXPECT_GT(gap_windows, 100u);
 }
 
 // Boundary pins for the windowed-percentile fix: the report's whole-run

@@ -1,38 +1,31 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: RelWithDebInfo build + full test suite, then the ASan
 # preset (build + the fast chaos/FGM teardown and codec subset). The TSan
-# preset (`--tsan`) is opt-in and build-only — the simulator is
-# single-threaded until the parallel engine lands, so there are no races to
-# run down yet.
+# preset (`--tsan`) is opt-in: it builds the tree and runs the RillLint
+# suite, which drives the one threaded component — rill_lint's --jobs
+# worker pool.  The simulator itself is single-threaded.
 #
 # A lint gate runs right after the default-preset tests:
 #   * rill_lint (tools/lint) enforces the determinism rules R1–R4, the
-#     metric-name grammar R5, the callback-lifetime rule R6 and the
-#     VM-island affinity rule R7 over src/ bench/ tools/ and must report
-#     zero findings — any new R6/R7 violation fails the gate (there is no
-#     committed baseline; the tree is clean).  The gate also emits the
-#     island map (build/islands.json) consumed by the parallel-engine
-#     work and fails if it comes out empty;
+#     metric-name grammar R5 and the callback-lifetime rule R6 over src/
+#     bench/ tools/ and must report zero findings — any new violation
+#     fails the gate (there is no committed baseline; the tree is clean);
 #   * clang-tidy runs the checked-in .clang-tidy profile over src/ when
 #     the binary is available (skipped with a notice otherwise — the
 #     profile needs no network, just an installed clang-tidy).
 # `--skip-lint` opts out of both.
 #
-# A determinism gate follows: each migration strategy's reference config
-# (see tests/determinism/README.md) runs twice in each of three modes —
-# full blobs, --ckpt-delta 1, and --ckpt-adaptive 1 (delta on, RTO 45 s) —
-# the two JSONL traces of each pair must be byte-identical, and the first
-# run's artifacts must match the committed sha256 manifests
-# (baseline.sha256 for full blobs, baseline-delta.sha256 for delta mode,
-# baseline-adaptive.sha256 for the adaptive checkpoint policy).  The FGM
-# strategy runs its own full-blob double-run against baseline-fgm.sha256 —
-# the three FGM-off manifests above must stay byte-identical regardless.
-# A fifth arm pins the closed loop: the Keyed dag under the bench traffic
-# (diurnal + flash crowd + Zipf keys + CPU steal) with --autoscale 1 runs
-# twice and checks baseline-autoscale.sha256; the four autoscale-off
-# manifests above must stay byte-identical regardless.
-# `--regen-determinism` rewrites all five manifests instead of checking
-# them (for PRs that sanction a behavioral change).
+# A determinism gate follows, driven by one table of arms (see
+# tests/determinism/README.md): DSM, DCR and CCR on the seed-1 Grid
+# scale-in with full blobs (baseline.sha256), --ckpt-delta 1
+# (baseline-delta.sha256) and the adaptive checkpoint policy
+# (baseline-adaptive.sha256); FGM with full blobs (baseline-fgm.sha256);
+# and the closed loop — the Keyed dag under the bench traffic with
+# --autoscale 1 (baseline-autoscale.sha256).  Each arm runs twice, the two
+# traces and reports must be byte-identical, and the first run's
+# artifacts must match the committed manifest.  `--regen-determinism`
+# rewrites all five manifests instead of checking them (for PRs that
+# sanction a behavioral change).
 #
 # An attribution gate follows: each strategy's reference config reruns
 # with 1-in-4 tuple sampling and rill_trace --check asserts the sampled
@@ -96,13 +89,8 @@ echo "==> tier-1: ctest (default preset)"
 ctest --preset default -j "$jobs"
 
 if [ "$run_lint" = 1 ]; then
-  echo "==> lint gate: rill_lint (rules R1-R7) + island map"
-  ./build/tools/lint/rill_lint --root . --jobs "$jobs" \
-    --islands-out build/islands.json
-  [ -s build/islands.json ] && grep -q '"islands"' build/islands.json \
-    || { echo "ci.sh: build/islands.json is empty — island annotations" \
-              "(RILL_ISLAND/RILL_SHARED) went missing" >&2
-         exit 1; }
+  echo "==> lint gate: rill_lint (rules R1-R6)"
+  ./build/tools/lint/rill_lint --root . --jobs "$jobs"
 
   if command -v clang-tidy >/dev/null 2>&1; then
     echo "==> lint gate: clang-tidy (.clang-tidy profile)"
@@ -113,123 +101,59 @@ if [ "$run_lint" = 1 ]; then
   fi
 fi
 
-echo "==> determinism gate: double-run + committed manifests (seed 1, grid)"
+echo "==> determinism gate: double-run + committed manifests (seed 1)"
 det_dir="build/determinism"
 rm -rf "$det_dir" && mkdir -p "$det_dir"
-for mode in full delta adaptive; do
-  case "$mode" in
-    delta)    extra_flags="--ckpt-delta 1"; tag=".delta" ;;
-    adaptive) extra_flags="--ckpt-delta 1 --ckpt-adaptive 1 --ckpt-rto-ms 45000"
-              tag=".adaptive" ;;
-    *)        extra_flags="--ckpt-delta 0"; tag="" ;;
-  esac
-  for s in dsm dcr ccr; do
-    for pass in 1 2; do
-      # shellcheck disable=SC2086
-      ./build/tools/rill_run --strategy "$s" --dag grid --scale in \
-        --seed 1 --duration 420 --migrate-at 60 \
-        $extra_flags \
-        --trace-jsonl "$det_dir/$s$tag.run$pass.jsonl" --json \
-        > "$det_dir/$s$tag.run$pass.json"
-    done
-    cmp "$det_dir/$s$tag.run1.jsonl" "$det_dir/$s$tag.run2.jsonl" \
-      || { echo "ci.sh: $s ($mode) trace differs between identical runs" >&2
-           exit 1; }
-    cmp "$det_dir/$s$tag.run1.json" "$det_dir/$s$tag.run2.json" \
-      || { echo "ci.sh: $s ($mode) report differs between identical runs" >&2
-           exit 1; }
-    cp "$det_dir/$s$tag.run1.jsonl" "$det_dir/$s$tag.jsonl"
-    cp "$det_dir/$s$tag.run1.json" "$det_dir/$s$tag.json"
+grid="--dag grid --scale in --seed 1 --duration 420 --migrate-at 60"
+adaptive="--ckpt-delta 1 --ckpt-adaptive 1 --ckpt-rto-ms 45000"
+traffic="--traffic-base 2 --traffic-diurnal 0.5 --traffic-diurnal-period-s 600 \
+  --traffic-crowd 200,15,120,30,18 --traffic-zipf 0.6 \
+  --interference-permille 600"
+# One row per arm: manifest, artifact stem, rill_run flags.  The manifests
+# list the artifacts by stem, in row order.  A row must stay on one line
+# (`read` stops at a newline), so long flag strings continue with `\`.
+det_arms="\
+baseline           dsm          --strategy dsm $grid --ckpt-delta 0
+baseline           dcr          --strategy dcr $grid --ckpt-delta 0
+baseline           ccr          --strategy ccr $grid --ckpt-delta 0
+baseline-delta     dsm.delta    --strategy dsm $grid --ckpt-delta 1
+baseline-delta     dcr.delta    --strategy dcr $grid --ckpt-delta 1
+baseline-delta     ccr.delta    --strategy ccr $grid --ckpt-delta 1
+baseline-adaptive  dsm.adaptive --strategy dsm $grid $adaptive
+baseline-adaptive  dcr.adaptive --strategy dcr $grid $adaptive
+baseline-adaptive  ccr.adaptive --strategy ccr $grid $adaptive
+baseline-fgm       fgm          --strategy fgm $grid --ckpt-delta 0
+baseline-autoscale autoscale    --dag keyed --autoscale 1 \
+  --autoscale-slo-p99-ms 1500 $traffic --seed 1 --duration 900 --ckpt-delta 0"
+while read -r manifest stem flags; do
+  for pass in 1 2; do
+    # shellcheck disable=SC2086
+    ./build/tools/rill_run $flags --trace-jsonl "$det_dir/$stem.run$pass.jsonl" \
+      --json > "$det_dir/$stem.run$pass.json" < /dev/null
   done
+  for ext in jsonl json; do
+    cmp "$det_dir/$stem.run1.$ext" "$det_dir/$stem.run2.$ext" \
+      || { echo "ci.sh: $stem.$ext ($manifest) differs between identical" \
+                "runs" >&2
+           exit 1; }
+    cp "$det_dir/$stem.run1.$ext" "$det_dir/$stem.$ext"
+  done
+done <<< "$det_arms"
+for manifest in $(awk '{ print $1 }' <<< "$det_arms" | uniq); do
+  sums="tests/determinism/$manifest.sha256"
+  if [ "$regen_determinism" = 1 ]; then
+    # shellcheck disable=SC2046
+    ( cd "$det_dir" && sha256sum $(awk -v m="$manifest" \
+        '$1 == m { print $2 ".jsonl"; print $2 ".json" }' <<< "$det_arms") ) \
+      > "$sums"
+    echo "==> determinism gate: regenerated $sums — commit it with the PR"
+  else
+    ( cd "$det_dir" && sha256sum -c "../../$sums" ) \
+      || { echo "ci.sh: artifacts drifted from $sums; if the change is" \
+                "sanctioned, rerun with --regen-determinism" >&2
+           exit 1; }
+  fi
 done
-# FGM arm (full blobs only): a fourth manifest for the fluid strategy.  It
-# runs after — and fully apart from — the three FGM-off strategies above,
-# so their manifests cannot be perturbed by the new code path.
-for pass in 1 2; do
-  ./build/tools/rill_run --strategy fgm --dag grid --scale in \
-    --seed 1 --duration 420 --migrate-at 60 --ckpt-delta 0 \
-    --trace-jsonl "$det_dir/fgm.run$pass.jsonl" --json \
-    > "$det_dir/fgm.run$pass.json"
-done
-cmp "$det_dir/fgm.run1.jsonl" "$det_dir/fgm.run2.jsonl" \
-  || { echo "ci.sh: fgm trace differs between identical runs" >&2; exit 1; }
-cmp "$det_dir/fgm.run1.json" "$det_dir/fgm.run2.json" \
-  || { echo "ci.sh: fgm report differs between identical runs" >&2; exit 1; }
-cp "$det_dir/fgm.run1.jsonl" "$det_dir/fgm.jsonl"
-cp "$det_dir/fgm.run1.json" "$det_dir/fgm.json"
-# Autoscale arm: the closed loop on the Keyed dag under the bench traffic
-# (tests/determinism/README.md).  Runs after — and fully apart from — the
-# autoscale-off arms above, so their manifests cannot be perturbed by the
-# controller code path.
-for pass in 1 2; do
-  ./build/tools/rill_run --dag keyed --autoscale 1 \
-    --autoscale-slo-p99-ms 1500 \
-    --traffic-base 2 --traffic-diurnal 0.5 --traffic-diurnal-period-s 600 \
-    --traffic-crowd 200,15,120,30,18 --traffic-zipf 0.6 \
-    --interference-permille 600 \
-    --seed 1 --duration 900 --ckpt-delta 0 \
-    --trace-jsonl "$det_dir/autoscale.run$pass.jsonl" --json \
-    > "$det_dir/autoscale.run$pass.json"
-done
-cmp "$det_dir/autoscale.run1.jsonl" "$det_dir/autoscale.run2.jsonl" \
-  || { echo "ci.sh: autoscale trace differs between identical runs" >&2
-       exit 1; }
-cmp "$det_dir/autoscale.run1.json" "$det_dir/autoscale.run2.json" \
-  || { echo "ci.sh: autoscale report differs between identical runs" >&2
-       exit 1; }
-cp "$det_dir/autoscale.run1.jsonl" "$det_dir/autoscale.jsonl"
-cp "$det_dir/autoscale.run1.json" "$det_dir/autoscale.json"
-if [ "$regen_determinism" = 1 ]; then
-  ( cd "$det_dir" &&
-    sha256sum dsm.jsonl dsm.json dcr.jsonl dcr.json ccr.jsonl ccr.json ) \
-    > tests/determinism/baseline.sha256
-  ( cd "$det_dir" &&
-    sha256sum dsm.delta.jsonl dsm.delta.json dcr.delta.jsonl dcr.delta.json \
-              ccr.delta.jsonl ccr.delta.json ) \
-    > tests/determinism/baseline-delta.sha256
-  ( cd "$det_dir" &&
-    sha256sum dsm.adaptive.jsonl dsm.adaptive.json \
-              dcr.adaptive.jsonl dcr.adaptive.json \
-              ccr.adaptive.jsonl ccr.adaptive.json ) \
-    > tests/determinism/baseline-adaptive.sha256
-  ( cd "$det_dir" && sha256sum fgm.jsonl fgm.json ) \
-    > tests/determinism/baseline-fgm.sha256
-  ( cd "$det_dir" && sha256sum autoscale.jsonl autoscale.json ) \
-    > tests/determinism/baseline-autoscale.sha256
-  echo "==> determinism gate: manifests regenerated" \
-       "(tests/determinism/baseline.sha256, baseline-delta.sha256," \
-       "baseline-adaptive.sha256, baseline-fgm.sha256," \
-       "baseline-autoscale.sha256) — commit them with the PR"
-else
-  ( cd "$det_dir" && sha256sum -c ../../tests/determinism/baseline.sha256 ) \
-    || { echo "ci.sh: artifacts drifted from tests/determinism/baseline.sha256;" \
-              "if the change is sanctioned, rerun with --regen-determinism" >&2
-         exit 1; }
-  ( cd "$det_dir" &&
-    sha256sum -c ../../tests/determinism/baseline-delta.sha256 ) \
-    || { echo "ci.sh: artifacts drifted from" \
-              "tests/determinism/baseline-delta.sha256;" \
-              "if the change is sanctioned, rerun with --regen-determinism" >&2
-         exit 1; }
-  ( cd "$det_dir" &&
-    sha256sum -c ../../tests/determinism/baseline-adaptive.sha256 ) \
-    || { echo "ci.sh: artifacts drifted from" \
-              "tests/determinism/baseline-adaptive.sha256;" \
-              "if the change is sanctioned, rerun with --regen-determinism" >&2
-         exit 1; }
-  ( cd "$det_dir" &&
-    sha256sum -c ../../tests/determinism/baseline-fgm.sha256 ) \
-    || { echo "ci.sh: artifacts drifted from" \
-              "tests/determinism/baseline-fgm.sha256;" \
-              "if the change is sanctioned, rerun with --regen-determinism" >&2
-         exit 1; }
-  ( cd "$det_dir" &&
-    sha256sum -c ../../tests/determinism/baseline-autoscale.sha256 ) \
-    || { echo "ci.sh: artifacts drifted from" \
-              "tests/determinism/baseline-autoscale.sha256;" \
-              "if the change is sanctioned, rerun with --regen-determinism" >&2
-         exit 1; }
-fi
 
 echo "==> attribution gate: 1-in-4 sampled runs + rill_trace --check"
 for s in dsm dcr ccr; do
@@ -276,12 +200,14 @@ if [ "$run_asan" = 1 ]; then
 fi
 
 if [ "$run_tsan" = 1 ]; then
-  # Build-only until the parallel engine lands: the simulator is
-  # single-threaded today, so running tests under TSan buys nothing, but
-  # the build keeps the instrumentation-clean property from rotting.
-  echo "==> tsan: configure + build (build-only; no threads to race yet)"
+  # The simulator is single-threaded; the one threaded component is
+  # rill_lint's --jobs worker pool, which the RillLint suite drives with
+  # up to 8 workers.  The full build keeps the rest of the tree
+  # instrumentation-clean.
+  echo "==> tsan: configure + build + rill_lint suite"
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"
+  ctest --preset tsan -j "$jobs" -R '^RillLint\.'
 fi
 
 echo "==> ci.sh: all requested suites passed"

@@ -208,11 +208,8 @@ struct ScanRegion {
 /// across the whole input set into the ClassModel).
 struct ScanClass {
   std::string name;
-  int line{1};
-  std::string island;  ///< "" none, "shared", or an island name
-  bool pinned{false};
-  std::vector<std::string> members;  ///< declaration order
-  std::map<std::string, std::string> member_island;
+  bool pinned{false};  ///< declared `class RILL_PINNED Name`
+  std::vector<std::string> members;
 };
 
 struct FileInfo {
@@ -226,7 +223,7 @@ struct FileInfo {
   std::set<std::string> unordered_accessors;
   std::set<std::string> nodiscard_funcs;
   std::set<std::string> float_fields;
-  // Class model inputs for R6/R7.
+  // Class model inputs for R6.
   std::vector<ScanClass> classes;
   std::vector<ScanRegion> regions;
 };
@@ -766,32 +763,9 @@ void check_r5(const std::string& path, const FileInfo& info,
   }
 }
 
-// ------------------------------------------------- class model (R6 / R7)
+// ------------------------------------------------------ class model (R6)
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-
-/// Consume RILL_ISLAND(x) / RILL_SHARED / RILL_PINNED annotations starting
-/// at `i`; returns the index of the first non-annotation token.
-std::size_t parse_annotations(const std::vector<Token>& t, std::size_t i,
-                              std::string& island, bool& pinned) {
-  for (;;) {
-    if (i >= t.size()) return i;
-    const std::string& x = t[i].text;
-    if (x == "RILL_ISLAND" && i + 1 < t.size() && t[i + 1].text == "(") {
-      const std::size_t close = match_paren_fwd(t, i + 1);
-      if (i + 2 < close) island = t[i + 2].text;
-      i = close + 1;
-    } else if (x == "RILL_SHARED") {
-      island = "shared";
-      ++i;
-    } else if (x == "RILL_PINNED") {
-      pinned = true;
-      ++i;
-    } else {
-      return i;
-    }
-  }
-}
 
 /// Advance past one statement: everything up to and including the next
 /// top-level `;`, skipping balanced (), {}, [].  Stops (without consuming)
@@ -868,8 +842,8 @@ BodyScan scan_after_params(const std::vector<Token>& t, std::size_t close) {
 }
 
 /// Parse one member declaration at class-body top level starting at `i`;
-/// records member variables (with any member-level island annotation) and
-/// inline method body regions on `info`.  Returns the index to resume at.
+/// records member variables and inline method body regions on `info`.
+/// Returns the index to resume at.
 std::size_t parse_member(FileInfo& info, std::size_t i, std::size_t cls_idx) {
   const std::vector<Token>& t = info.lexed.tokens;
   ScanClass& cls = info.classes[cls_idx];
@@ -888,10 +862,7 @@ std::size_t parse_member(FileInfo& info, std::size_t i, std::size_t cls_idx) {
     return j < t.size() ? parse_member(info, j, cls_idx) : j;
   }
 
-  std::string island;
-  bool pinned = false;  // ignored at member level; RILL_PINNED is per-class
-  std::size_t j = parse_annotations(t, i, island, pinned);
-
+  std::size_t j = i;
   auto record_method = [&](std::size_t paren,
                            const std::string& method) -> std::size_t {
     const std::size_t close = match_paren_fwd(t, paren);
@@ -936,11 +907,7 @@ std::size_t parse_member(FileInfo& info, std::size_t i, std::size_t cls_idx) {
       return record_method(j, method);
     }
     if (y == "=" || y == "{" || y == "[" || y == ";") {
-      if (last_ident >= 0) {
-        const std::string& m = t[last_ident].text;
-        cls.members.push_back(m);
-        if (!island.empty()) cls.member_island.emplace(m, island);
-      }
+      if (last_ident >= 0) cls.members.push_back(t[last_ident].text);
       if (y == ";") return j + 1;
       return skip_statement(t, j);
     }
@@ -951,7 +918,7 @@ std::size_t parse_member(FileInfo& info, std::size_t i, std::size_t cls_idx) {
 }
 
 /// The class scan: one linear token walk that records class/struct
-/// definitions (with annotations and members), inline method bodies, and
+/// definitions (with RILL_PINNED and members), inline method bodies, and
 /// out-of-line `A::b(...) { ... }` / `A::~A() { ... }` definitions.
 /// Recognized method bodies are skipped wholesale, so local structs inside
 /// functions are invisible and regions never nest.
@@ -981,13 +948,15 @@ void scan_classes(FileInfo& info) {
     if ((x == "class" || x == "struct") && (i == 0 || t[i - 1].text != "enum")) {
       std::size_t j = i + 1;
       ScanClass c;
-      j = parse_annotations(t, j, c.island, c.pinned);
+      if (j < t.size() && t[j].text == "RILL_PINNED") {
+        c.pinned = true;
+        ++j;
+      }
       if (j >= t.size() || t[j].kind != TokKind::Ident) {
         ++i;
         continue;
       }
       c.name = t[j].text;
-      c.line = t[j].line;
       ++j;
       if (j < t.size() && t[j].text == "final") ++j;
       if (j < t.size() && t[j].text == ":") {
@@ -1048,51 +1017,27 @@ void scan_classes(FileInfo& info) {
 
 /// Merged cross-TU class model, keyed by unqualified class name.
 struct ClassInfo {
-  std::string file;
-  int line{1};
-  std::size_t best_members{0};  ///< richest definition wins file attribution
-  std::string island;
   bool pinned{false};
-  std::vector<std::string> member_order;
   std::set<std::string> members;
-  std::map<std::string, std::string> member_island;
   /// Idents appearing in each method body ("~" = destructor) — the
   /// one-level call graph used for the destructor-cancels check.
   std::map<std::string, std::set<std::string>> method_idents;
-
-  [[nodiscard]] bool annotated() const {
-    return !island.empty() || pinned || !member_island.empty();
-  }
 };
 using ClassModel = std::map<std::string, ClassInfo>;
 
-ClassModel build_model(const std::vector<const FileInfo*>& order,
-                       const std::vector<std::string>& paths) {
+ClassModel build_model(const std::vector<const FileInfo*>& order) {
   ClassModel model;
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    const FileInfo& fi = *order[k];
-    for (const ScanClass& c : fi.classes) {
+  for (const FileInfo* fi : order) {
+    for (const ScanClass& c : fi->classes) {
       ClassInfo& ci = model[c.name];
-      if (ci.file.empty() || c.members.size() > ci.best_members) {
-        ci.file = paths[k];
-        ci.line = c.line;
-        ci.best_members = c.members.size();
-      }
-      if (ci.island.empty()) ci.island = c.island;
       ci.pinned = ci.pinned || c.pinned;
-      for (const std::string& m : c.members) {
-        if (ci.members.insert(m).second) ci.member_order.push_back(m);
-      }
-      for (const auto& [m, isl] : c.member_island) {
-        ci.member_island.emplace(m, isl);
-      }
+      ci.members.insert(c.members.begin(), c.members.end());
     }
-    for (const ScanRegion& r : fi.regions) {
+    const std::vector<Token>& t = fi->lexed.tokens;
+    for (const ScanRegion& r : fi->regions) {
       std::set<std::string>& ids = model[r.cls].method_idents[r.method];
-      for (std::size_t j = r.begin; j < r.end && j < fi.lexed.tokens.size();
-           ++j) {
-        if (fi.lexed.tokens[j].kind == TokKind::Ident)
-          ids.insert(fi.lexed.tokens[j].text);
+      for (std::size_t j = r.begin; j < r.end && j < t.size(); ++j) {
+        if (t[j].kind == TokKind::Ident) ids.insert(t[j].text);
       }
     }
   }
@@ -1244,135 +1189,10 @@ void check_r6(const std::string& path, const FileInfo& info,
                " with no lifetime guarantee",
            "store the returned TimerId in a member cancelled by the "
            "destructor, annotate the owning class RILL_PINNED "
-           "(src/common/island.hpp) if it provably outlives the event loop, "
+           "(src/common/pinned.hpp) if it provably outlives the event loop, "
            "or waive with // lint: lifetime-ok(reason)");
     }
   }
-}
-
-/// Member-name → owning island, over every annotated class in the model.
-/// A name claimed by two classes on different islands is ambiguous and
-/// excluded (unique=false).
-struct MemberOwner {
-  std::string island;
-  bool unique{true};
-};
-
-std::map<std::string, MemberOwner> build_owner_index(const ClassModel& model) {
-  std::map<std::string, MemberOwner> owners;
-  for (const auto& [name, ci] : model) {
-    for (const std::string& m : ci.member_order) {
-      std::string isl = ci.island;
-      const auto ov = ci.member_island.find(m);
-      if (ov != ci.member_island.end()) isl = ov->second;
-      if (isl.empty()) continue;
-      const auto [it, fresh] = owners.try_emplace(m, MemberOwner{isl, true});
-      if (!fresh && it->second.island != isl) it->second.unique = false;
-    }
-  }
-  return owners;
-}
-
-void check_r7(const std::string& path, const FileInfo& info,
-              const ClassModel& model,
-              const std::map<std::string, MemberOwner>& owners,
-              const Options& opts, std::vector<Finding>& out) {
-  if (info.regions.empty() || owners.empty()) return;
-  const std::vector<Token>& t = info.lexed.tokens;
-  const std::set<std::string> mutators(opts.mutator_methods.begin(),
-                                       opts.mutator_methods.end());
-  std::set<std::string> crossing(opts.handle_schedulers.begin(),
-                                 opts.handle_schedulers.end());
-  crossing.insert(opts.detached_schedulers.begin(),
-                  opts.detached_schedulers.end());
-  crossing.insert(opts.callback_apis.begin(), opts.callback_apis.end());
-
-  // Argument spans of crossing-point calls: a mutation lexically inside one
-  // rides the event fabric and executes on the owner's island.
-  std::vector<std::pair<std::size_t, std::size_t>> sanctioned;
-  for (std::size_t i = 1; i + 1 < t.size(); ++i) {
-    if (t[i].kind == TokKind::Ident && crossing.contains(t[i].text) &&
-        t[i + 1].text == "(" &&
-        (t[i - 1].text == "." || t[i - 1].text == "->")) {
-      sanctioned.emplace_back(i + 1, match_paren_fwd(t, i + 1));
-    }
-  }
-  const auto in_sanctioned = [&](std::size_t k) {
-    for (const auto& [a, b] : sanctioned) {
-      if (k > a && k < b) return true;
-    }
-    return false;
-  };
-
-  const auto is_mutation = [&](std::size_t k) -> bool {
-    if (k > 0 && (t[k - 1].text == "++" || t[k - 1].text == "--")) return true;
-    std::size_t j = k + 1;
-    for (int hops = 0; j < t.size() && hops < 4; ++hops) {
-      const std::string& y = t[j].text;
-      if ((y == "." || y == "->") && j + 1 < t.size() &&
-          t[j + 1].kind == TokKind::Ident) {
-        if (j + 2 < t.size() && t[j + 2].text == "(") {
-          return mutators.contains(t[j + 1].text);  // m.push_back(...)
-        }
-        j += 2;  // m.field ...
-        continue;
-      }
-      if (y == "[") {  // m[k] ...
-        j = match_bracket_fwd(t, j) + 1;
-        continue;
-      }
-      break;
-    }
-    if (j >= t.size()) return false;
-    static const std::unordered_set<std::string> kMutOps = {
-        "=",  "+=", "-=", "*=", "/=",  "%=",  "&=",
-        "|=", "^=", "<<=", ">>=", "++", "--"};
-    return kMutOps.contains(t[j].text);
-  };
-
-  for (const ScanRegion& r : info.regions) {
-    const auto ci_it = model.find(r.cls);
-    if (ci_it == model.end()) continue;
-    const ClassInfo& cls = ci_it->second;
-    // Only methods with a declared island home are checked; unannotated and
-    // shared classes have no affinity to violate from.
-    if (cls.island.empty() || cls.island == "shared") continue;
-    for (std::size_t k = r.begin; k < r.end && k < t.size(); ++k) {
-      if (t[k].kind != TokKind::Ident) continue;
-      const std::string& m = t[k].text;
-      if (cls.members.contains(m)) continue;  // own state — same island
-      const auto ow = owners.find(m);
-      if (ow == owners.end() || !ow->second.unique) continue;
-      const std::string& mi = ow->second.island;
-      if (mi.empty() || mi == "shared" || mi == cls.island) continue;
-      if (k > 0 && t[k - 1].text == "::") continue;  // qualified non-member
-      if (!is_mutation(k)) continue;
-      if (in_sanctioned(k)) continue;
-      if (waived(info.lexed, t[k].line, "island")) continue;
-      emit(out, path, info, t[k], "R7/island-affinity",
-           "'" + r.cls + "' (island '" + cls.island + "') mutates '" + m +
-               "' owned by island '" + mi + "'",
-           "route the write through a crossing point (engine schedule / net "
-           "send / store completion) so it runs on the owner's island; or "
-           "waive with // lint: island-ok(reason)");
-    }
-  }
-}
-
-IslandMap build_island_map(const ClassModel& model) {
-  IslandMap map;
-  for (const auto& [name, ci] : model) {
-    if (!ci.annotated()) continue;
-    IslandClass c;
-    c.name = name;
-    c.file = ci.file;
-    c.island = ci.island;
-    c.pinned = ci.pinned;
-    c.members = ci.member_order;
-    c.member_islands = ci.member_island;
-    map.classes.push_back(std::move(c));
-  }
-  return map;  // ClassModel is ordered → sorted by class name
 }
 
 /// Chunk-free work-stealing parallel loop; `body(i)` must be safe to run
@@ -1402,7 +1222,8 @@ void parallel_for(std::size_t n, int jobs,
 
 }  // namespace
 
-Analysis analyze(const std::vector<SourceFile>& files, const Options& opts) {
+std::vector<Finding> run(const std::vector<SourceFile>& files,
+                         const Options& opts) {
   // Deterministic processing order regardless of input order or job count.
   std::vector<std::size_t> order(files.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -1449,9 +1270,8 @@ Analysis analyze(const std::vector<SourceFile>& files, const Options& opts) {
     }
   }
 
-  // Cross-TU class model for R6/R7, merged in sorted file order.
-  const ClassModel model = build_model(by_order, paths);
-  const std::map<std::string, MemberOwner> owners = build_owner_index(model);
+  // Cross-TU class model for R6, merged in sorted file order.
+  const ClassModel model = build_model(by_order);
 
   // Pass 2 (parallel): per file, union declarations over its include
   // closure (BFS), then run the rules.  All shared state is read-only.
@@ -1489,107 +1309,21 @@ Analysis analyze(const std::vector<SourceFile>& files, const Options& opts) {
     check_r4(path, info, scope, findings);
     check_r5(path, info, opts, findings);
     check_r6(path, info, model, opts, findings);
-    check_r7(path, info, model, owners, opts, findings);
   });
 
-  Analysis res;
+  std::vector<Finding> findings;
   for (std::vector<Finding>& v : per_file) {
-    res.findings.insert(res.findings.end(),
-                        std::make_move_iterator(v.begin()),
-                        std::make_move_iterator(v.end()));
+    findings.insert(findings.end(), std::make_move_iterator(v.begin()),
+                    std::make_move_iterator(v.end()));
   }
-  std::sort(res.findings.begin(), res.findings.end(),
+  std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               if (a.file != b.file) return a.file < b.file;
               if (a.line != b.line) return a.line < b.line;
               if (a.col != b.col) return a.col < b.col;
               return a.rule < b.rule;
             });
-  res.islands = build_island_map(model);
-  return res;
-}
-
-std::vector<Finding> run(const std::vector<SourceFile>& files,
-                         const Options& opts) {
-  return analyze(files, opts).findings;
-}
-
-// ------------------------------------------------------------- island JSON
-
-namespace {
-
-void json_string(std::ostringstream& o, const std::string& s) {
-  o << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') o << '\\';
-    o << c;
-  }
-  o << '"';
-}
-
-void json_class(std::ostringstream& o, const IslandClass& c,
-                const char* indent) {
-  o << indent << "{\"class\": ";
-  json_string(o, c.name);
-  o << ", \"file\": ";
-  json_string(o, c.file);
-  o << ", \"pinned\": " << (c.pinned ? "true" : "false");
-  o << ", \"members\": [";
-  bool first = true;
-  for (const std::string& m : c.members) {
-    if (!first) o << ", ";
-    json_string(o, m);
-    first = false;
-  }
-  o << "], \"member_islands\": {";
-  first = true;
-  for (const auto& [m, isl] : c.member_islands) {
-    if (!first) o << ", ";
-    json_string(o, m);
-    o << ": ";
-    json_string(o, isl);
-    first = false;
-  }
-  o << "}}";
-}
-
-}  // namespace
-
-std::string write_islands_json(const IslandMap& map) {
-  std::map<std::string, std::vector<const IslandClass*>> islands;
-  std::vector<const IslandClass*> shared;
-  for (const IslandClass& c : map.classes) {
-    if (c.island == "shared") {
-      shared.push_back(&c);
-    } else {
-      islands[c.island.empty() ? "unassigned" : c.island].push_back(&c);
-    }
-  }
-  std::ostringstream o;
-  o << "{\n  \"version\": 1,\n  \"islands\": {";
-  bool first_island = true;
-  for (const auto& [name, list] : islands) {
-    o << (first_island ? "" : ",") << "\n    ";
-    json_string(o, name);
-    o << ": [";
-    bool first_cls = true;
-    for (const IslandClass* c : list) {
-      o << (first_cls ? "" : ",") << "\n";
-      json_class(o, *c, "      ");
-      first_cls = false;
-    }
-    o << "\n    ]";
-    first_island = false;
-  }
-  o << (islands.empty() ? "" : "\n  ") << "},\n  \"shared\": [";
-  bool first_sh = true;
-  for (const IslandClass* c : shared) {
-    o << (first_sh ? "" : ",") << "\n";
-    json_class(o, *c, "    ");
-    first_sh = false;
-  }
-  o << (shared.empty() ? "" : "\n  ") << "]\n}\n";
-  return o.str();
+  return findings;
 }
 
 std::string format_github(const Finding& f) {

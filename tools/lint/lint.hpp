@@ -40,22 +40,10 @@
 //                      (directly or through one same-class method call),
 //                      (b) the capture is exactly `this` and the enclosing
 //                      class is annotated RILL_PINNED (see
-//                      src/common/island.hpp — a one-place, auditable
+//                      src/common/pinned.hpp — a one-place, auditable
 //                      claim that the object outlives every callback it
 //                      schedules), or (c) the site carries a
 //                      `// lint: lifetime-ok(<reason>)` waiver.
-//   R7 island-affinity state annotated RILL_ISLAND(<island>) (class- or
-//                      member-level; src/common/island.hpp) may only be
-//                      mutated from methods of classes on the same island.
-//                      A mutation inside a lambda handed to a crossing-
-//                      point API (schedule* / send / store completions) is
-//                      sanctioned — it rides the event fabric and runs on
-//                      the owner's island.  RILL_SHARED members are exempt
-//                      targets (declared cross-island), but the island map
-//                      records them so the parallel engine knows what to
-//                      fence.  The analyzer also emits the machine-readable
-//                      island map (write_islands_json) consumed by the
-//                      future parallel engine as its partitioning contract.
 //
 // Waivers: a statement may opt out with a comment on the same line or up
 // to three lines above it:
@@ -67,7 +55,6 @@
 //   // lint: metric-name-ok(<reason>)
 //   // lint: name-concat-ok(<reason>)
 //   // lint: lifetime-ok(<reason>)
-//   // lint: island-ok(<reason>)
 //
 // The reason is mandatory — an empty waiver is itself a finding.
 //
@@ -137,7 +124,7 @@ struct Options {
   /// and is allowed to concatenate name parts.
   std::vector<std::string> name_helper_allowlist{"src/obs/names"};
 
-  // ---- R6 / R7 ----
+  // ---- R6 ----
   /// Handle-returning scheduler methods: the "member handle + destructor
   /// cancel" legality route applies only to these.
   std::vector<std::string> handle_schedulers{"schedule", "schedule_at"};
@@ -146,17 +133,12 @@ struct Options {
   std::vector<std::string> detached_schedulers{"schedule_detached",
                                                "schedule_at_detached"};
   /// net/kvstore completion-callback APIs whose lambda arguments R6 also
-  /// checks, and which R7 treats as sanctioned island-crossing points.
+  /// checks.
   std::vector<std::string> callback_apis{"send",  "send_between_slots",
                                          "put",   "get",
                                          "del",   "put_batch",
                                          "mget",  "mdel",
                                          "put_pipelined"};
-  /// Container/member mutator method names R7 treats as writes.
-  std::vector<std::string> mutator_methods{
-      "push_back", "pop_back", "push_front", "pop_front", "emplace",
-      "emplace_back", "insert", "erase", "clear", "resize", "assign",
-      "push", "pop", "swap", "reset"};
   /// Worker threads for the lex/index and rule passes (1 = sequential).
   /// Output is deterministic regardless: findings are merged and sorted.
   int jobs{1};
@@ -168,50 +150,10 @@ struct SourceFile {
   std::string content;
 };
 
-// ------------------------------------------------------------- island map
-
-/// One annotated class in the island map.  `island` is the class-level
-/// island name, or "shared" for RILL_SHARED classes.  `members` lists every
-/// member the class model parsed for it; `member_islands` carries the
-/// member-level overrides (member → island name or "shared").
-struct IslandClass {
-  std::string name;
-  std::string file;
-  std::string island;
-  bool pinned{false};
-  std::vector<std::string> members;
-  std::map<std::string, std::string> member_islands;
-};
-
-/// The partitioning contract for the parallel engine: every class that
-/// carries a RILL_ISLAND / RILL_SHARED / RILL_PINNED annotation, sorted by
-/// class name.
-struct IslandMap {
-  std::vector<IslandClass> classes;
-};
-
-/// Serialize the island map as deterministic JSON (sorted keys, 2-space
-/// indent).  Schema:
-///   { "version": 1,
-///     "islands": { "<island>": [ {"class","file","pinned","members":[...],
-///                                 "member_islands":{...}} ... ] },
-///     "shared":  [ ...same entry shape... ] }
-[[nodiscard]] std::string write_islands_json(const IslandMap& map);
-
-/// Full analysis result: findings plus the island map.
-struct Analysis {
-  std::vector<Finding> findings;
-  IslandMap islands;
-};
-
-/// Run all rules over `files` and build the island map.  Pass every file
-/// the analysis should know about (declarations are indexed across the
-/// whole set and joined to use sites through the quoted-include graph; the
-/// class model for R6/R7 is merged across the whole set by class name).
-[[nodiscard]] Analysis analyze(const std::vector<SourceFile>& files,
-                               const Options& opts = {});
-
-/// Findings-only convenience wrapper around analyze().
+/// Run all rules over `files`.  Pass every file the analysis should know
+/// about (declarations are indexed across the whole set and joined to use
+/// sites through the quoted-include graph; the class model for R6 is
+/// merged across the whole set by class name).
 [[nodiscard]] std::vector<Finding> run(const std::vector<SourceFile>& files,
                                        const Options& opts = {});
 

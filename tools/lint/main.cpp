@@ -14,9 +14,6 @@
 //                        (GitHub Actions ::error annotations)
 //   --jobs N             scan with N worker threads (default 1; output is
 //                        deterministic either way)
-//   --islands-out FILE   write the RILL_ISLAND/RILL_SHARED island map
-//                        (the parallel-engine partitioning contract) as
-//                        JSON to FILE
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 #include <cstdlib>
@@ -45,7 +42,7 @@ int usage(std::ostream& os, int code) {
         "FILE]\n"
         "                 [--allow PREFIX]... [--format text|github] "
         "[--jobs N]\n"
-        "                 [--islands-out FILE] [--list] [paths...]\n"
+        "                 [--list] [paths...]\n"
         "default paths: src bench tools\n";
   return code;
 }
@@ -56,7 +53,6 @@ int main(int argc, char** argv) {
   std::string root = ".";
   std::string baseline_path;
   std::string write_baseline_path;
-  std::string islands_out_path;
   std::string format = "text";
   bool list_only = false;
   rill::lint::Options opts;
@@ -91,8 +87,6 @@ int main(int argc, char** argv) {
         std::cerr << "rill_lint: --jobs requires a positive integer\n";
         return usage(std::cerr, 2);
       }
-    } else if (arg == "--islands-out") {
-      islands_out_path = value("--islands-out");
     } else if (arg == "--list") {
       list_only = true;
     } else if (arg == "-h" || arg == "--help") {
@@ -144,19 +138,7 @@ int main(int argc, char** argv) {
   }
   if (list_only) return 0;
 
-  rill::lint::Analysis analysis = rill::lint::analyze(files, opts);
-  std::vector<rill::lint::Finding>& findings = analysis.findings;
-
-  if (!islands_out_path.empty()) {
-    std::ofstream out(islands_out_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "rill_lint: cannot write " << islands_out_path << "\n";
-      return 2;
-    }
-    out << rill::lint::write_islands_json(analysis.islands);
-    std::cout << "rill_lint: wrote island map (" << analysis.islands.classes.size()
-              << " annotated class(es)) to " << islands_out_path << "\n";
-  }
+  std::vector<rill::lint::Finding> findings = rill::lint::run(files, opts);
 
   if (!write_baseline_path.empty()) {
     std::ofstream out(write_baseline_path, std::ios::binary);

@@ -14,9 +14,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/analysis.hpp"
+#include "obs/registry.hpp"
 #include "obs/slo.hpp"
 
 using namespace rill;
@@ -49,15 +51,6 @@ void print_help(std::FILE* out, const char* argv0) {
 }
 
 double sec(SimTime t) { return static_cast<double>(t) / 1e6; }
-
-std::uint64_t pct(const std::vector<std::uint64_t>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size()) + 0.999999);
-  if (rank == 0) rank = 1;
-  if (rank > sorted.size()) rank = sorted.size();
-  return sorted[rank - 1];
-}
 
 void print_phases(const analysis::MigrationPhases& p) {
   std::printf("migration phases\n");
@@ -131,29 +124,37 @@ void print_slo(const analysis::Analysis& a, const obs::SloConfig& cfg) {
     std::printf("  (no sampled tuples)\n");
     return;
   }
+  // The monitor takes arrivals in order, which trace order need not be.
+  std::vector<std::pair<SimTime, std::uint64_t>> done;
   std::vector<std::uint64_t> lat;
+  done.reserve(a.tuples.size());
   lat.reserve(a.tuples.size());
-  obs::SloMonitor slo(cfg);
   for (const analysis::TupleView& t : a.tuples) {
-    slo.record(t.done(), t.latency_us);
+    done.emplace_back(t.done(), t.latency_us);
     lat.push_back(t.latency_us);
   }
+  std::sort(done.begin(), done.end());
+  obs::OnlineSloMonitor slo(cfg);
+  for (const auto& [at, latency_us] : done) slo.record(at, latency_us);
+  // Close the window holding the last arrival.
+  slo.advance_to(done.back().first + slo.config().window_sec * 1'000'000ull);
   slo.finalize();
   std::sort(lat.begin(), lat.end());
   std::printf("  overall      p50 %.3f ms, p95 %.3f ms, p99 %.3f ms\n",
-              static_cast<double>(pct(lat, 0.50)) / 1e3,
-              static_cast<double>(pct(lat, 0.95)) / 1e3,
-              static_cast<double>(pct(lat, 0.99)) / 1e3);
+              static_cast<double>(obs::nearest_rank(lat, 0.50)) / 1e3,
+              static_cast<double>(obs::nearest_rank(lat, 0.95)) / 1e3,
+              static_cast<double>(obs::nearest_rank(lat, 0.99)) / 1e3);
   std::printf("  windows      %zu (%llu violated, burn %llu/1000)\n",
               slo.windows().size(),
               static_cast<unsigned long long>(slo.violated_windows()),
               static_cast<unsigned long long>(slo.burn_per_mille()));
-  for (const obs::SloViolation& v : slo.violations()) {
+  const std::vector<obs::SloViolation> violations = slo.violations();
+  for (const obs::SloViolation& v : violations) {
     std::printf("  violation    [%llu s, %llu s)\n",
                 static_cast<unsigned long long>(v.start_sec),
                 static_cast<unsigned long long>(v.end_sec));
   }
-  if (cfg.target_p99_us > 0 && slo.violations().empty()) {
+  if (cfg.target_p99_us > 0 && violations.empty()) {
     std::printf("  no violation windows\n");
   }
 }
