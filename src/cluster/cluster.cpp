@@ -45,6 +45,14 @@ void Cluster::release(VmId id) {
   vm.released_at = engine_.now();
 }
 
+void Cluster::release_except(const std::vector<VmId>& vms,
+                             const std::vector<VmId>& keep) {
+  for (VmId v : vms) {
+    const bool kept = std::find(keep.begin(), keep.end(), v) != keep.end();
+    if (!kept && vm(v).active()) release(v);
+  }
+}
+
 void Cluster::occupy(SlotId slot, InstanceId instance) {
   Slot& s = slot_mut(slot);
   if (s.occupant.has_value()) {

@@ -28,6 +28,11 @@ class Cluster {
 
   /// Release a VM; its slots must be vacant.
   void release(VmId vm);
+  /// Release every still-active VM of `vms` that is not in `keep`, in
+  /// `vms` order (the vacated VMs after a migration; already-released ones
+  /// are skipped).
+  void release_except(const std::vector<VmId>& vms,
+                      const std::vector<VmId>& keep);
 
   /// Ids are dense from 1 and never reused, so both lookups index a table;
   /// an id this cluster never issued throws std::out_of_range.

@@ -21,15 +21,12 @@ void FgmStrategy::configure(dsps::Platform& platform) {
   // at migration time instead of via a JIT wave.
   platform.set_user_acking(false);
   platform.set_checkpoint_mode(dsps::CheckpointMode::Wave);
-  platform.set_delta_checkpointing(platform.config().ckpt_delta);
   platform.coordinator().stop_periodic();
 }
 
 void FgmStrategy::migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
                           std::function<void(bool)> done) {
-  phases_ = PhaseTimes{};
-  phases_.request_at = platform.engine().now();
-  strategy_instant(platform, "request");
+  begin_phases(platform);
 
   auto ctx = std::make_shared<FluidCtx>();
   ctx->plan = std::move(plan);

@@ -1,6 +1,11 @@
-// Concrete strategy classes.  Most users go through make_strategy(); the
-// concrete types are exposed for tests that poke at strategy internals.
+// Concrete strategy classes, internal to src/core: everything else goes
+// through make_strategy() / make_dsm_timeout_strategy().  Five kinds share
+// three flows, because the paper's variants differ only in data the
+// simulator already carries: DSM-T is DSM with a rebalance timeout (§2),
+// and CCR is DCR with the Capture wiring instead of the Wave one (§3).
 #pragma once
+
+#include <vector>
 
 #include "core/strategy.hpp"
 
@@ -10,57 +15,56 @@ namespace rill::core {
 void strategy_instant(dsps::Platform& platform, const char* name);
 
 /// Default Storm Migration: always-on acking for every user event plus
-/// periodic checkpoints; migration = immediate rebalance with timeout 0,
-/// then an INIT wave that is re-sent only on 30 s ack-timeout failures.
+/// periodic checkpoints; migration = rebalance, then an INIT wave that is
+/// re-sent only on 30 s ack-timeout failures.
+///
+/// DSM-T adds Storm's rebalance timeout: the sources pause for a
+/// user-estimated window before the kill, hoping in-flight events drain.
+/// Unlike DCR there is no rearguard to *verify* the drain — an
+/// under-estimate still loses events, an over-estimate idles the dataflow.
 class DsmStrategy final : public MigrationStrategy {
  public:
-  [[nodiscard]] StrategyKind kind() const noexcept override {
-    return StrategyKind::DSM;
-  }
-  void configure(dsps::Platform& platform) override;
-  void migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
-               std::function<void(bool)> done) override;
-};
-
-/// DSM with Storm's rebalance timeout: pause sources for a user-estimated
-/// window before the kill, hoping in-flight events drain.  Unlike DCR
-/// there is no rearguard to *verify* the drain — an under-estimate still
-/// loses events, an over-estimate idles the dataflow.
-class DsmTimeoutStrategy final : public MigrationStrategy {
- public:
-  explicit DsmTimeoutStrategy(SimDuration timeout) : timeout_(timeout) {}
-  [[nodiscard]] StrategyKind kind() const noexcept override {
-    return StrategyKind::DSM_T;
-  }
-  [[nodiscard]] SimDuration timeout() const noexcept { return timeout_; }
+  /// `kind` is DSM (timeout 0) or DSM_T; a DSM_T with timeout 0 behaves
+  /// like DSM but still reports DSM_T.
+  DsmStrategy(StrategyKind kind, SimDuration timeout)
+      : kind_(kind), timeout_(timeout) {}
+  [[nodiscard]] StrategyKind kind() const noexcept override { return kind_; }
   void configure(dsps::Platform& platform) override;
   void migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
                std::function<void(bool)> done) override;
 
  private:
+  StrategyKind kind_;
   SimDuration timeout_;
 };
 
-/// Drain, Checkpoint and Restore.
-class DcrStrategy final : public MigrationStrategy {
+/// The transactional pause → checkpoint → rebalance → restore → unpause
+/// flow: DCR (Drain, Checkpoint and Restore) with the Wave wiring, CCR
+/// (Capture, Checkpoint and Resume) with the Capture wiring.  On a failed
+/// checkpoint the migration aborts before anything moves.  On a failed
+/// restore (init_deadline exceeded) it broadcasts ROLLBACK, re-pins the
+/// failed placements onto their exact old slots and runs an unbounded
+/// recovery INIT, so the sources only resume once the old placement is
+/// restored — the abort itself loses no user events.
+class CheckpointedStrategy final : public MigrationStrategy {
  public:
-  [[nodiscard]] StrategyKind kind() const noexcept override {
-    return StrategyKind::DCR;
-  }
+  /// `kind` is DCR or CCR.
+  explicit CheckpointedStrategy(StrategyKind kind) : kind_(kind) {}
+  [[nodiscard]] StrategyKind kind() const noexcept override { return kind_; }
   void configure(dsps::Platform& platform) override;
   void migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
                std::function<void(bool)> done) override;
-};
 
-/// Capture, Checkpoint and Resume.
-class CcrStrategy final : public MigrationStrategy {
- public:
-  [[nodiscard]] StrategyKind kind() const noexcept override {
-    return StrategyKind::CCR;
+ private:
+  [[nodiscard]] dsps::CheckpointMode mode() const noexcept {
+    return kind_ == StrategyKind::CCR ? dsps::CheckpointMode::Capture
+                                      : dsps::CheckpointMode::Wave;
   }
-  void configure(dsps::Platform& platform) override;
-  void migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
-               std::function<void(bool)> done) override;
+  void abort_and_repin(dsps::Platform& platform, dsps::Placement old_placement,
+                       std::vector<VmId> old_vms,
+                       std::function<void(bool)> done);
+
+  StrategyKind kind_;
 };
 
 /// Fluid key-batched migration (Megaphone-style): no pause, no kill.

@@ -1,7 +1,6 @@
 #include "core/strategy.hpp"
 
 #include <memory>
-#include <unordered_set>
 #include <utility>
 
 #include "core/strategies.hpp"
@@ -14,25 +13,6 @@ void strategy_instant(dsps::Platform& platform, const char* name) {
     tr->instant(obs::kTrackController, "strategy", name);
   }
 }
-
-namespace {
-
-/// Release every VM in `old_vms` that is not part of `target_vms` (the
-/// deferred scale-in billing benefit, applied only once the restore has
-/// committed).
-void release_vms_not_in(dsps::Platform& platform,
-                        const std::vector<VmId>& old_vms,
-                        const std::vector<VmId>& target_vms) {
-  std::unordered_set<std::uint32_t> target;
-  for (VmId v : target_vms) target.insert(v.value);
-  for (VmId v : old_vms) {
-    if (!target.contains(v.value) && platform.cluster().vm(v).active()) {
-      platform.cluster().release(v);
-    }
-  }
-}
-
-}  // namespace
 
 std::string_view to_string(StrategyKind k) noexcept {
   switch (k) {
@@ -47,11 +27,11 @@ std::string_view to_string(StrategyKind k) noexcept {
 
 std::unique_ptr<MigrationStrategy> make_strategy(StrategyKind k) {
   switch (k) {
-    case StrategyKind::DSM: return std::make_unique<DsmStrategy>();
-    case StrategyKind::DSM_T:
-      return std::make_unique<DsmTimeoutStrategy>(time::sec(10));
-    case StrategyKind::DCR: return std::make_unique<DcrStrategy>();
-    case StrategyKind::CCR: return std::make_unique<CcrStrategy>();
+    case StrategyKind::DSM:
+      return std::make_unique<DsmStrategy>(StrategyKind::DSM, /*timeout=*/0);
+    case StrategyKind::DSM_T: return make_dsm_timeout_strategy(time::sec(10));
+    case StrategyKind::DCR:
+    case StrategyKind::CCR: return std::make_unique<CheckpointedStrategy>(k);
     case StrategyKind::FGM: return std::make_unique<FgmStrategy>();
   }
   return nullptr;
@@ -59,15 +39,29 @@ std::unique_ptr<MigrationStrategy> make_strategy(StrategyKind k) {
 
 std::unique_ptr<MigrationStrategy> make_dsm_timeout_strategy(
     SimDuration timeout) {
-  return std::make_unique<DsmTimeoutStrategy>(timeout);
+  return std::make_unique<DsmStrategy>(StrategyKind::DSM_T, timeout);
 }
 
-void MigrationStrategy::run_checkpointed_migration(
-    dsps::Platform& platform, dsps::MigrationPlan plan,
-    dsps::CheckpointMode mode, std::function<void(bool)> done) {
+void MigrationStrategy::begin_phases(dsps::Platform& platform) {
   phases_ = PhaseTimes{};
   phases_.request_at = platform.engine().now();
   strategy_instant(platform, "request");
+}
+
+void CheckpointedStrategy::configure(dsps::Platform& platform) {
+  // Reliability only for checkpoint events: user acking off, no periodic
+  // checkpoints — a just-in-time wave runs at migration time instead.  CCR
+  // also turns on the broadcast wiring (coordinator → every task) and the
+  // capture flag.
+  platform.set_user_acking(false);
+  platform.set_checkpoint_mode(mode());
+  platform.coordinator().stop_periodic();
+}
+
+void CheckpointedStrategy::migrate(dsps::Platform& platform,
+                                   dsps::MigrationPlan plan,
+                                   std::function<void(bool)> done) {
+  begin_phases(platform);
 
   // 1) Pause the sources.  Wave mode drains in-flight events behind the
   //    PREPARE rearguard; Capture mode snapshots them into pending lists.
@@ -76,8 +70,8 @@ void MigrationStrategy::run_checkpointed_migration(
 
   // 2) JIT checkpoint (retried per-wave by the coordinator).
   platform.coordinator().run_checkpoint(
-      mode, [this, &platform, mode, plan = std::move(plan),
-             done = std::move(done)](bool ok) mutable {
+      mode(), [this, &platform, plan = std::move(plan),
+               done = std::move(done)](bool ok) mutable {
         if (!ok) {
           // Checkpoint aborted after exhausting wave retries; the
           // coordinator already broadcast ROLLBACK.  Nothing has moved —
@@ -109,7 +103,7 @@ void MigrationStrategy::run_checkpointed_migration(
         phases_.rebalance_invoked = platform.engine().now();
         platform.rebalancer().rebalance(
             std::move(plan), /*timeout=*/0,
-            [this, &platform, mode, old_placement = std::move(old_placement),
+            [this, &platform, old_placement = std::move(old_placement),
              old_vms = std::move(old_vms), target_vms = std::move(target_vms),
              release_requested, done = std::move(done)]() mutable {
               phases_.rebalance_completed = platform.engine().now();
@@ -117,16 +111,14 @@ void MigrationStrategy::run_checkpointed_migration(
               // 4) INIT restore with aggressive 1 s re-sends, bounded by
               //    the init deadline.
               platform.coordinator().run_init(
-                  platform.coordinator().last_committed(), mode,
+                  platform.coordinator().last_committed(), mode(),
                   platform.config().init_resend_period,
-                  [this, &platform, mode,
-                   old_placement = std::move(old_placement),
+                  [this, &platform, old_placement = std::move(old_placement),
                    old_vms = std::move(old_vms),
                    target_vms = std::move(target_vms), release_requested,
                    done = std::move(done)](bool ok2) mutable {
                     if (!ok2) {
-                      abort_and_repin(platform, mode,
-                                      std::move(old_placement),
+                      abort_and_repin(platform, std::move(old_placement),
                                       std::move(old_vms), std::move(done));
                       return;
                     }
@@ -134,7 +126,7 @@ void MigrationStrategy::run_checkpointed_migration(
                     strategy_instant(platform, "init_complete");
                     // Restore committed: now the vacated VMs may go.
                     if (release_requested) {
-                      release_vms_not_in(platform, old_vms, target_vms);
+                      platform.cluster().release_except(old_vms, target_vms);
                     }
                     // 5) Unpause: backlogged events refill the dataflow.
                     platform.unpause_sources();
@@ -148,11 +140,10 @@ void MigrationStrategy::run_checkpointed_migration(
       });
 }
 
-void MigrationStrategy::abort_and_repin(dsps::Platform& platform,
-                                        dsps::CheckpointMode mode,
-                                        dsps::Placement old_placement,
-                                        std::vector<VmId> old_vms,
-                                        std::function<void(bool)> done) {
+void CheckpointedStrategy::abort_and_repin(dsps::Platform& platform,
+                                           dsps::Placement old_placement,
+                                           std::vector<VmId> old_vms,
+                                           std::function<void(bool)> done) {
   phases_.aborted = true;
   phases_.aborted_at = platform.engine().now();
   strategy_instant(platform, "abort");
@@ -184,14 +175,14 @@ void MigrationStrategy::abort_and_repin(dsps::Platform& platform,
   repin.instances = std::move(failed);
   platform.rebalancer().rebalance(
       std::move(repin), /*timeout=*/0,
-      [this, &platform, mode, pinned, done = std::move(done)]() mutable {
+      [this, &platform, pinned, done = std::move(done)]() mutable {
         phases_.repinned_at = platform.engine().now();
         strategy_instant(platform, "repin");
         // Unbounded recovery INIT against the same committed checkpoint:
         // once the fault lifts, the restore completes and only then do the
         // sources resume — the abort itself loses no user events.
         platform.coordinator().run_init(
-            platform.coordinator().last_committed(), mode,
+            platform.coordinator().last_committed(), mode(),
             platform.config().init_resend_period,
             [this, &platform, done = std::move(done)](bool) mutable {
               platform.unpause_sources();

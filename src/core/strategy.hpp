@@ -6,19 +6,22 @@
 //
 //   DSM  (baseline) : rebalance immediately; acking + periodic checkpoints
 //                     repair losses afterwards (§2).
+//   DSM-T           : DSM whose rebalance first pauses the sources for a
+//                     user-estimated timeout (§2).
 //   DCR             : pause → drain via PREPARE sweep → JIT COMMIT →
 //                     rebalance → INIT (1 s re-sends) → unpause (§3.1).
 //   CCR             : pause → broadcast PREPARE, capture in-flight events →
 //                     COMMIT sweep persists state + pending lists →
 //                     rebalance → broadcast INIT, resume captured events →
 //                     unpause (§3.2).
+//   FGM             : shadow workers, then keyed state moves one key-range
+//                     batch at a time; no pause, no kill.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "common/time.hpp"
 #include "dsps/platform.hpp"
@@ -91,25 +94,11 @@ class MigrationStrategy {
   [[nodiscard]] const PhaseTimes& phases() const noexcept { return phases_; }
 
  protected:
-  /// Shared transactional pause → checkpoint → rebalance → restore →
-  /// unpause flow used by DCR (Wave) and CCR (Capture).  On a failed
-  /// checkpoint the migration aborts before anything moves.  On a failed
-  /// restore (init_deadline exceeded) it broadcasts ROLLBACK, re-pins every
-  /// instance onto its exact old slot and runs an unbounded recovery INIT
-  /// so the sources only resume once the old placement is restored — the
-  /// abort itself loses no user events.
-  void run_checkpointed_migration(dsps::Platform& platform,
-                                  dsps::MigrationPlan plan,
-                                  dsps::CheckpointMode mode,
-                                  std::function<void(bool)> done);
+  /// Start a migration's phase record: reset phases_, stamp request_at and
+  /// emit the `request` instant.  Every migrate() opens with this.
+  void begin_phases(dsps::Platform& platform);
 
   PhaseTimes phases_;
-
- private:
-  void abort_and_repin(dsps::Platform& platform, dsps::CheckpointMode mode,
-                       dsps::Placement old_placement,
-                       std::vector<VmId> old_vms,
-                       std::function<void(bool)> done);
 };
 
 /// Factory for the paper strategies.  DSM_T gets a default 10 s timeout;

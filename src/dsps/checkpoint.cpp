@@ -158,7 +158,8 @@ void CheckpointCoordinator::run_checkpoint(CheckpointMode mode, Done done) {
          obs::arg("mode",
                   mode == CheckpointMode::Capture ? "capture" : "wave")});
   }
-  start_prepare(mode, cid, 1, std::make_shared<Done>(std::move(done)));
+  start_phase(ControlKind::Prepare, mode, cid, 1,
+              std::make_shared<Done>(std::move(done)));
 }
 
 void CheckpointCoordinator::on_worker_down() {
@@ -223,92 +224,68 @@ void CheckpointCoordinator::broadcast_rollback(std::uint64_t checkpoint_id) {
             [](RootId) {}, [](RootId) {});
 }
 
-void CheckpointCoordinator::start_prepare(CheckpointMode mode,
-                                          std::uint64_t cid, int attempt,
-                                          std::shared_ptr<Done> done) {
+void CheckpointCoordinator::start_phase(ControlKind kind, CheckpointMode mode,
+                                        std::uint64_t cid, int attempt,
+                                        std::shared_ptr<Done> done) {
+  const bool prepare = kind == ControlKind::Prepare;
   std::uint64_t wave_span = obs::kNoSpan;
   if (auto* tr = platform_.tracer()) {
-    wave_span = tr->begin(obs::kTrackCoordinator, "checkpoint", "prepare",
+    wave_span = tr->begin(obs::kTrackCoordinator, "checkpoint",
+                          prepare ? "prepare" : "commit",
                           {obs::arg("cid", cid), obs::arg("attempt", attempt)});
   }
+  // PREPARE follows the mode's wiring; COMMIT always sweeps the dataflow
+  // wiring so it lands behind every in-flight user event.
   wave_root_ = send_wave(
-      ControlKind::Prepare, cid, mode == CheckpointMode::Capture,
-      [this, mode, cid, done, wave_span](RootId) {
+      kind, cid, prepare && mode == CheckpointMode::Capture,
+      [this, prepare, mode, cid, done, wave_span](RootId) {
         if (auto* tr = platform_.tracer()) {
           tr->end(wave_span, {obs::arg("ok", true)});
         }
-        // All tasks prepared; COMMIT always sweeps the dataflow wiring so
-        // it lands behind every in-flight user event.
-        start_commit(mode, cid, 1, done);
+        if (prepare) {
+          // All tasks prepared: persist.
+          start_phase(ControlKind::Commit, mode, cid, 1, done);
+          return;
+        }
+        last_committed_ = cid;
+        last_committed_at_ = platform_.engine().now();
+        checkpoint_active_ = false;
+        wave_root_ = 0;
+        ++stats_.waves_committed;
+        // Measured wave cost (PREPARE start → COMMIT cleared): the C term
+        // of the adaptive policy's Young/Daly solve.
+        const auto cost_us =
+            static_cast<double>(last_committed_at_ - wave_started_at_);
+        wave_cost_ewma_us_ = stats_.waves_committed == 1
+                                 ? cost_us
+                                 : 0.3 * cost_us + 0.7 * wave_cost_ewma_us_;
+        if (auto* tr = platform_.tracer()) {
+          tr->end(ckpt_span_, {obs::arg("committed", true)});
+        }
+        if (*done) (*done)(true);
       },
-      [this, mode, cid, attempt, done, wave_span](RootId) {
+      [this, kind, mode, cid, attempt, done, wave_span](RootId) {
         if (auto* tr = platform_.tracer()) {
           tr->end(wave_span, {obs::arg("ok", false)});
           tr->instant(obs::kTrackCoordinator, "checkpoint", "wave_timeout",
-                      {obs::arg("cid", cid), obs::arg("kind", "PREPARE"),
+                      {obs::arg("cid", cid),
+                       obs::arg("kind", std::string(to_string(kind))),
                        obs::arg("attempt", attempt)});
         }
         // A wave timed out (dropped copy, dead task, store outage).  Retry
         // the same wave id: each retry is a fresh wave root, so executors
-        // re-align from scratch and re-snapshot idempotently.  A doomed
-        // wave (participant died under it) skips the retries — no retry
-        // can commit once a prepared snapshot died with its process.
+        // re-align from scratch and re-snapshot (or re-persist)
+        // idempotently.  A doomed wave (participant died under it) skips
+        // the retries — no retry can commit once a prepared snapshot died
+        // with its process.
         if (!wave_doomed_ &&
             attempt <= platform_.config().checkpoint_wave_retries) {
           ++stats_.wave_retries;
-          start_prepare(mode, cid, attempt + 1, done);
+          start_phase(kind, mode, cid, attempt + 1, done);
           return;
         }
         abort_wave(cid, done);
       });
-}
-
-void CheckpointCoordinator::start_commit(CheckpointMode mode,
-                                         std::uint64_t cid, int attempt,
-                                         std::shared_ptr<Done> done) {
-  std::uint64_t wave_span = obs::kNoSpan;
-  if (auto* tr = platform_.tracer()) {
-    wave_span = tr->begin(obs::kTrackCoordinator, "checkpoint", "commit",
-                          {obs::arg("cid", cid), obs::arg("attempt", attempt)});
-  }
-  wave_root_ = send_wave(
-      ControlKind::Commit, cid, /*broadcast=*/false,
-            [this, cid, done, wave_span](RootId) {
-              last_committed_ = cid;
-              last_committed_at_ = platform_.engine().now();
-              checkpoint_active_ = false;
-              wave_root_ = 0;
-              ++stats_.waves_committed;
-              // Measured wave cost (PREPARE start → COMMIT cleared): the C
-              // term of the adaptive policy's Young/Daly solve.
-              const auto cost_us = static_cast<double>(
-                  last_committed_at_ - wave_started_at_);
-              wave_cost_ewma_us_ = stats_.waves_committed == 1
-                                       ? cost_us
-                                       : 0.3 * cost_us +
-                                             0.7 * wave_cost_ewma_us_;
-              if (auto* tr = platform_.tracer()) {
-                tr->end(wave_span, {obs::arg("ok", true)});
-                tr->end(ckpt_span_, {obs::arg("committed", true)});
-              }
-              if (*done) (*done)(true);
-            },
-            [this, mode, cid, attempt, done, wave_span](RootId) {
-              if (auto* tr = platform_.tracer()) {
-                tr->end(wave_span, {obs::arg("ok", false)});
-                tr->instant(obs::kTrackCoordinator, "checkpoint",
-                            "wave_timeout",
-                            {obs::arg("cid", cid), obs::arg("kind", "COMMIT"),
-                             obs::arg("attempt", attempt)});
-              }
-              if (!wave_doomed_ &&
-                  attempt <= platform_.config().checkpoint_wave_retries) {
-                ++stats_.wave_retries;
-                start_commit(mode, cid, attempt + 1, done);
-                return;
-              }
-              abort_wave(cid, done);
-            });
 }
 
 void CheckpointCoordinator::run_init(std::uint64_t checkpoint_id,
@@ -339,7 +316,9 @@ void CheckpointCoordinator::run_init(std::uint64_t checkpoint_id,
 
   if (deadline > 0) {
     init_deadline_timer_ =
-        platform_.engine().schedule(deadline, [this] { fail_init_session(); });
+        platform_.engine().schedule(deadline, [this] {
+          if (init_.active) end_init_session(std::nullopt);
+        });
   }
 
   start_init_prefetch();
@@ -441,23 +420,34 @@ void CheckpointCoordinator::finish_init_prefetch(std::size_t blobs) {
   }
 }
 
-void CheckpointCoordinator::fail_init_session() {
-  if (!init_.active) return;
+void CheckpointCoordinator::end_init_session(std::optional<RootId> completed) {
+  const bool ok = completed.has_value();
   init_.active = false;
-  ++stats_.init_sessions_failed;
   clear_init_prefetch();
-  // lint: nodiscard-ok(cancel-if-pending: the resend timer may have fired)
+  // Either timer may have fired.  On the deadline path this runs inside the
+  // deadline's own callback, whose id the engine already retired.
+  // lint: nodiscard-ok(cancel-if-pending: either timer may have fired)
   static_cast<void>(platform_.engine().cancel(init_resend_timer_));
-  for (RootId r : init_.outstanding) platform_.acker().forget(r);
+  // lint: nodiscard-ok(cancel-if-pending: either timer may have fired)
+  static_cast<void>(platform_.engine().cancel(init_deadline_timer_));
+  for (RootId r : init_.outstanding) {
+    if (r != completed) platform_.acker().forget(r);
+  }
   init_.outstanding.clear();
+  if (ok) {
+    ++stats_.init_completions;
+    init_completed_at_ = platform_.engine().now();
+  } else {
+    ++stats_.init_sessions_failed;
+  }
   if (auto* tr = platform_.tracer()) {
-    tr->end(init_span_, {obs::arg("ok", false)});
+    tr->end(init_span_, {obs::arg("ok", ok)});
   }
   if (auto* rec = platform_.recovery()) {
-    rec->on_init_complete(platform_.engine().now(), /*ok=*/false);
+    rec->on_init_complete(platform_.engine().now(), ok);
   }
   Done done = std::move(init_.done);
-  if (done) done(false);
+  if (done) done(ok);
 }
 
 void CheckpointCoordinator::send_init_attempt() {
@@ -472,27 +462,7 @@ void CheckpointCoordinator::send_init_attempt() {
       ControlKind::Init, init_.checkpoint_id,
       init_.mode == CheckpointMode::Capture,
       [this](RootId completed) {
-        if (!init_.active) return;
-        init_.active = false;
-        clear_init_prefetch();
-        // lint: nodiscard-ok(cancel-if-pending: either timer may have fired)
-        static_cast<void>(platform_.engine().cancel(init_resend_timer_));
-        // lint: nodiscard-ok(cancel-if-pending: either timer may have fired)
-        static_cast<void>(platform_.engine().cancel(init_deadline_timer_));
-        for (RootId r : init_.outstanding) {
-          if (r != completed) platform_.acker().forget(r);
-        }
-        init_.outstanding.clear();
-        ++stats_.init_completions;
-        init_completed_at_ = platform_.engine().now();
-        if (auto* tr = platform_.tracer()) {
-          tr->end(init_span_, {obs::arg("ok", true)});
-        }
-        if (auto* rec = platform_.recovery()) {
-          rec->on_init_complete(platform_.engine().now(), /*ok=*/true);
-        }
-        Done done = std::move(init_.done);
-        if (done) done(true);
+        if (init_.active) end_init_session(completed);
       },
       [this](RootId) {
         // A wave timed out (some worker dropped its INIT copy).  DSM

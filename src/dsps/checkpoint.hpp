@@ -188,12 +188,17 @@ class CheckpointCoordinator {
   void arm_periodic();
   void send_init_attempt();
   void arm_init_resend();
-  void start_prepare(CheckpointMode mode, std::uint64_t cid, int attempt,
-                     std::shared_ptr<Done> done);
-  void start_commit(CheckpointMode mode, std::uint64_t cid, int attempt,
-                    std::shared_ptr<Done> done);
+  /// Send one PREPARE or COMMIT wave of checkpoint `cid` and drive its
+  /// outcome: a completed PREPARE starts COMMIT, a completed COMMIT
+  /// commits the checkpoint, and a failed wave is re-sent up to
+  /// checkpoint_wave_retries times before the checkpoint aborts.
+  void start_phase(ControlKind kind, CheckpointMode mode, std::uint64_t cid,
+                   int attempt, std::shared_ptr<Done> done);
   void abort_wave(std::uint64_t cid, std::shared_ptr<Done> done);
-  void fail_init_session();
+  /// Tear down the INIT session: completed by wave root `completed`, or
+  /// failed at the deadline when nullopt.  Every other outstanding wave
+  /// root is forgotten.
+  void end_init_session(std::optional<RootId> completed);
   /// Sharded stores only: fire one pipelined MGET per shard covering every
   /// restoring instance's blob, so INITs restore from the cache instead of
   /// serial per-task GETs.  Delta blobs reference base blobs; follow-up

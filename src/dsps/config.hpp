@@ -1,4 +1,5 @@
-// Platform configuration: every timing constant in the simulation model.
+// Platform configuration: every timing constant in the simulation model
+// except the key-value store's, which live in kvstore::StoreConfig.
 //
 // Defaults follow DESIGN.md §6 — paper-specified values where the paper
 // gives them (100 ms service time, 8 ev/s sources, 30 s ack timeout and
@@ -49,13 +50,6 @@ struct PlatformConfig {
   /// strategy aborts the migration and re-pins the old placement.  0 keeps
   /// re-sending forever (DSM, and the abort path's recovery INIT).
   SimDuration init_deadline = time::sec(120);
-  /// Key-value store client hardening (see kvstore::StoreConfig).
-  SimDuration kv_request_timeout = time::ms(800);
-  double kv_timeout_cost_factor = 2.0;
-  int kv_max_attempts = 4;
-  SimDuration kv_backoff_base = time::ms(50);
-  SimDuration kv_backoff_cap = time::sec(1);
-  double kv_backoff_jitter = 0.25;
 
   // ---- Checkpoint store tier ----
   /// Number of store VMs behind the consistent-hash ShardedStore facade.
@@ -64,9 +58,6 @@ struct PlatformConfig {
   /// checkpoint traffic and enables COMMIT write coalescing and the INIT
   /// cross-shard prefetch.
   int kv_shards = 1;
-  /// put_pipelined linger before a coalesced per-shard COMMIT batch is
-  /// flushed (only active when kv_shards > 1).
-  SimDuration kv_pipeline_linger = time::ms(2);
 
   // ---- Incremental (delta) checkpointing ----
   /// When true, COMMIT persists a delta blob (changed/deleted keys on top

@@ -50,6 +50,28 @@ void Executor::trace_end(std::uint64_t span) {
   if (auto* tr = platform_.tracer()) tr->end(span);
 }
 
+void Executor::settle(const Event& ev, std::uint64_t span, bool forward) {
+  if (forward) platform_.forward_control(*this, ev);
+  platform_.acker().ack(ev.root, ev.id);
+  trace_end(span);
+}
+
+template <typename Held>
+void Executor::release_to_front(Held& held, bool migration) {
+  const SimTime now = platform_.engine().now();
+  for (auto it = held.rbegin(); it != held.rend(); ++it) {
+    if (auto* at = attributor_for(*it)) {
+      if (migration) {
+        at->on_migration_release(it->id, now);
+      } else {
+        at->on_release(it->id, now);
+      }
+    }
+    queue_.push_front(std::move(*it));
+  }
+  held.clear();
+}
+
 void Executor::bind_metrics() {
   auto* reg = platform_.metrics();
   if (reg == nullptr || m_processed_ != nullptr) return;
@@ -142,7 +164,6 @@ void Executor::kill() {
   align_count_.clear();
   seen_init_roots_.clear();
   reset_delta_chain();
-  persisted_keys_.clear();
   persisted_base_.clear();
   persisted_pending_count_ = 0;
   // Last, with this executor fully torn down: a PREPARE/COMMIT wave that
@@ -422,21 +443,17 @@ void Executor::on_prepare(const Event& ev, std::uint64_t span) {
     snapshot_for_prepare(ev.checkpoint_id);
     capturing_ = true;
     committed_this_wave_ = false;
-    platform_.acker().ack(ev.root, ev.id);
-    trace_end(span);
+    settle(ev, span, /*forward=*/false);
     return;
   }
   // Sequential wave: PREPARE is a rearguard.  Align across all upstream
   // instances; forward only once aligned.
   if (!aligned(ev, platform_.control_fanin(ref_.task))) {
-    platform_.acker().ack(ev.root, ev.id);
-    trace_end(span);
+    settle(ev, span, /*forward=*/false);
     return;
   }
   snapshot_for_prepare(ev.checkpoint_id);
-  platform_.forward_control(*this, ev);
-  platform_.acker().ack(ev.root, ev.id);
-  trace_end(span);
+  settle(ev, span, /*forward=*/true);
 }
 
 void Executor::reset_delta_chain() {
@@ -451,7 +468,7 @@ void Executor::decide_commit_form(std::uint64_t cid) {
   decided_cid_ = cid;
   decided_base_ = 0;
   const PlatformConfig& cfg = platform_.config();
-  if (!platform_.delta_checkpointing() || delta_base_cid_ == 0) return;
+  if (!cfg.ckpt_delta || delta_base_cid_ == 0) return;
   // Compaction: every ckpt_full_every-th blob per instance is forced full,
   // bounding the restore chain.
   if (cfg.ckpt_full_every > 0 && delta_chain_len_ + 1 >= cfg.ckpt_full_every) {
@@ -469,12 +486,11 @@ void Executor::decide_commit_form(std::uint64_t cid) {
 void Executor::note_persisted(std::uint64_t cid, std::size_t bytes) {
   const bool was_delta = decided_base_ != 0;
   committed_checkpoint_ = cid;
-  persisted_keys_[cid] = CheckpointBlob::key(cid, ref_.task, ref_.replica);
   persisted_base_[cid] = decided_base_;
   delta_chain_len_ = was_delta ? delta_chain_len_ + 1 : 0;
   delta_base_cid_ = cid;
   platform_.coordinator().note_commit_blob(was_delta, bytes, delta_chain_len_);
-  if (platform_.delta_checkpointing()) {
+  if (platform_.config().ckpt_delta) {
     if (auto* tr = platform_.tracer()) {
       tr->instant(obs::instance_track(id_.value), "task", "commit_blob",
                   {obs::arg("cid", cid),
@@ -504,11 +520,11 @@ void Executor::gc_superseded_blobs() {
   // Everything we persisted *after* the committed wave is also still live
   // (the in-flight wave and its chain links back to `committed`).
   std::vector<std::string> doomed;
-  for (auto it = persisted_keys_.begin(); it != persisted_keys_.end();) {
+  for (auto it = persisted_base_.begin(); it != persisted_base_.end();) {
     if (it->first < committed && !live.contains(it->first)) {
-      doomed.push_back(it->second);
-      persisted_base_.erase(it->first);
-      it = persisted_keys_.erase(it);
+      doomed.push_back(
+          CheckpointBlob::key(it->first, ref_.task, ref_.replica));
+      it = persisted_base_.erase(it);
     } else {
       ++it;
     }
@@ -575,17 +591,14 @@ void Executor::persist_commit_blob(const Event& ev, std::uint64_t span) {
           return;
         }
         committed_this_wave_ = true;
-        platform_.forward_control(*this, ev);
-        platform_.acker().ack(ev.root, ev.id);
-        trace_end(span);
+        settle(ev, span, /*forward=*/true);
       });
 }
 
 void Executor::on_commit(const Event& ev, std::uint64_t span) {
   // COMMIT always sweeps the dataflow wiring, in both modes.
   if (!aligned(ev, platform_.control_fanin(ref_.task))) {
-    platform_.acker().ack(ev.root, ev.id);
-    trace_end(span);
+    settle(ev, span, /*forward=*/false);
     return;
   }
   const TaskDef& def = platform_.topology().task(ref_.task);
@@ -594,9 +607,7 @@ void Executor::on_commit(const Event& ev, std::uint64_t span) {
 
   if (!def.stateful && (!capture_mode || pending_capture_.empty())) {
     committed_this_wave_ = true;
-    platform_.forward_control(*this, ev);
-    platform_.acker().ack(ev.root, ev.id);
-    trace_end(span);
+    settle(ev, span, /*forward=*/true);
     return;
   }
 
@@ -611,9 +622,7 @@ void Executor::on_commit(const Event& ev, std::uint64_t span) {
     // Capture mode re-persists instead when the capture list grew past the
     // durable copy — skipping would strand those events in memory.
     committed_this_wave_ = true;
-    platform_.forward_control(*this, ev);
-    platform_.acker().ack(ev.root, ev.id);
-    trace_end(span);
+    settle(ev, span, /*forward=*/true);
     return;
   }
 
@@ -637,16 +646,9 @@ void Executor::on_rollback(const Event& ev, std::uint64_t span) {
     // Re-inject captured events at the head of the queue so processing
     // resumes exactly where capture froze it.
     capturing_ = false;
-    for (auto it = pending_capture_.rbegin(); it != pending_capture_.rend();
-         ++it) {
-      if (auto* at = attributor_for(*it))
-        at->on_release(it->id, platform_.engine().now());
-      queue_.push_front(std::move(*it));
-    }
-    pending_capture_.clear();
+    release_to_front(pending_capture_, /*migration=*/false);
   }
-  platform_.acker().ack(ev.root, ev.id);
-  trace_end(span);
+  settle(ev, span, /*forward=*/false);
 }
 
 void Executor::on_init(const Event& ev, std::uint64_t span) {
@@ -657,8 +659,7 @@ void Executor::on_init(const Event& ev, std::uint64_t span) {
     // Another copy of a wave root we already handled (multi-input tasks in
     // sequential wiring).  Just ack.
     ++stats_.duplicate_inits;
-    platform_.acker().ack(ev.root, ev.id);
-    trace_end(span);
+    settle(ev, span, /*forward=*/false);
     return;
   }
   seen_init_roots_.insert(ev.root);
@@ -682,25 +683,15 @@ void Executor::on_init(const Event& ev, std::uint64_t span) {
     capturing_ = false;
     committed_this_wave_ = false;
     ++stats_.init_restores;
-    std::vector<Event> pend = std::move(pending_capture_);
-    pending_capture_.clear();
-    for (auto it = pend.rbegin(); it != pend.rend(); ++it) {
-      if (auto* at = attributor_for(*it))
-        at->on_release(it->id, platform_.engine().now());
-      queue_.push_front(std::move(*it));
-    }
-    if (!capture_mode) platform_.forward_control(*this, ev);
-    platform_.acker().ack(ev.root, ev.id);
-    trace_end(span);
+    release_to_front(pending_capture_, /*migration=*/false);
+    settle(ev, span, /*forward=*/!capture_mode);
     return;
   }
 
   // Already initialised (or nothing to restore): forward so downstream
   // stragglers still receive this wave, then ack.
   ++stats_.duplicate_inits;
-  if (!capture_mode) platform_.forward_control(*this, ev);
-  platform_.acker().ack(ev.root, ev.id);
-  trace_end(span);
+  settle(ev, span, /*forward=*/!capture_mode);
 }
 
 void Executor::continue_init_fetch(std::shared_ptr<InitFetch> fetch,
@@ -776,11 +767,9 @@ void Executor::continue_init_fetch(std::shared_ptr<InitFetch> fetch,
           // answer).  Re-applying the blob would re-inject its pending
           // events a second time — just ack this copy.
           ++stats_.duplicate_inits;
-          if (platform_.checkpoint_mode() == CheckpointMode::Wave) {
-            platform_.forward_control(*this, ev);
-          }
-          platform_.acker().ack(ev.root, ev.id);
-          trace_end(span);
+          const bool wave =
+              platform_.checkpoint_mode() == CheckpointMode::Wave;
+          settle(ev, span, /*forward=*/wave);
           return;
         }
         consume(raw);
@@ -802,11 +791,8 @@ void Executor::finish_init_restore(InitFetch& fetch) {
     restored.pending = std::move(fetch.chain.front().pending);
   }
   restore_from_blob(std::move(restored));
-  if (platform_.checkpoint_mode() == CheckpointMode::Wave) {
-    platform_.forward_control(*this, ev);
-  }
-  platform_.acker().ack(ev.root, ev.id);
-  trace_end(fetch.span);
+  const bool wave = platform_.checkpoint_mode() == CheckpointMode::Wave;
+  settle(ev, fetch.span, /*forward=*/wave);
 }
 
 void Executor::restore_from_blob(CheckpointBlob&& blob) {
@@ -830,17 +816,9 @@ void Executor::restore_from_blob(CheckpointBlob&& blob) {
   // Rebuild the queue front: captured in-flight events first (they were
   // logically ahead), then any tuples pended while awaiting init.  (Events
   // from blob.pending never carry the sampled taint — it is not
-  // serialized — so only the pended tuples get release stamps.)
-  for (auto it = pend_until_init_.rbegin(); it != pend_until_init_.rend();
-       ++it) {
-    if (auto* at = attributor_for(*it))
-      at->on_release(it->id, platform_.engine().now());
-    queue_.push_front(std::move(*it));
-  }
-  pend_until_init_.clear();
-  for (auto it = blob.pending.rbegin(); it != blob.pending.rend(); ++it) {
-    queue_.push_front(std::move(*it));
-  }
+  // serialized — so their release stamps are no-ops.)
+  release_to_front(pend_until_init_, /*migration=*/false);
+  release_to_front(blob.pending, /*migration=*/false);
   pump();
 }
 
@@ -886,19 +864,10 @@ SlotId Executor::delivery_slot(const Event& ev) const {
   return fgm_moved_[static_cast<std::size_t>(p)] ? fgm_shadow_slot_ : slot_;
 }
 
-void Executor::fgm_flush_buffer() {
-  for (auto it = fgm_buffer_.rbegin(); it != fgm_buffer_.rend(); ++it) {
-    if (auto* at = attributor_for(*it))
-      at->on_migration_release(it->id, platform_.engine().now());
-    queue_.push_front(std::move(*it));
-  }
-  fgm_buffer_.clear();
-}
-
 void Executor::fgm_abort_batch(const TaskState& part) {
   merge_partition(state_, part);
   fgm_in_flight_ = -1;
-  fgm_flush_buffer();
+  release_to_front(fgm_buffer_, /*migration=*/true);
   pump();
 }
 
@@ -975,7 +944,7 @@ void Executor::fgm_move_next_batch(std::function<void(FgmMoveOutcome)> done) {
                      obs::arg("left",
                               static_cast<std::uint64_t>(fgm_unmoved()))});
               }
-              fgm_flush_buffer();
+              release_to_front(fgm_buffer_, /*migration=*/true);
               pump();
               done(FgmMoveOutcome::Moved);
             });
@@ -989,7 +958,8 @@ void Executor::fgm_finalize() {
   fgm_partitions_ = 0;
   fgm_moved_.clear();
   fgm_in_flight_ = -1;
-  fgm_flush_buffer();  // defensive: no batch is in flight at finalize
+  // Defensive: no batch is in flight at finalize.
+  release_to_front(fgm_buffer_, /*migration=*/true);
   pump();
 }
 

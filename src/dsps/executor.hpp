@@ -245,6 +245,14 @@ class RILL_PINNED Executor {
   void finish_init_restore(InitFetch& fetch);
 
   void trace_end(std::uint64_t span);
+  /// The tail of every control-event handler: forward `ev` downstream if
+  /// asked (sequential wiring), ack it, then close its span.
+  void settle(const Event& ev, std::uint64_t span, bool forward);
+  /// Move a held buffer back to the head of the queue, in order, and stamp
+  /// each sampled event's release (a migration release for the FGM divert
+  /// buffer).  Leaves `held` empty.
+  template <typename Held>
+  void release_to_front(Held& held, bool migration);
   /// Lazily resolve this instance's registry instruments (first processed
   /// event after a registry is attached); raw pointers keep the hot path
   /// allocation-free.
@@ -268,9 +276,6 @@ class RILL_PINNED Executor {
   [[nodiscard]] int fgm_partition_of(const Event& ev) const;
   /// True when `ev` must wait out the in-flight batch transfer.
   [[nodiscard]] bool fgm_diverts(const Event& ev) const;
-  /// Re-inject diverted tuples at the queue front, charging the buffered
-  /// wait to the `migration` attribution cause.
-  void fgm_flush_buffer();
   /// A batch transfer failed: merge the extracted partition back into the
   /// local state and release the diverted tuples — nothing was moved.
   void fgm_abort_batch(const TaskState& part);
@@ -325,10 +330,10 @@ class RILL_PINNED Executor {
   /// window fix — without it those events exist only in memory and die
   /// with the kill).
   std::size_t persisted_pending_count_{0};
-  /// Blobs this incarnation persisted: cid → store key / base cid (0 =
-  /// full).  Feeds compaction GC; reset at kill (pre-kill keys are leaked
-  /// deliberately — see DESIGN.md).
-  std::map<std::uint64_t, std::string> persisted_keys_;
+  /// Blobs this incarnation persisted: cid → base cid (0 = full); the
+  /// store key is CheckpointBlob::key(cid, task, replica).  Feeds
+  /// compaction GC; reset at kill (pre-kill keys are leaked deliberately —
+  /// see DESIGN.md).
   std::map<std::uint64_t, std::uint64_t> persisted_base_;
 
   // Barrier alignment: wave root → copies consumed so far.

@@ -26,8 +26,7 @@ Platform::Platform(sim::Engine& engine, PlatformConfig config)
       rng_root_(config.seed),
       rng_net_(rng_root_.fork()),
       rng_rebalance_(rng_root_.fork()),
-      rng_ids_(rng_root_.fork()),
-      delta_checkpointing_(config.ckpt_delta) {}
+      rng_ids_(rng_root_.fork()) {}
 
 Platform::~Platform() = default;
 
@@ -46,19 +45,11 @@ void Platform::setup_infrastructure() {
     store_vms_.push_back(cluster_.provision(cluster::VmType::D3, name));
   }
   store_vm_ = store_vms_.front();
-  kvstore::StoreConfig store_cfg;
-  store_cfg.request_timeout = config_.kv_request_timeout;
-  store_cfg.timeout_cost_factor = config_.kv_timeout_cost_factor;
-  store_cfg.max_attempts = config_.kv_max_attempts;
-  store_cfg.backoff_base = config_.kv_backoff_base;
-  store_cfg.backoff_cap = config_.kv_backoff_cap;
-  store_cfg.backoff_jitter = config_.kv_backoff_jitter;
-  store_cfg.pipeline_linger = config_.kv_pipeline_linger;
   // The store tier's jitter streams are seeded independently rather than
   // forked from rng_root_, so fault-free runs draw nothing from them and
   // the pre-existing component streams stay byte-identical.
   store_ = std::make_unique<kvstore::ShardedStore>(
-      engine_, *network_, store_vms_, store_cfg,
+      engine_, *network_, store_vms_, kvstore::StoreConfig{},
       config_.seed ^ 0x5743'4841'4f53'7276ull);
   acker_ = std::make_unique<AckerService>(engine_, config_.ack_timeout);
   coordinator_ = std::make_unique<CheckpointCoordinator>(*this);

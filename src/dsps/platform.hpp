@@ -107,14 +107,6 @@ class RILL_PINNED Platform {
   [[nodiscard]] CheckpointMode checkpoint_mode() const noexcept {
     return checkpoint_mode_;
   }
-  /// Incremental checkpointing: COMMIT persists dirty-key deltas instead of
-  /// the full state map when a valid base blob exists.  Seeded from
-  /// config.ckpt_delta; strategies re-affirm (or veto) it in configure()
-  /// alongside the acking / wiring knobs.
-  void set_delta_checkpointing(bool on) noexcept { delta_checkpointing_ = on; }
-  [[nodiscard]] bool delta_checkpointing() const noexcept {
-    return delta_checkpointing_;
-  }
 
   void set_listener(EventListener* listener) noexcept { listener_ = listener; }
   [[nodiscard]] EventListener& listener() noexcept {
@@ -269,7 +261,6 @@ class RILL_PINNED Platform {
 
   bool user_acking_{false};
   CheckpointMode checkpoint_mode_{CheckpointMode::Wave};
-  bool delta_checkpointing_{false};
 
   EventListener* listener_{nullptr};
   EventListener null_listener_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -21,8 +22,21 @@ Placement Rebalancer::current_placement() const {
   return out;
 }
 
-void Rebalancer::rebalance(const MigrationPlan& plan, SimDuration timeout,
-                           std::function<void()> on_command_complete) {
+namespace {
+
+/// The plan's task-logic upgrades for `ex`, applied as the instance takes
+/// its new slot (kill-based respawn or fluid finalize).
+void apply_logic_updates(const MigrationPlan& plan, Executor& ex) {
+  for (const auto& [task, version] : plan.logic_updates) {
+    if (task == ex.task()) ex.set_logic_version(version);
+  }
+}
+
+}  // namespace
+
+void Rebalancer::begin_command(const MigrationPlan& plan,
+                               const char* span_name,
+                               std::optional<SimDuration> timeout) {
   if (in_progress_) {
     throw std::logic_error("rebalance already in progress");
   }
@@ -31,18 +45,61 @@ void Rebalancer::rebalance(const MigrationPlan& plan, SimDuration timeout,
   }
   in_progress_ = true;
 
-  RebalanceRecord rec;
-  rec.invoked_at = platform_.engine().now();
-  last_ = rec;
+  last_ = RebalanceRecord{};
+  last_->invoked_at = platform_.engine().now();
 
   trace_span_ = obs::kNoSpan;
   if (auto* tr = platform_.tracer()) {
-    trace_span_ = tr->begin(
-        obs::kTrackRebalancer, "rebalance", "rebalance",
-        {obs::arg("target_vms",
-                  static_cast<std::uint64_t>(plan.target_vms.size())),
-         obs::arg("timeout_sec", time::to_sec(timeout))});
+    std::vector<obs::Arg> args{obs::arg(
+        "target_vms", static_cast<std::uint64_t>(plan.target_vms.size()))};
+    if (timeout.has_value()) {
+      args.push_back(obs::arg("timeout_sec", time::to_sec(*timeout)));
+    }
+    trace_span_ = tr->begin(obs::kTrackRebalancer, "rebalance", span_name,
+                            std::move(args));
   }
+}
+
+void Rebalancer::end_command(const char* key, int value) {
+  in_progress_ = false;
+  if (auto* tr = platform_.tracer()) {
+    tr->end(trace_span_, {obs::arg(key, value)});
+  }
+}
+
+double Rebalancer::draw_command_sec() {
+  // Paper: ≈7.26 s mean, near-constant across DAGs and strategies.
+  const PlatformConfig& cfg = platform_.config();
+  return std::max(2.0, platform_.rng_rebalance().normal(
+                           cfg.rebalance_mean_sec, cfg.rebalance_stddev_sec));
+}
+
+std::vector<SimDuration> Rebalancer::draw_startup_delays(
+    const Placement& placement) {
+  const PlatformConfig& cfg = platform_.config();
+  const cluster::Cluster& cluster = platform_.cluster();
+  Rng& rng = platform_.rng_rebalance();
+  std::unordered_map<std::uint32_t, int> per_vm;
+  for (const auto& [ref, slot] : placement) ++per_vm[cluster.vm_of(slot).value];
+  std::vector<SimDuration> delays;
+  delays.reserve(placement.size());
+  for (const auto& [ref, slot] : placement) {
+    double startup =
+        rng.uniform(cfg.worker_startup_min_sec, cfg.worker_startup_max_sec) +
+        cfg.worker_startup_per_colocated_sec *
+            static_cast<double>(per_vm[cluster.vm_of(slot).value]);
+    if (rng.uniform01() < cfg.worker_slow_start_prob) {
+      startup += rng.uniform(cfg.worker_slow_start_min_sec,
+                             cfg.worker_slow_start_max_sec);
+    }
+    delays.push_back(time::sec_f(startup));
+  }
+  return delays;
+}
+
+void Rebalancer::rebalance(const MigrationPlan& plan, SimDuration timeout,
+                           std::function<void()> on_command_complete) {
+  begin_command(plan, "rebalance", timeout);
 
   if (timeout > 0) {
     // Storm's timeout variant: sources pause so in-flight events may flow
@@ -62,16 +119,13 @@ void Rebalancer::rebalance(const MigrationPlan& plan, SimDuration timeout,
 
 void Rebalancer::kill_and_redeploy(const MigrationPlan& plan,
                                    std::function<void()> on_command_complete) {
-  const PlatformConfig& cfg = platform_.config();
+  // Command latency, sampled once per invocation.
+  const double command_sec = draw_command_sec();
 
-  // Command latency, sampled once per invocation (paper: ≈7.26 s mean,
-  // near-constant across DAGs and strategies).
-  const double command_sec =
-      std::max(2.0, platform_.rng_rebalance().normal(cfg.rebalance_mean_sec,
-                                                     cfg.rebalance_stddev_sec));
-
-  platform_.engine().schedule_detached(cfg.kill_delay, [this, plan, command_sec,
-                                               done = std::move(on_command_complete)]() mutable {
+  platform_.engine().schedule_detached(
+      platform_.config().kill_delay,
+      [this, plan, command_sec,
+       done = std::move(on_command_complete)]() mutable {
     last_->killed_at = platform_.engine().now();
 
     // Kill every migrating worker instance: queues, in-memory state and
@@ -126,8 +180,6 @@ void Rebalancer::kill_and_redeploy(const MigrationPlan& plan,
         std::max<SimDuration>(remaining, 0),
         [this, plan, migrating, old_vms, preserved = std::move(preserved),
          done = std::move(done)]() mutable {
-          const PlatformConfig& cfg2 = platform_.config();
-
           // Place the migrating instances on the target VMs and rewire.
           const std::vector<SlotId> slots =
               platform_.cluster().vacant_slots_on(plan.target_vms);
@@ -137,9 +189,7 @@ void Rebalancer::kill_and_redeploy(const MigrationPlan& plan,
             Executor& ex = platform_.executor(ref);
             ex.respawn(slot);
             platform_.cluster().occupy(slot, ex.id());
-            for (const auto& [task, version] : plan.logic_updates) {
-              if (task == ref.task) ex.set_logic_version(version);
-            }
+            apply_logic_updates(plan, ex);
           }
           // Hand preserved deliveries back to their (scoped-plan) owners;
           // they drain once the worker is up and its state is restored.
@@ -168,46 +218,19 @@ void Rebalancer::kill_and_redeploy(const MigrationPlan& plan,
           platform_.worker_vms_ = pool;
 
           if (plan.release_old_vms) {
-            std::unordered_set<std::uint32_t> target;
-            for (VmId v : pool) target.insert(v.value);
-            for (VmId v : old_vms) {
-              if (!target.contains(v.value) &&
-                  platform_.cluster().vm(v).active()) {
-                platform_.cluster().release(v);
-              }
-            }
+            platform_.cluster().release_except(old_vms, pool);
           }
 
-          // Each worker becomes ready after its own start-up delay plus a
-          // contention term per instance co-located on its target VM.
-          std::unordered_map<std::uint32_t, int> per_vm;
-          for (const InstanceRef& ref : migrating) {
-            ++per_vm[platform_.cluster()
-                         .vm_of(platform_.executor(ref).slot())
-                         .value];
-          }
-          for (const InstanceRef& ref : migrating) {
-            const int colocated =
-                per_vm[platform_.cluster()
-                           .vm_of(platform_.executor(ref).slot())
-                           .value];
-            double startup =
-                platform_.rng_rebalance().uniform(cfg2.worker_startup_min_sec,
-                                                  cfg2.worker_startup_max_sec) +
-                cfg2.worker_startup_per_colocated_sec *
-                    static_cast<double>(colocated);
-            if (platform_.rng_rebalance().uniform01() <
-                cfg2.worker_slow_start_prob) {
-              startup += platform_.rng_rebalance().uniform(
-                  cfg2.worker_slow_start_min_sec,
-                  cfg2.worker_slow_start_max_sec);
-            }
-            Executor& ex = platform_.executor(ref);
-            const bool stateful = platform_.topology().task(ref.task).stateful;
+          // Each worker becomes ready after its own start-up delay.
+          const std::vector<SimDuration> startup =
+              draw_startup_delays(placement);
+          for (std::size_t i = 0; i < placement.size(); ++i) {
+            Executor& ex = platform_.executor(placement[i].first);
+            const bool stateful = platform_.topology().task(ex.task()).stateful;
             const std::uint64_t epoch = ex.epoch();
             platform_.engine().schedule_detached(
                 // lint: lifetime-ok(ex is a platform-owned Executor; epoch guard no-ops stale fires)
-                time::sec_f(startup), [&ex, stateful, epoch] {
+                startup[i], [&ex, stateful, epoch] {
                   // Stale once the worker is re-killed (abort re-pin, chaos
                   // crash): the next incarnation arms its own timer.
                   if (ex.epoch() != epoch) return;
@@ -216,11 +239,7 @@ void Rebalancer::kill_and_redeploy(const MigrationPlan& plan,
           }
 
           last_->command_completed_at = platform_.engine().now();
-          in_progress_ = false;
-          if (auto* tr = platform_.tracer()) {
-            tr->end(trace_span_,
-                    {obs::arg("instances", last_->instances_migrated)});
-          }
+          end_command("instances", last_->instances_migrated);
           if (done) done();
         });
   });
@@ -228,27 +247,8 @@ void Rebalancer::kill_and_redeploy(const MigrationPlan& plan,
 
 void Rebalancer::prepare_shadows(
     const MigrationPlan& plan, std::function<void(InstanceRef)> on_shadow_ready) {
-  if (in_progress_) {
-    throw std::logic_error("rebalance already in progress");
-  }
-  if (plan.scheduler == nullptr) {
-    throw std::logic_error("migration plan has no scheduler");
-  }
-  in_progress_ = true;
+  begin_command(plan, "fluid_rebalance", std::nullopt);
 
-  RebalanceRecord rec;
-  rec.invoked_at = platform_.engine().now();
-  last_ = rec;
-
-  trace_span_ = obs::kNoSpan;
-  if (auto* tr = platform_.tracer()) {
-    trace_span_ = tr->begin(
-        obs::kTrackRebalancer, "rebalance", "fluid_rebalance",
-        {obs::arg("target_vms",
-                  static_cast<std::uint64_t>(plan.target_vms.size()))});
-  }
-
-  const PlatformConfig& cfg = platform_.config();
   // Instances still carrying fluid state from an aborted attempt resume
   // with their existing shadow; only the rest get fresh shadow slots.
   std::vector<InstanceRef> fresh;
@@ -264,9 +264,7 @@ void Rebalancer::prepare_shadows(
 
   // Same draw order as a kill-based rebalance: command latency first, then
   // one start-up sample per launching worker.
-  const double command_sec =
-      std::max(2.0, platform_.rng_rebalance().normal(cfg.rebalance_mean_sec,
-                                                     cfg.rebalance_stddev_sec));
+  const double command_sec = draw_command_sec();
 
   const std::vector<SlotId> slots =
       platform_.cluster().vacant_slots_on(plan.target_vms);
@@ -275,7 +273,7 @@ void Rebalancer::prepare_shadows(
   for (const auto& [ref, slot] : placement) {
     Executor& ex = platform_.executor(ref);
     platform_.cluster().occupy(slot, ex.id());
-    ex.fgm_begin(slot, cfg.fgm_batch_keys);
+    ex.fgm_begin(slot, platform_.config().fgm_batch_keys);
   }
   if (auto* tr = platform_.tracer()) {
     tr->instant(obs::kTrackRebalancer, "rebalance", "shadows_placed",
@@ -287,34 +285,20 @@ void Rebalancer::prepare_shadows(
   platform_.engine().schedule_detached(
       time::sec_f(command_sec),
       [this, plan, placement, resumed, ready = std::move(on_shadow_ready)] {
-        const PlatformConfig& cfg2 = platform_.config();
         last_->command_completed_at = platform_.engine().now();
 
         // Shadow workers launch with the same start-up model as respawned
         // workers, including per-VM co-location contention among the
         // shadows themselves.
-        std::unordered_map<std::uint32_t, int> per_vm;
-        for (const auto& [ref, slot] : placement) {
-          ++per_vm[platform_.cluster().vm_of(slot).value];
-        }
-        for (const auto& [ref, slot] : placement) {
-          const int colocated = per_vm[platform_.cluster().vm_of(slot).value];
-          double startup =
-              platform_.rng_rebalance().uniform(cfg2.worker_startup_min_sec,
-                                                cfg2.worker_startup_max_sec) +
-              cfg2.worker_startup_per_colocated_sec *
-                  static_cast<double>(colocated);
-          if (platform_.rng_rebalance().uniform01() <
-              cfg2.worker_slow_start_prob) {
-            startup += platform_.rng_rebalance().uniform(
-                cfg2.worker_slow_start_min_sec, cfg2.worker_slow_start_max_sec);
-          }
-          Executor& ex = platform_.executor(ref);
+        const std::vector<SimDuration> startup =
+            draw_startup_delays(placement);
+        for (std::size_t i = 0; i < placement.size(); ++i) {
+          const InstanceRef r = placement[i].first;
+          Executor& ex = platform_.executor(r);
           const std::uint64_t epoch = ex.epoch();
-          const InstanceRef r = ref;
           platform_.engine().schedule_detached(
               // lint: lifetime-ok(ex is a platform-owned Executor; epoch guard no-ops stale fires)
-              time::sec_f(startup), [&ex, r, epoch, ready] {
+              startup[i], [&ex, r, epoch, ready] {
                 // If the worker was killed meanwhile its fluid state is
                 // gone; fire anyway — the first batch move then reports
                 // Failed and the strategy aborts cleanly instead of
@@ -354,32 +338,16 @@ void Rebalancer::finalize_fluid(const MigrationPlan& plan) {
     if (!ex.fgm_active()) continue;
     platform_.cluster().vacate(ex.slot());
     ex.fgm_finalize();
-    for (const auto& [task, version] : plan.logic_updates) {
-      if (task == ref.task) ex.set_logic_version(version);
-    }
+    apply_logic_updates(plan, ex);
     ++swapped;
   }
   platform_.worker_vms_ = plan.target_vms;
   if (plan.release_old_vms) {
-    std::unordered_set<std::uint32_t> target;
-    for (VmId v : plan.target_vms) target.insert(v.value);
-    for (VmId v : old_vms) {
-      if (!target.contains(v.value) && platform_.cluster().vm(v).active()) {
-        platform_.cluster().release(v);
-      }
-    }
+    platform_.cluster().release_except(old_vms, plan.target_vms);
   }
-  in_progress_ = false;
-  if (auto* tr = platform_.tracer()) {
-    tr->end(trace_span_, {obs::arg("instances", swapped)});
-  }
+  end_command("instances", swapped);
 }
 
-void Rebalancer::abort_fluid() {
-  in_progress_ = false;
-  if (auto* tr = platform_.tracer()) {
-    tr->end(trace_span_, {obs::arg("aborted", std::uint64_t{1})});
-  }
-}
+void Rebalancer::abort_fluid() { end_command("aborted", 1); }
 
 }  // namespace rill::dsps

@@ -96,6 +96,21 @@ class RILL_PINNED Rebalancer {
   }
 
  private:
+  /// The prelude both commands share: the in-progress and scheduler
+  /// guards, a fresh RebalanceRecord and the span, whose args are
+  /// {target_vms} plus {timeout_sec} when `timeout` is set.
+  void begin_command(const MigrationPlan& plan, const char* span_name,
+                     std::optional<SimDuration> timeout);
+  /// Close the command and its span, appending the arg `key`=`value`.
+  void end_command(const char* key, int value);
+  /// Rebalance command latency: max(2 s, N(mean, stddev)).
+  [[nodiscard]] double draw_command_sec();
+  /// The worker start-up model, one delay per worker in placement order:
+  /// U(min, max), plus a contention term per worker of the placement on
+  /// the same VM, plus — with worker_slow_start_prob — a U(slow_min,
+  /// slow_max) straggler tail.
+  [[nodiscard]] std::vector<SimDuration> draw_startup_delays(
+      const Placement& placement);
   void kill_and_redeploy(const MigrationPlan& plan,
                          std::function<void()> on_command_complete);
   /// Poll (control-plane cadence) until a resumed instance's shadow from a

@@ -1,6 +1,7 @@
 #include "metrics/collector.hpp"
 
 #include <algorithm>
+#include <vector>
 
 namespace rill::metrics {
 
@@ -25,15 +26,15 @@ void Collector::on_emit(const dsps::Event& ev) {
 }
 
 std::optional<SimTime> Collector::first_sink_arrival_after(SimTime t) const {
-  auto it = std::upper_bound(sink_arrival_times_.begin(),
-                             sink_arrival_times_.end(), t);
-  if (it == sink_arrival_times_.end()) return std::nullopt;
-  return *it;
+  const std::vector<LatencySeries::Sample>& log = latency_.samples();
+  auto it = std::upper_bound(
+      log.begin(), log.end(), t,
+      [](SimTime v, const LatencySeries::Sample& s) { return v < s.arrival; });
+  if (it == log.end()) return std::nullopt;
+  return it->arrival;
 }
 
 void Collector::on_sink_arrival(const dsps::Event& ev, SimTime now) {
-  ++sink_arrivals_;
-  sink_arrival_times_.push_back(now);
   output_.add(now);
   latency_.add(now, static_cast<SimDuration>(now - ev.born_at));
 

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "common/ids.hpp"
 #include "common/time.hpp"
@@ -62,8 +61,9 @@ class Collector final : public dsps::EventListener {
   [[nodiscard]] std::uint64_t roots_emitted() const noexcept {
     return roots_emitted_;
   }
+  /// One latency sample is logged per sink arrival.
   [[nodiscard]] std::uint64_t sink_arrivals() const noexcept {
-    return sink_arrivals_;
+    return latency_.size();
   }
 
   // ---- migration timestamps ----
@@ -71,9 +71,9 @@ class Collector final : public dsps::EventListener {
     return first_sink_after_request_;
   }
   /// First sink arrival strictly after `t` (binary search over the
-  /// monotone arrival log).  The §4 Restore Duration uses t = kill time:
-  /// output is silent from the moment the migrating workers die until the
-  /// dataflow produces again.
+  /// latency log, which holds one sample per arrival in arrival order).
+  /// The §4 Restore Duration uses t = kill time: output is silent from the
+  /// moment the migrating workers die until the dataflow produces again.
   [[nodiscard]] std::optional<SimTime> first_sink_arrival_after(SimTime t) const;
   [[nodiscard]] std::optional<SimTime> last_old_arrival() const noexcept {
     return last_old_arrival_;
@@ -99,12 +99,10 @@ class Collector final : public dsps::EventListener {
   std::uint64_t replayed_messages_{0};
   std::uint64_t lost_user_{0};
   std::uint64_t lost_control_{0};
-  std::uint64_t sink_arrivals_{0};
 
   std::optional<SimTime> first_sink_after_request_;
   std::optional<SimTime> last_old_arrival_;
   std::optional<SimTime> last_replayed_arrival_;
-  std::vector<SimTime> sink_arrival_times_;  // monotone
 
   std::unordered_map<RootId, RootRecord> roots_;
 };

@@ -37,7 +37,8 @@ struct MigrationReport {
 
   /// Auxiliary: request → first INIT received by any task (§5.1 analysis).
   std::optional<double> first_init_sec;
-  /// End-to-end latency percentiles over the whole run (ms, nearest-rank).
+  /// End-to-end latency percentiles over the whole run (ms; the sorted
+  /// value at 0-based index ⌊q·n⌋, see LatencySeries::percentile_ms).
   /// The tails expose DSM's replay-induced spread where the median hides it.
   std::optional<double> latency_p50_ms;
   std::optional<double> latency_p95_ms;

@@ -70,9 +70,12 @@ class LatencySeries {
   [[nodiscard]] std::optional<double> median_ms(SimTime from, SimTime to) const;
 
   /// Arbitrary percentile (0 < q < 1) of samples arriving in [from, to]
-  /// (closed: an arrival exactly on the window-end boundary counts),
-  /// nearest-rank method.  p95/p99 tails make DSM's replay-induced latency
-  /// spread visible where the median hides it.
+  /// (closed: an arrival exactly on the window-end boundary counts): the
+  /// sorted value at 0-based index ⌊q·n⌋, clamped to n − 1.  This is not
+  /// nearest-rank (obs::nearest_rank): the p50 of 1..100 is 51 here, 50
+  /// there.  The report's latency percentiles use this rule and appear in
+  /// every determinism manifest, so it stays.  p95/p99 tails make DSM's
+  /// replay-induced latency spread visible where the median hides it.
   [[nodiscard]] std::optional<double> percentile_ms(double q, SimTime from,
                                                     SimTime to) const;
 

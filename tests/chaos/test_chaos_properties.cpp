@@ -69,14 +69,8 @@ TEST_P(ChaosSweep, ProtocolFaultsNeverBreakExactlyOnce) {
   // exclusive, so a double- or un-counted delivery shows up here.
   EXPECT_EQ(r.accounting_violations, 0u);
 
-  const SimTime settle = static_cast<SimTime>(kRun - time::sec(120));
-  for (const auto& [origin, rec] : r.collector.roots()) {
-    if (rec.born_at < settle) {
-      ASSERT_EQ(rec.sink_arrivals, r.sink_paths)
-          << "origin " << origin << " born at " << time::at_sec(rec.born_at)
-          << " s under [" << cfg.chaos.describe() << "]";
-    }
-  }
+  testutil::expect_exactly_once(
+      r, static_cast<SimTime>(kRun - time::sec(120)));
 
   // Aborted attempts must have ended with the sources flowing again —
   // a root born well after the last possible fault window proves it.
@@ -136,14 +130,7 @@ TEST(CaptureWindow, CommitRetryNeverDropsLateCapturedEvents) {
     EXPECT_EQ(r.lost_at_kill, 0u);
     EXPECT_EQ(r.post_commit_arrivals, 0u);
     EXPECT_EQ(r.accounting_violations, 0u);
-    const SimTime settle = static_cast<SimTime>(time::sec(300));
-    for (const auto& [origin, rec] : r.collector.roots()) {
-      if (rec.born_at < settle) {
-        ASSERT_EQ(rec.sink_arrivals, r.sink_paths)
-            << "origin " << origin << " born at "
-            << time::at_sec(rec.born_at) << " s";
-      }
-    }
+    testutil::expect_exactly_once(r, static_cast<SimTime>(time::sec(300)));
   }
 }
 

@@ -12,10 +12,13 @@ namespace rill {
 namespace {
 
 using core::StrategyKind;
+using testutil::expect_exactly_once;
 using workloads::DagKind;
 using workloads::ScaleKind;
 
 constexpr int kShards = 4;
+/// Roots born before this have settled by the end of the 420 s run.
+constexpr auto kSettle = static_cast<SimTime>(time::sec(300));
 
 /// 4-shard CCR scale-in with a tight INIT deadline and instant-on workers
 /// (mirrors the shard-outage chaos configs): the restore phase, not worker
@@ -38,17 +41,6 @@ workloads::ExperimentConfig repin_cfg() {
   cfg.controller.max_attempts = 1;
   cfg.controller.fallback_to_dsm = false;
   return cfg;
-}
-
-void expect_exactly_once(const workloads::ExperimentResult& r) {
-  const SimTime settle = static_cast<SimTime>(time::sec(300));
-  for (const auto& [origin, rec] : r.collector.roots()) {
-    if (rec.born_at < settle) {
-      ASSERT_EQ(rec.sink_arrivals, r.sink_paths)
-          << "origin " << origin << " born at " << time::at_sec(rec.born_at)
-          << " s";
-    }
-  }
 }
 
 // One shard dark across the whole INIT window: only the instances whose
@@ -91,7 +83,7 @@ TEST(ScopedRepin, RepinCoversOnlyTheFailedSubset) {
     EXPECT_EQ(r.report.replayed_messages, 0u);
     EXPECT_EQ(r.lost_at_kill, 0u);
     EXPECT_EQ(r.accounting_violations, 0u);
-    expect_exactly_once(r);
+    expect_exactly_once(r, kSettle);
   }
   ASSERT_TRUE(found_partial)
       << "no victim shard produced a partial INIT failure";
@@ -113,7 +105,7 @@ TEST(ScopedRepin, FullOutageStillRepinsEverything) {
   EXPECT_EQ(r.report.lost_events, 0u);
   EXPECT_EQ(r.report.replayed_messages, 0u);
   EXPECT_EQ(r.accounting_violations, 0u);
-  expect_exactly_once(r);
+  expect_exactly_once(r, kSettle);
 }
 
 }  // namespace

@@ -10,10 +10,13 @@ namespace rill {
 namespace {
 
 using core::StrategyKind;
+using testutil::expect_exactly_once;
 using workloads::DagKind;
 using workloads::ScaleKind;
 
 constexpr int kShards = 4;
+/// Roots born before this have settled by the end of the 420 s run.
+constexpr auto kSettle = static_cast<SimTime>(time::sec(300));
 
 /// Short-timeout CCR scale-in config on the 4-shard tier (mirrors the
 /// transactional-migration chaos config).
@@ -31,17 +34,6 @@ workloads::ExperimentConfig sharded_cfg(StrategyKind strategy) {
   return cfg;
 }
 
-void expect_exactly_once(const workloads::ExperimentResult& r) {
-  const SimTime settle = static_cast<SimTime>(time::sec(300));
-  for (const auto& [origin, rec] : r.collector.roots()) {
-    if (rec.born_at < settle) {
-      ASSERT_EQ(rec.sink_arrivals, r.sink_paths)
-          << "origin " << origin << " born at " << time::at_sec(rec.born_at)
-          << " s";
-    }
-  }
-}
-
 // Control: a fault-free CCR migration on 4 shards behaves exactly like the
 // single-shard protocol — one attempt, zero loss, and the INIT prefetch
 // serves every restoring task.
@@ -54,7 +46,7 @@ TEST(ShardOutage, CleanShardedMigrationKeepsExactlyOnce) {
   EXPECT_EQ(r.post_commit_arrivals, 0u);
   EXPECT_GT(r.checkpoint.init_prefetch_hits, 0u);
   ASSERT_EQ(r.store_shards.size(), static_cast<std::size_t>(kShards));
-  expect_exactly_once(r);
+  expect_exactly_once(r, kSettle);
 }
 
 // A brief outage on one shard over the COMMIT wave: the victim shard's
@@ -96,7 +88,7 @@ TEST(ShardOutage, CommitRetryTouchesOnlyTheVictimShard) {
     }
     EXPECT_EQ(r.report.lost_events, 0u);
     EXPECT_EQ(r.report.replayed_messages, 0u);
-    expect_exactly_once(r);
+    expect_exactly_once(r, kSettle);
   }
   ASSERT_TRUE(found_victim)
       << "no shard owned a checkpoint key during the outage window";
@@ -132,7 +124,7 @@ TEST(ShardOutage, FullShardOutageRollsBackWithoutTouchingOthers) {
     }
     EXPECT_EQ(r.report.lost_events, 0u);
     EXPECT_EQ(r.report.replayed_messages, 0u);
-    expect_exactly_once(r);
+    expect_exactly_once(r, kSettle);
   }
   ASSERT_TRUE(found_victim)
       << "no shard owned a checkpoint key during the outage window";
@@ -177,7 +169,7 @@ TEST(ShardOutage, AbortedInitInvalidatesPrefetchAndRetrySucceeds) {
   EXPECT_EQ(r.report.replayed_messages, 0u);
   EXPECT_EQ(r.post_commit_arrivals, 0u);
   EXPECT_EQ(r.accounting_violations, 0u);
-  expect_exactly_once(r);
+  expect_exactly_once(r, kSettle);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@ namespace rill {
 namespace {
 
 using core::StrategyKind;
+using testutil::expect_exactly_once;
 using workloads::DagKind;
 using workloads::ScaleKind;
 
@@ -30,19 +31,9 @@ workloads::ExperimentConfig chaos_cfg(StrategyKind strategy) {
   return cfg;
 }
 
-/// Every settled origin root reached the sink exactly once per path.
-void expect_exactly_once(const workloads::ExperimentResult& r,
-                         SimDuration settle_margin = time::sec(120)) {
-  const SimTime settle =
-      static_cast<SimTime>(time::sec(420) - settle_margin);
-  for (const auto& [origin, rec] : r.collector.roots()) {
-    if (rec.born_at < settle) {
-      ASSERT_EQ(rec.sink_arrivals, r.sink_paths)
-          << "origin " << origin << " born at " << time::at_sec(rec.born_at)
-          << " s";
-    }
-  }
-}
+/// Roots born before this have settled by the end of the 420 s run.
+constexpr auto kSettle =
+    static_cast<SimTime>(time::sec(420) - time::sec(120));
 
 class CommitOutage : public ::testing::TestWithParam<StrategyKind> {};
 
@@ -81,7 +72,7 @@ TEST_P(CommitOutage, AbortsViaRollbackWithZeroLoss) {
   EXPECT_EQ(r.report.replayed_messages, 0u);
   EXPECT_EQ(r.lost_at_kill, 0u);
   EXPECT_EQ(r.post_commit_arrivals, 0u);
-  expect_exactly_once(r);
+  expect_exactly_once(r, kSettle);
 }
 
 INSTANTIATE_TEST_SUITE_P(DcrAndCcr, CommitOutage,
@@ -125,7 +116,7 @@ TEST_P(RestoreOutage, RepinsOldPlacementWithZeroLoss) {
   EXPECT_EQ(r.report.replayed_messages, 0u);
   EXPECT_EQ(r.lost_at_kill, 0u);
   EXPECT_EQ(r.post_commit_arrivals, 0u);
-  expect_exactly_once(r);
+  expect_exactly_once(r, kSettle);
 }
 
 INSTANTIATE_TEST_SUITE_P(DcrAndCcr, RestoreOutage,
@@ -172,7 +163,8 @@ TEST(DsmFallback, NoFaultsMeansOneCleanAttempt) {
   EXPECT_EQ(r.chaos.total_hits(), 0u);
   EXPECT_EQ(r.report.lost_events, 0u);
   EXPECT_EQ(r.report.replayed_messages, 0u);
-  expect_exactly_once(r, time::sec(90));
+  expect_exactly_once(
+      r, static_cast<SimTime>(time::sec(420) - time::sec(90)));
 }
 
 }  // namespace

@@ -72,6 +72,28 @@ TEST_F(ClusterFixture, ReleaseWithOccupantThrows) {
   EXPECT_THROW(clu.release(a), std::logic_error);  // double release
 }
 
+TEST_F(ClusterFixture, ReleaseExceptReleasesActiveVmsOutsideKeep) {
+  const auto vms = clu.provision_n(VmType::D1, 4, "w");
+  clu.release(vms[1]);
+  engine.run_until(static_cast<SimTime>(time::sec(60)));
+  // vms[1] is already released: skipped, not a double-release throw.
+  clu.release_except(vms, {vms[2]});
+  EXPECT_FALSE(clu.vm(vms[0]).active());
+  EXPECT_EQ(*clu.vm(vms[1]).released_at, SimTime{0});
+  EXPECT_TRUE(clu.vm(vms[2]).active());
+  EXPECT_FALSE(clu.vm(vms[3]).active());
+  EXPECT_EQ(*clu.vm(vms[3]).released_at,
+            static_cast<SimTime>(time::sec(60)));
+
+  // In `vms` order: an occupied VM stops the walk before the VMs after it.
+  const auto more = clu.provision_n(VmType::D1, 3, "x");
+  clu.occupy(clu.vm(more[1]).slots[0], InstanceId{1});
+  EXPECT_THROW(clu.release_except(more, {}), std::logic_error);
+  EXPECT_FALSE(clu.vm(more[0]).active());
+  EXPECT_TRUE(clu.vm(more[1]).active());
+  EXPECT_TRUE(clu.vm(more[2]).active());
+}
+
 TEST_F(ClusterFixture, BillingPerStartedMinute) {
   const VmId a = clu.provision(VmType::D2);  // 15.4 c/h
   engine.run_until(static_cast<SimTime>(time::sec(90)));  // 1.5 min → 2 billed

@@ -59,16 +59,8 @@ TEST(Ccr, CapturedEventsResumeCatchup) {
 TEST(Ccr, ExactlyOnceDeliveryPerSinkPath) {
   const auto r = quick_experiment(DagKind::Traffic, StrategyKind::CCR,
                                   ScaleKind::In);
-  const SimTime settle =
-      static_cast<SimTime>(time::sec(420) - time::sec(60));
-  std::size_t checked = 0;
-  for (const auto& [origin, rec] : r.collector.roots()) {
-    if (rec.born_at < settle) {
-      ASSERT_EQ(rec.sink_arrivals, r.sink_paths)
-          << "origin born at " << time::at_sec(rec.born_at);
-      ++checked;
-    }
-  }
+  const std::size_t checked = testutil::expect_exactly_once(
+      r, static_cast<SimTime>(time::sec(420) - time::sec(60)));
   EXPECT_GT(checked, 100u);
 }
 

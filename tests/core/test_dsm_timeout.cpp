@@ -4,6 +4,8 @@
 // drain (the PREPARE rearguard).
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "test_util.hpp"
 
 namespace rill::core {
@@ -12,8 +14,9 @@ namespace {
 using workloads::DagKind;
 using workloads::ScaleKind;
 
-workloads::ExperimentResult run_with_timeout(SimDuration timeout,
-                                             DagKind dag = DagKind::Linear) {
+workloads::ExperimentResult run_strategy(
+    std::unique_ptr<MigrationStrategy> strategy,
+    DagKind dag = DagKind::Linear) {
   // The runner resolves the strategy by kind, so drive the platform
   // directly here to control the timeout value.
   sim::Engine engine;
@@ -29,7 +32,6 @@ workloads::ExperimentResult run_with_timeout(SimDuration timeout,
   metrics::Collector collector;
   platform.set_listener(&collector);
 
-  auto strategy = make_dsm_timeout_strategy(timeout);
   strategy->configure(platform);
   platform.start();
 
@@ -54,11 +56,37 @@ workloads::ExperimentResult run_with_timeout(SimDuration timeout,
   return r;
 }
 
+workloads::ExperimentResult run_with_timeout(SimDuration timeout,
+                                             DagKind dag = DagKind::Linear) {
+  return run_strategy(make_dsm_timeout_strategy(timeout), dag);
+}
+
 TEST(DsmTimeout, FactoryProducesKind) {
   const auto s = make_strategy(StrategyKind::DSM_T);
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->kind(), StrategyKind::DSM_T);
   EXPECT_EQ(s->name(), "DSM-T");
+}
+
+TEST(DsmTimeout, ZeroTimeoutIsDsmUnderItsOwnName) {
+  // DSM-T with no timeout is DSM: same seed, same collector output.
+  EXPECT_EQ(make_dsm_timeout_strategy(0)->kind(), StrategyKind::DSM_T);
+  const auto t = run_with_timeout(0);
+  const auto d = run_strategy(make_strategy(StrategyKind::DSM));
+  EXPECT_EQ(t.phases.request_at, d.phases.request_at);
+  EXPECT_EQ(t.collector.input().buckets(), d.collector.input().buckets());
+  EXPECT_EQ(t.collector.output().buckets(), d.collector.output().buckets());
+  const auto& ts = t.collector.latency().samples();
+  const auto& ds = d.collector.latency().samples();
+  ASSERT_EQ(ts.size(), ds.size());
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    ASSERT_EQ(ts[i].arrival, ds[i].arrival) << "sample " << i;
+    ASSERT_EQ(ts[i].latency, ds[i].latency) << "sample " << i;
+  }
+  EXPECT_EQ(t.collector.replayed_messages(), d.collector.replayed_messages());
+  EXPECT_EQ(t.collector.lost_user_events(), d.collector.lost_user_events());
+  EXPECT_EQ(t.collector.roots_emitted(), d.collector.roots_emitted());
+  EXPECT_GT(t.collector.replayed_messages(), 0u);  // DSM's losses, replayed
 }
 
 TEST(DsmTimeout, GenerousTimeoutDrainsInFlightEvents) {

@@ -11,6 +11,7 @@
 namespace rill::core {
 namespace {
 
+using testutil::expect_exactly_once;
 using testutil::quick_experiment;
 using workloads::DagKind;
 using workloads::ScaleKind;
@@ -21,18 +22,9 @@ std::uint64_t batches_per_instance(const workloads::ExperimentConfig& cfg) {
   return static_cast<std::uint64_t>(cfg.platform.fgm_batch_keys) + 1;
 }
 
-void expect_exactly_once(const workloads::ExperimentResult& r,
-                         SimDuration settle_margin = time::sec(120)) {
-  const SimTime settle =
-      static_cast<SimTime>(time::sec(420) - settle_margin);
-  for (const auto& [origin, rec] : r.collector.roots()) {
-    if (rec.born_at < settle) {
-      ASSERT_EQ(rec.sink_arrivals, r.sink_paths)
-          << "origin " << origin << " born at " << time::at_sec(rec.born_at)
-          << " s";
-    }
-  }
-}
+/// Roots born before this have settled by the end of the 420 s run.
+constexpr auto kSettle =
+    static_cast<SimTime>(time::sec(420) - time::sec(120));
 
 TEST(Fgm, NoLossNoReplayNoKill) {
   const auto r = quick_experiment(DagKind::Grid, StrategyKind::FGM,
@@ -48,7 +40,7 @@ TEST(Fgm, NoLossNoReplayNoKill) {
   ASSERT_TRUE(r.rebalance.has_value());
   EXPECT_EQ(r.rebalance->killed_at, 0u);
   EXPECT_EQ(r.rebalance->events_lost_in_queues, 0u);
-  expect_exactly_once(r);
+  expect_exactly_once(r, kSettle);
 }
 
 TEST(Fgm, MovesEveryBatchExactlyOnce) {
@@ -129,7 +121,7 @@ TEST(Fgm, KeyedStateLandsIntactOnShadows) {
   EXPECT_EQ(r.fgm_batches_moved,
             static_cast<std::uint64_t>(r.worker_instances) *
                 batches_per_instance(cfg));
-  expect_exactly_once(r);
+  expect_exactly_once(r, kSettle);
 }
 
 TEST(Fgm, StoreOutageAbortsThenRetryResumesUnmovedRanges) {
@@ -167,7 +159,7 @@ TEST(Fgm, StoreOutageAbortsThenRetryResumesUnmovedRanges) {
   EXPECT_EQ(r.report.replayed_messages, 0u);
   EXPECT_EQ(r.lost_at_kill, 0u);
   EXPECT_EQ(r.accounting_violations, 0u);
-  expect_exactly_once(r);
+  expect_exactly_once(r, kSettle);
 }
 
 }  // namespace

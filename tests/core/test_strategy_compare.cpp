@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "test_util.hpp"
 
 namespace rill::core {
@@ -24,6 +27,48 @@ TEST(StrategyNames, AreStable) {
   EXPECT_EQ(to_string(StrategyKind::DCR), "DCR");
   EXPECT_EQ(to_string(StrategyKind::CCR), "CCR");
 }
+
+/// The session profile configure() leaves behind.  DSM and DSM-T ack user
+/// events and run periodic Wave checkpoints; DCR and FGM use Wave with
+/// neither; CCR uses Capture with neither.
+class StrategySession : public ::testing::TestWithParam<StrategyKind> {};
+
+TEST_P(StrategySession, ConfigureSetsTheSessionProfile) {
+  const StrategyKind k = GetParam();
+  const bool dsm = k == StrategyKind::DSM || k == StrategyKind::DSM_T;
+  const dsps::CheckpointMode mode = k == StrategyKind::CCR
+                                        ? dsps::CheckpointMode::Capture
+                                        : dsps::CheckpointMode::Wave;
+  testutil::Harness h(testutil::mini_chain());
+  // Start every knob at the opposite value, so configure() must set each.
+  h.p().set_user_acking(!dsm);
+  h.p().set_checkpoint_mode(mode == dsps::CheckpointMode::Wave
+                                ? dsps::CheckpointMode::Capture
+                                : dsps::CheckpointMode::Wave);
+  if (dsm) {
+    h.p().coordinator().stop_periodic();
+  } else {
+    h.p().coordinator().start_periodic();
+  }
+
+  const auto s = make_strategy(k);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->kind(), k);
+  s->configure(h.p());
+  EXPECT_EQ(h.p().user_acking(), dsm);
+  EXPECT_EQ(h.p().checkpoint_mode(), mode);
+  EXPECT_EQ(h.p().coordinator().periodic_running(), dsm);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, StrategySession,
+    ::testing::Values(StrategyKind::DSM, StrategyKind::DSM_T,
+                      StrategyKind::DCR, StrategyKind::CCR, StrategyKind::FGM),
+    [](const ::testing::TestParamInfo<StrategyKind>& i) {
+      std::string name(to_string(i.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 /// The paper's headline orderings, swept over (DAG × scale) cells.
 struct CompareParams {

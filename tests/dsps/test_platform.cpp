@@ -58,15 +58,10 @@ TEST(Platform, SinkArrivalsMatchPathsPerRoot) {
   h.run_for(time::sec(30));
   const auto paths = workloads::sink_paths(h.p().topology());
   EXPECT_EQ(paths, 2u);
-  int settled = 0;
-  for (const auto& [origin, rec] : h.collector.roots()) {
-    if (rec.born_at + static_cast<SimTime>(time::sec(5)) <
-        h.engine.now()) {
-      EXPECT_EQ(rec.sink_arrivals, paths) << "root born at " << rec.born_at;
-      ++settled;
-    }
-  }
-  EXPECT_GT(settled, 100);
+  const std::size_t settled = testutil::expect_exactly_once(
+      h.collector, paths,
+      h.engine.now() - static_cast<SimTime>(time::sec(5)));
+  EXPECT_GT(settled, 100u);
 }
 
 TEST(Platform, ShuffleGroupingBalancesReplicas) {

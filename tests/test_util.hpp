@@ -1,6 +1,10 @@
 // Shared helpers for the Rill test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "core/strategy.hpp"
@@ -87,6 +91,49 @@ inline void kill_worker(dsps::Platform& p, int idx = 0) {
       p.executor(p.worker_instances()[static_cast<std::size_t>(idx)]);
   p.cluster().vacate(ex.slot());
   ex.kill();
+}
+
+namespace detail {
+
+/// The walk both delivery oracles share; `exact` picks == over >=.
+inline std::size_t check_deliveries(const metrics::Collector& c,
+                                     std::uint64_t paths, SimTime settle,
+                                     bool exact) {
+  std::size_t settled = 0;
+  for (const auto& [origin, rec] : c.roots()) {
+    if (rec.born_at >= settle) continue;
+    if (exact ? rec.sink_arrivals != paths : rec.sink_arrivals < paths) {
+      ADD_FAILURE() << "origin " << origin << " born at "
+                    << time::at_sec(rec.born_at) << " s reached the sinks "
+                    << rec.sink_arrivals << " times, expected "
+                    << (exact ? "" : "at least ") << paths;
+      return settled;
+    }
+    ++settled;
+  }
+  return settled;
+}
+
+}  // namespace detail
+
+/// The delivery oracle: every origin root born before `settle` reached the
+/// sinks exactly `paths` times, once per source→sink path.  Records a
+/// failure at the first root that did not and stops there; returns how
+/// many settled roots it checked.
+inline std::size_t expect_exactly_once(const metrics::Collector& c,
+                                       std::uint64_t paths, SimTime settle) {
+  return detail::check_deliveries(c, paths, settle, /*exact=*/true);
+}
+inline std::size_t expect_exactly_once(const workloads::ExperimentResult& r,
+                                       SimTime settle) {
+  return expect_exactly_once(r.collector, r.sink_paths, settle);
+}
+
+/// At-least-once twin (DSM: acker replays may deliver a root twice).
+inline std::size_t expect_at_least_once(const workloads::ExperimentResult& r,
+                                        SimTime settle) {
+  return detail::check_deliveries(r.collector, r.sink_paths, settle,
+                                  /*exact=*/false);
 }
 
 /// Run a short experiment (120 s, migrate at 40 s) for fast tests.

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: RelWithDebInfo build + full test suite, then the ASan
-# preset (build + the fast chaos/FGM teardown and codec subset). The TSan
+# preset (build + the fast chaos/FGM teardown, codec and control-plane
+# subset). The TSan
 # preset (`--tsan`) is opt-in: it builds the tree and runs the RillLint
 # suite, which drives the one threaded component — rill_lint's --jobs
 # worker pool.  The simulator itself is single-threaded.
@@ -192,11 +193,20 @@ if [ "$run_asan" = 1 ]; then
   # suites (TaskState, EventSerde, Bytes): the codec writes and reads
   # through raw pointers (patched counts, nested readers that borrow the
   # outer buffer), so an off-by-one there is an ASan report, not a misread.
-  echo "==> asan: configure + build + fast chaos/FGM/codec subset"
+  # The control-plane suites (rebalance, abort re-pin, restore and commit
+  # outages, DSM-T, logic updates, shard outages, cluster release, DSM
+  # fallback, controller queue) drive the worker start-up callbacks that
+  # capture an executor by reference, the re-pin path and the INIT-session
+  # teardown.
+  echo "==> asan: configure + build + fast chaos/FGM/codec/control subset"
   cmake --preset asan
   cmake --build --preset asan -j "$jobs"
-  ctest --preset asan -j "$jobs" \
-    -R 'Chaos|CaptureWindow|Fgm|StatePartition|ExtractPartition|Checkpoint|TaskState|EventSerde|^Bytes\.'
+  asan_subset='Chaos|CaptureWindow|Fgm|StatePartition|ExtractPartition'
+  asan_subset+='|Checkpoint|TaskState|EventSerde|^Bytes\.'
+  asan_subset+='|RebalanceFixture|ScopedRepin|RestoreOutage|CommitOutage'
+  asan_subset+='|DsmTimeout|LogicUpdate|ShardOutage|ClusterFixture|DsmFallback'
+  asan_subset+='|ControllerQueue'
+  ctest --preset asan -j "$jobs" -R "$asan_subset"
 fi
 
 if [ "$run_tsan" = 1 ]; then

@@ -4,9 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
-#include <cstdlib>
 #include <functional>
-#include <sstream>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -214,7 +212,6 @@ struct ScanClass {
 
 struct FileInfo {
   LexedFile lexed;
-  std::vector<std::string> lines;       ///< raw source lines (1-based via index+1)
   bool report_surface{false};           ///< R3 applies to fields declared here
   // Pass-1 declarations, joined to use sites via the include closure.
   // Ordered sets: the closure union iterates these, and the linter holds
@@ -227,27 +224,6 @@ struct FileInfo {
   std::vector<ScanClass> classes;
   std::vector<ScanRegion> regions;
 };
-
-std::vector<std::string> split_lines(const std::string& s) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == '\n') {
-      std::string l = s.substr(start, i - start);
-      if (!l.empty() && l.back() == '\r') l.pop_back();
-      lines.push_back(std::move(l));
-      start = i + 1;
-    }
-  }
-  return lines;
-}
-
-std::string trim(const std::string& s) {
-  std::size_t a = s.find_first_not_of(" \t");
-  if (a == std::string::npos) return "";
-  std::size_t b = s.find_last_not_of(" \t");
-  return s.substr(a, b - a + 1);
-}
 
 std::string basename_of(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
@@ -454,8 +430,8 @@ struct Scope {
 };
 
 void emit(std::vector<Finding>& out, const std::string& path,
-          const FileInfo& info, const Token& at, std::string rule,
-          std::string message, std::string hint) {
+          const Token& at, std::string rule, std::string message,
+          std::string hint) {
   Finding f;
   f.file = path;
   f.line = at.line;
@@ -463,9 +439,6 @@ void emit(std::vector<Finding>& out, const std::string& path,
   f.rule = std::move(rule);
   f.message = std::move(message);
   f.hint = std::move(hint);
-  if (at.line >= 1 && static_cast<std::size_t>(at.line) <= info.lines.size()) {
-    f.line_text = trim(info.lines[static_cast<std::size_t>(at.line) - 1]);
-  }
   out.push_back(std::move(f));
 }
 
@@ -495,7 +468,7 @@ void check_r1(const std::string& path, const FileInfo& info,
                           (i == 0 || (t[i - 1].text != "." && t[i - 1].text != "->"));
     if (!type_hit && !func_hit) continue;
     if (waived(info.lexed, t[i].line, "wallclock")) continue;
-    emit(out, path, info, t[i], "R1/wallclock",
+    emit(out, path, t[i], "R1/wallclock",
          "wall-clock/entropy source '" + name + "' outside the allowlisted shim",
          "use sim::Engine::now() for time and rill::Rng for randomness; or "
          "waive with // lint: wallclock-ok(reason)");
@@ -529,7 +502,7 @@ void check_r2(const std::string& path, const FileInfo& info, const Scope& scope,
                          j + 1 < close && t[j + 1].text == "(";
         if (!var && !acc) continue;
         if (waived(info.lexed, t[i].line, "unordered-iter")) break;
-        emit(out, path, info, t[i], "R2/unordered-iter",
+        emit(out, path, t[i], "R2/unordered-iter",
              "range-for over unordered container '" + t[j].text +
                  "' — bucket order is not deterministic",
              "collect and sort keys (or switch to std::map); or waive with "
@@ -545,7 +518,7 @@ void check_r2(const std::string& path, const FileInfo& info, const Scope& scope,
       if ((m == "begin" || m == "cbegin" || m == "rbegin" || m == "crbegin") &&
           t[i + 3].text == "(") {
         if (waived(info.lexed, t[i].line, "unordered-iter")) continue;
-        emit(out, path, info, t[i], "R2/unordered-iter",
+        emit(out, path, t[i], "R2/unordered-iter",
              "iterator over unordered container '" + t[i].text +
                  "' — bucket order is not deterministic",
              "collect and sort keys (or switch to std::map); or waive with "
@@ -583,7 +556,7 @@ void check_r3(const std::string& path, const FileInfo& info, const Scope& scope,
         continue;
       if (!is_size_like_field(t[i + 1].text)) continue;
       if (waived(info.lexed, t[i].line, "float-size-field")) continue;
-      emit(out, path, info, t[i + 1], "R3/float-size-field",
+      emit(out, path, t[i + 1], "R3/float-size-field",
            "size-like report field '" + t[i + 1].text +
                "' declared " + name,
            "declare byte totals, delta-size ratios and chain lengths as "
@@ -599,7 +572,7 @@ void check_r3(const std::string& path, const FileInfo& info, const Scope& scope,
     if (op != "+=" && op != "-=" && op != "*=" && op != "/=") continue;
     if (!scope.float_fields.contains(t[i].text)) continue;
     if (waived(info.lexed, t[i].line, "float-accum")) continue;
-    emit(out, path, info, t[i], "R3/float-accum",
+    emit(out, path, t[i], "R3/float-accum",
          "floating-point accumulation into report field '" + t[i].text + "'",
          "accumulate in integer units (e.g. microseconds / counts) and "
          "convert at the report boundary; or waive with "
@@ -682,12 +655,12 @@ void check_r4(const std::string& path, const FileInfo& info, const Scope& scope,
 
     if (waived(info.lexed, t[i].line, "nodiscard")) continue;
     if (explicit_discard) {
-      emit(out, path, info, t[i], "R4/nodiscard",
+      emit(out, path, t[i], "R4/nodiscard",
            "explicitly discarded result of [[nodiscard]] call '" + t[i].text +
                "' without a waiver",
            "explain the discard with // lint: nodiscard-ok(reason)");
     } else {
-      emit(out, path, info, t[i], "R4/nodiscard",
+      emit(out, path, t[i], "R4/nodiscard",
            "discarded result of [[nodiscard]] call '" + t[i].text + "'",
            "consume the result, or discard explicitly with "
            "static_cast<void>(...) plus // lint: nodiscard-ok(reason)");
@@ -745,7 +718,7 @@ void check_r5(const std::string& path, const FileInfo& info,
                           (j + 1 <= close && t[j + 1].text == "+");
       if (concat) {
         if (waived(info.lexed, t[j].line, "name-concat")) continue;
-        emit(out, path, info, t[j], "R5/name-concat",
+        emit(out, path, t[j], "R5/name-concat",
              "instrument name assembled with '+' at the '" + t[i].text +
                  "' call site",
              "compose instrument names through the obs::names helper; or "
@@ -755,7 +728,7 @@ void check_r5(const std::string& path, const FileInfo& info,
       const std::string body = lit.substr(1, lit.size() - 2);
       if (clean_metric_name(body)) continue;
       if (waived(info.lexed, t[j].line, "metric-name")) continue;
-      emit(out, path, info, t[j], "R5/metric-name",
+      emit(out, path, t[j], "R5/metric-name",
            "instrument name " + lit + " does not match [a-z0-9_.]+",
            "use lowercase dot/underscore-separated names (stable, grep-able, "
            "shell-safe); or waive with // lint: metric-name-ok(reason)");
@@ -1184,7 +1157,7 @@ void check_r6(const std::string& path, const FileInfo& info,
         if (!caps.empty()) caps += ", ";
         caps += b;
       }
-      emit(out, path, info, t[j], "R6/callback-lifetime",
+      emit(out, path, t[j], "R6/callback-lifetime",
            "callback passed to '" + t[i].text + "' captures " + caps +
                " with no lifetime guarantee",
            "store the returned TimerId in a member cancelled by the "
@@ -1237,7 +1210,6 @@ std::vector<Finding> run(const std::vector<SourceFile>& files,
     const SourceFile& f = files[order[k]];
     FileInfo& info = slots[k];
     info.lexed = lex(f.content);
-    info.lines = split_lines(f.content);
     info.report_surface = is_report_surface(f.path);
     index_file(info);
     scan_classes(info);
@@ -1324,119 +1296,6 @@ std::vector<Finding> run(const std::vector<SourceFile>& files,
               return a.rule < b.rule;
             });
   return findings;
-}
-
-std::string format_github(const Finding& f) {
-  const auto esc_data = [](const std::string& s) {
-    std::string r;
-    for (const char c : s) {
-      if (c == '%') r += "%25";
-      else if (c == '\n') r += "%0A";
-      else if (c == '\r') r += "%0D";
-      else r += c;
-    }
-    return r;
-  };
-  const auto esc_prop = [&](const std::string& s) {
-    std::string r;
-    for (const char c : esc_data(s)) {
-      if (c == ',') r += "%2C";
-      else if (c == ':') r += "%3A";
-      else r += c;
-    }
-    return r;
-  };
-  std::ostringstream o;
-  o << "::error file=" << esc_prop(f.file) << ",line=" << f.line
-    << ",col=" << f.col << ",title=" << esc_prop(f.rule)
-    << "::" << esc_data(f.message) << " [" << esc_data(f.hint) << "]";
-  return o.str();
-}
-
-// --------------------------------------------------------------- baseline
-
-namespace {
-
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// v2 key field: "h:" + 16 hex digits of the FNV-1a-64 hash of the
-/// statement text with all whitespace removed, so pure reformatting
-/// (re-indents, alignment, spaces inside parens) does not invalidate a
-/// baseline entry.  Collisions between distinct statements that differ
-/// only in spacing are acceptable for a suppression key.
-std::string normalized_hash(const std::string& line_text) {
-  std::string norm;
-  for (const char c : line_text) {
-    if (c == ' ' || c == '\t') continue;
-    norm += c;
-  }
-  std::uint64_t h = fnv1a64(norm);
-  char hex[17];
-  static constexpr char kDigits[] = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    hex[i] = kDigits[h & 0xF];
-    h >>= 4;
-  }
-  hex[16] = '\0';
-  return std::string("h:") + hex;
-}
-
-std::string baseline_key_v2(const Finding& f) {
-  return f.file + "\t" + f.rule + "\t" + normalized_hash(f.line_text);
-}
-
-/// v1 (legacy) key: the raw trimmed statement text.  Still accepted by
-/// filter_baseline so a committed v1 baseline keeps working until it is
-/// regenerated with --write-baseline.
-std::string baseline_key_v1(const Finding& f) {
-  return f.file + "\t" + f.rule + "\t" + f.line_text;
-}
-
-}  // namespace
-
-std::string write_baseline(const std::vector<Finding>& findings) {
-  std::map<std::string, int> counts;
-  for (const Finding& f : findings) ++counts[baseline_key_v2(f)];
-  std::ostringstream out;
-  out << "# rill_lint baseline v2 — regenerate with: rill_lint "
-         "--write-baseline <file>\n"
-      << "# count<TAB>file<TAB>rule<TAB>h:<fnv1a64 of normalized "
-         "statement>\n";
-  for (const auto& [key, count] : counts) out << count << '\t' << key << '\n';
-  return out.str();
-}
-
-std::vector<Finding> filter_baseline(const std::vector<Finding>& findings,
-                                     const std::string& baseline) {
-  std::map<std::string, int> budget;
-  for (const std::string& line : split_lines(baseline)) {
-    if (line.empty() || line[0] == '#') continue;
-    const std::size_t tab = line.find('\t');
-    if (tab == std::string::npos) continue;
-    const int count = std::atoi(line.substr(0, tab).c_str());
-    if (count > 0) budget[line.substr(tab + 1)] += count;
-  }
-  std::vector<Finding> fresh;
-  for (const Finding& f : findings) {
-    bool suppressed = false;
-    for (const std::string& key : {baseline_key_v2(f), baseline_key_v1(f)}) {
-      const auto it = budget.find(key);
-      if (it != budget.end() && it->second > 0) {
-        --it->second;
-        suppressed = true;
-        break;
-      }
-    }
-    if (!suppressed) fresh.push_back(f);
-  }
-  return fresh;
 }
 
 }  // namespace rill::lint

@@ -57,14 +57,6 @@
 //   // lint: lifetime-ok(<reason>)
 //
 // The reason is mandatory — an empty waiver is itself a finding.
-//
-// Baseline mode: --write-baseline snapshots current findings keyed by
-// (file, rule, hash of the whitespace-normalized statement text) — the v2
-// format, robust to unrelated edits above a waived site and to pure
-// reformatting — and --baseline suppresses exactly those, so CI fails only
-// on *new* violations while a legacy tree is paid down.  filter_baseline()
-// still accepts the v1 format (raw statement text as the key), so a
-// committed baseline migrates by simply re-running --write-baseline.
 #pragma once
 
 #include <cstdint>
@@ -108,8 +100,6 @@ struct Finding {
   std::string rule;     ///< "R1/wallclock", "R2/unordered-iter", ...
   std::string message;
   std::string hint;
-  /// Trimmed text of the source line, used as the baseline key.
-  std::string line_text;
 };
 
 struct Options {
@@ -156,21 +146,5 @@ struct SourceFile {
 /// merged across the whole set by class name).
 [[nodiscard]] std::vector<Finding> run(const std::vector<SourceFile>& files,
                                        const Options& opts = {});
-
-/// Render one finding as a GitHub Actions workflow annotation
-/// (`::error file=...,line=...,col=...,title=<rule>::<message>`).
-[[nodiscard]] std::string format_github(const Finding& f);
-
-// -------------------------------------------------------------- baseline
-
-/// Serialize findings as a baseline: one line per (file, rule, statement
-/// text) with an occurrence count, sorted, tab-separated.
-[[nodiscard]] std::string write_baseline(const std::vector<Finding>& findings);
-
-/// Filter `findings` against a baseline previously produced by
-/// write_baseline(): the first N occurrences of each baselined key are
-/// suppressed; anything beyond is returned as new.
-[[nodiscard]] std::vector<Finding> filter_baseline(
-    const std::vector<Finding>& findings, const std::string& baseline);
 
 }  // namespace rill::lint

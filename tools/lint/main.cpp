@@ -6,12 +6,8 @@
 //   paths                files or directories to scan, relative to --root
 //                        (default: src bench tools)
 //   --root DIR           repository root (default: .)
-//   --baseline FILE      suppress findings recorded in FILE; fail only on new
-//   --write-baseline FILE  snapshot current findings into FILE and exit 0
 //   --allow PREFIX       extra path prefix exempt from R1 (repeatable)
 //   --list               print scanned file paths and exit
-//   --format FMT         output format: text (default) or github
-//                        (GitHub Actions ::error annotations)
 //   --jobs N             scan with N worker threads (default 1; output is
 //                        deterministic either way)
 //
@@ -38,10 +34,7 @@ bool has_source_ext(const fs::path& p) {
 }
 
 int usage(std::ostream& os, int code) {
-  os << "usage: rill_lint [--root DIR] [--baseline FILE | --write-baseline "
-        "FILE]\n"
-        "                 [--allow PREFIX]... [--format text|github] "
-        "[--jobs N]\n"
+  os << "usage: rill_lint [--root DIR] [--allow PREFIX]... [--jobs N]\n"
         "                 [--list] [paths...]\n"
         "default paths: src bench tools\n";
   return code;
@@ -51,9 +44,6 @@ int usage(std::ostream& os, int code) {
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string baseline_path;
-  std::string write_baseline_path;
-  std::string format = "text";
   bool list_only = false;
   rill::lint::Options opts;
   std::vector<std::string> paths;
@@ -69,18 +59,8 @@ int main(int argc, char** argv) {
     };
     if (arg == "--root") {
       root = value("--root");
-    } else if (arg == "--baseline") {
-      baseline_path = value("--baseline");
-    } else if (arg == "--write-baseline") {
-      write_baseline_path = value("--write-baseline");
     } else if (arg == "--allow") {
       opts.wallclock_allowlist.push_back(value("--allow"));
-    } else if (arg == "--format") {
-      format = value("--format");
-      if (format != "text" && format != "github") {
-        std::cerr << "rill_lint: --format must be 'text' or 'github'\n";
-        return usage(std::cerr, 2);
-      }
     } else if (arg == "--jobs") {
       opts.jobs = std::atoi(value("--jobs").c_str());
       if (opts.jobs < 1) {
@@ -138,45 +118,13 @@ int main(int argc, char** argv) {
   }
   if (list_only) return 0;
 
-  std::vector<rill::lint::Finding> findings = rill::lint::run(files, opts);
-
-  if (!write_baseline_path.empty()) {
-    std::ofstream out(write_baseline_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "rill_lint: cannot write " << write_baseline_path << "\n";
-      return 2;
-    }
-    out << rill::lint::write_baseline(findings);
-    std::cout << "rill_lint: wrote baseline with " << findings.size()
-              << " finding(s) to " << write_baseline_path << "\n";
-    return 0;
-  }
-
-  std::size_t suppressed = 0;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::cerr << "rill_lint: cannot read baseline " << baseline_path << "\n";
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::size_t before = findings.size();
-    findings = rill::lint::filter_baseline(findings, buf.str());
-    suppressed = before - findings.size();
-  }
-
+  const std::vector<rill::lint::Finding> findings =
+      rill::lint::run(files, opts);
   for (const rill::lint::Finding& f : findings) {
-    if (format == "github") {
-      std::cout << rill::lint::format_github(f) << "\n";
-    } else {
-      std::cout << f.file << ":" << f.line << ":" << f.col << ": [" << f.rule
-                << "] " << f.message << "\n    hint: " << f.hint << "\n";
-    }
+    std::cout << f.file << ":" << f.line << ":" << f.col << ": [" << f.rule
+              << "] " << f.message << "\n    hint: " << f.hint << "\n";
   }
   std::cout << "rill_lint: scanned " << files.size() << " file(s), "
-            << findings.size() << " finding(s)";
-  if (suppressed > 0) std::cout << " (" << suppressed << " baselined)";
-  std::cout << "\n";
+            << findings.size() << " finding(s)\n";
   return findings.empty() ? 0 : 1;
 }
