@@ -21,12 +21,14 @@
 # scale-in with full blobs (baseline.sha256), --ckpt-delta 1
 # (baseline-delta.sha256) and the adaptive checkpoint policy
 # (baseline-adaptive.sha256); FGM with full blobs (baseline-fgm.sha256);
-# and the closed loop — the Keyed dag under the bench traffic with
-# --autoscale 1 (baseline-autoscale.sha256).  Each arm runs twice, the two
-# traces and reports must be byte-identical, and the first run's
-# artifacts must match the committed manifest.  `--regen-determinism`
-# rewrites all five manifests instead of checking them (for PRs that
-# sanction a behavioral change).
+# the closed loop — the Keyed dag under the bench traffic with
+# --autoscale 1 (baseline-autoscale.sha256); and the keyed delta path —
+# DSM on the Keyed dag with 4096 keys, delta blobs on 4 store shards, the
+# adaptive policy and three worker crashes (baseline-keyed-delta.sha256).
+# Each arm runs twice, the two traces and reports must be byte-identical,
+# and the first run's artifacts must match the committed manifest.
+# `--regen-determinism` rewrites all six manifests instead of checking
+# them (for PRs that sanction a behavioral change).
 #
 # An attribution gate follows: each strategy's reference config reruns
 # with 1-in-4 tuple sampling and rill_trace --check asserts the sampled
@@ -110,22 +112,27 @@ adaptive="--ckpt-delta 1 --ckpt-adaptive 1 --ckpt-rto-ms 45000"
 traffic="--traffic-base 2 --traffic-diurnal 0.5 --traffic-diurnal-period-s 600 \
   --traffic-crowd 200,15,120,30,18 --traffic-zipf 0.6 \
   --interference-permille 600"
+keyed_delta="--dag keyed --scale in --seed 1 --duration 600 --migrate-at 60 \
+  --rate 20 --key-cardinality 4096 --kv-shards 4 $adaptive \
+  --ckpt-retune-ms 20000 --ckpt-respawn-restore 1 \
+  --chaos-crash 182 --chaos-crash 244 --chaos-crash 306"
 # One row per arm: manifest, artifact stem, rill_run flags.  The manifests
 # list the artifacts by stem, in row order.  A row must stay on one line
 # (`read` stops at a newline), so long flag strings continue with `\`.
 det_arms="\
-baseline           dsm          --strategy dsm $grid --ckpt-delta 0
-baseline           dcr          --strategy dcr $grid --ckpt-delta 0
-baseline           ccr          --strategy ccr $grid --ckpt-delta 0
-baseline-delta     dsm.delta    --strategy dsm $grid --ckpt-delta 1
-baseline-delta     dcr.delta    --strategy dcr $grid --ckpt-delta 1
-baseline-delta     ccr.delta    --strategy ccr $grid --ckpt-delta 1
-baseline-adaptive  dsm.adaptive --strategy dsm $grid $adaptive
-baseline-adaptive  dcr.adaptive --strategy dcr $grid $adaptive
-baseline-adaptive  ccr.adaptive --strategy ccr $grid $adaptive
-baseline-fgm       fgm          --strategy fgm $grid --ckpt-delta 0
-baseline-autoscale autoscale    --dag keyed --autoscale 1 \
-  --autoscale-slo-p99-ms 1500 $traffic --seed 1 --duration 900 --ckpt-delta 0"
+baseline             dsm          --strategy dsm $grid --ckpt-delta 0
+baseline             dcr          --strategy dcr $grid --ckpt-delta 0
+baseline             ccr          --strategy ccr $grid --ckpt-delta 0
+baseline-delta       dsm.delta    --strategy dsm $grid --ckpt-delta 1
+baseline-delta       dcr.delta    --strategy dcr $grid --ckpt-delta 1
+baseline-delta       ccr.delta    --strategy ccr $grid --ckpt-delta 1
+baseline-adaptive    dsm.adaptive --strategy dsm $grid $adaptive
+baseline-adaptive    dcr.adaptive --strategy dcr $grid $adaptive
+baseline-adaptive    ccr.adaptive --strategy ccr $grid $adaptive
+baseline-fgm         fgm          --strategy fgm $grid --ckpt-delta 0
+baseline-autoscale   autoscale    --dag keyed --autoscale 1 \
+  --autoscale-slo-p99-ms 1500 $traffic --seed 1 --duration 900 --ckpt-delta 0
+baseline-keyed-delta keyed.delta  --strategy dsm $keyed_delta"
 while read -r manifest stem flags; do
   for pass in 1 2; do
     # shellcheck disable=SC2086

@@ -39,6 +39,8 @@ void print_help(std::FILE* out, const char* argv0) {
                "  --linear-n N          override the DAG with Linear-N\n"
                "  --kv-shards N         checkpoint store shards (default 1;\n"
                "                        1 = the single-Redis baseline)\n"
+               "  --key-cardinality N   distinct partition keys the sources\n"
+               "                        cycle through (default 64)\n"
                "  --fgm-batch-keys N    FGM only: key-range partitions moved\n"
                "                        one batch at a time (default 8)\n"
                "  --interference-permille N  noisy-neighbour CPU steal: each\n"
@@ -272,6 +274,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--kv-shards") {
       cfg.platform.kv_shards = parse_int(argv[0], arg, next());
       if (cfg.platform.kv_shards < 1) die(argv[0], "--kv-shards must be >= 1");
+    } else if (arg == "--key-cardinality") {
+      const int v = parse_int(argv[0], arg, next());
+      if (v < 1) die(argv[0], "--key-cardinality must be >= 1");
+      cfg.platform.key_cardinality = static_cast<std::uint64_t>(v);
     } else if (arg == "--fgm-batch-keys") {
       cfg.platform.fgm_batch_keys = parse_int(argv[0], arg, next());
       if (cfg.platform.fgm_batch_keys < 1) {
