@@ -4,6 +4,8 @@
 // overhead gate instead (see run_overhead_check below) — exit 0/1 for CI.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <vector>
@@ -176,22 +178,16 @@ workloads::ExperimentResult check_run(obs::Tracer* tracer,
   return workloads::run_experiment(cfg);
 }
 
-/// Best-of-3 wall-clock for one configuration, milliseconds.
+/// Wall-clock of one call, milliseconds.
 template <typename F>
-double best_of_3_ms(F&& body) {
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    // lint: wallclock-ok(overhead gate measures real elapsed time; the
-    // measured simulation itself draws no wall clock)
-    const auto t0 = std::chrono::steady_clock::now();
-    body();
-    // lint: wallclock-ok(see above)
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (ms < best) best = ms;
-  }
-  return best;
+double time_ms(F&& body) {
+  // lint: wallclock-ok(overhead gate measures real elapsed time; the
+  // measured simulation itself draws no wall clock)
+  const auto t0 = std::chrono::steady_clock::now();
+  body();
+  // lint: wallclock-ok(see above)
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
 /// Observability overhead gate:
@@ -233,49 +229,63 @@ int run_overhead_check() {
   }
 
   // 2/3. Timing.  Fixed slack absorbs machine noise on small absolute
-  // numbers; the ratio is the contract.
-  const double base_ms = best_of_3_ms([] {
-    const auto r = check_run(nullptr, nullptr, nullptr);
-    benchmark::DoNotOptimize(r.collector.sink_arrivals());
-  });
-  const double traced_ms = best_of_3_ms([] {
-    obs::Tracer tracer;
-    obs::MetricsRegistry registry;
-    const auto r = check_run(&tracer, &registry, nullptr);
-    benchmark::DoNotOptimize(r.collector.sink_arrivals());
-    benchmark::DoNotOptimize(tracer.records().size());
-  });
-  const double sampled_ms = best_of_3_ms([] {
-    obs::Tracer tracer;
-    obs::MetricsRegistry registry;
-    obs::LatencyAttributor at(64);
-    const auto r = check_run(&tracer, &registry, &at);
-    benchmark::DoNotOptimize(r.collector.sink_arrivals());
-    benchmark::DoNotOptimize(at.tuples().size());
-  });
-  std::printf("timing (best of 3): plain %.1f ms, traced %.1f ms, "
-              "traced+1/64-sampled %.1f ms\n",
-              base_ms, traced_ms, sampled_ms);
+  // numbers; the ratio is the contract.  The repetitions run round-robin
+  // (plain, traced, sampled, disabled, three times) and each configuration
+  // keeps its best, so one burst of host noise costs at most one sample of
+  // each instead of a whole configuration's block.
+  constexpr int kPlain = 0, kTraced = 1, kSampled = 2, kDisabled = 3;
+  const std::array<void (*)(), 4> configs = {
+      [] {
+        const auto r = check_run(nullptr, nullptr, nullptr);
+        benchmark::DoNotOptimize(r.collector.sink_arrivals());
+      },
+      [] {
+        obs::Tracer tracer;
+        obs::MetricsRegistry registry;
+        const auto r = check_run(&tracer, &registry, nullptr);
+        benchmark::DoNotOptimize(r.collector.sink_arrivals());
+        benchmark::DoNotOptimize(tracer.records().size());
+      },
+      [] {
+        obs::Tracer tracer;
+        obs::MetricsRegistry registry;
+        obs::LatencyAttributor at(64);
+        const auto r = check_run(&tracer, &registry, &at);
+        benchmark::DoNotOptimize(r.collector.sink_arrivals());
+        benchmark::DoNotOptimize(at.tuples().size());
+      },
+      [] {
+        // Tracer and registry constructed but NOT attached: the data plane
+        // pays only its nullptr guards.
+        obs::Tracer tracer;
+        obs::MetricsRegistry registry;
+        const auto r = check_run(nullptr, nullptr, nullptr);
+        benchmark::DoNotOptimize(r.collector.sink_arrivals());
+      }};
+  std::array<double, 4> best;
+  best.fill(1e300);
+  for (int rep = 0; rep < 3; ++rep) {
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      best[c] = std::min(best[c], time_ms(configs[c]));
+    }
+  }
+  const double base_ms = best[kPlain];
+  const double traced_ms = best[kTraced];
+  const double sampled_ms = best[kSampled];
+  const double disabled_ms = best[kDisabled];
+  std::printf("timing (best of 3, interleaved): plain %.1f ms, traced %.1f "
+              "ms, traced+1/64-sampled %.1f ms, disabled %.1f ms\n",
+              base_ms, traced_ms, sampled_ms, disabled_ms);
 
   // Disabled observability within noise of plain: 10% + 20 ms slack.
-  if (base_ms > 0 && traced_ms > 0) {
-    const double disabled_ms = best_of_3_ms([] {
-      // Tracer and registry constructed but NOT attached: the data plane
-      // pays only its nullptr guards.
-      obs::Tracer tracer;
-      obs::MetricsRegistry registry;
-      const auto r = check_run(nullptr, nullptr, nullptr);
-      benchmark::DoNotOptimize(r.collector.sink_arrivals());
-    });
-    if (disabled_ms > base_ms * 1.10 + 20.0) {
-      std::printf("FAIL: disabled observability costs %.1f ms vs plain "
-                  "%.1f ms (> 10%% + 20 ms)\n",
-                  disabled_ms, base_ms);
-      ++failures;
-    } else {
-      std::printf("ok: disabled observability within noise of plain "
-                  "(%.1f ms vs %.1f ms)\n", disabled_ms, base_ms);
-    }
+  if (disabled_ms > base_ms * 1.10 + 20.0) {
+    std::printf("FAIL: disabled observability costs %.1f ms vs plain "
+                "%.1f ms (> 10%% + 20 ms)\n",
+                disabled_ms, base_ms);
+    ++failures;
+  } else {
+    std::printf("ok: disabled observability within noise of plain "
+                "(%.1f ms vs %.1f ms)\n", disabled_ms, base_ms);
   }
 
   // 1-in-64 sampling < 5% over tracing alone (+10 ms slack).

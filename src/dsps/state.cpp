@@ -1,6 +1,10 @@
 #include "dsps/state.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
+#include <limits>
+#include <stdexcept>
 #include <string_view>
 
 namespace rill::dsps {
@@ -29,21 +33,9 @@ constexpr std::size_t pending_size(std::size_t events) {
   return 4 + events * kEventWireBytes;
 }
 
-/// Size of TaskState::serialize()'s output: a count and one entry per key.
-std::size_t state_payload_size(const TaskState::Counters& counters) {
-  std::size_t bytes = 4;
-  for (const auto& [k, v] : counters) bytes += entry_size(k);
-  return bytes;
-}
-
 void put_entry(BytesWriter& w, std::string_view k, std::int64_t v) {
   w.put_string(k);
   w.put_i64(v);
-}
-
-void put_state(BytesWriter& w, const TaskState::Counters& counters) {
-  w.put_u32(static_cast<std::uint32_t>(counters.size()));
-  for (const auto& [k, v] : counters) put_entry(w, k, v);
 }
 
 void put_pending(BytesWriter& w, std::span<const Event> pending) {
@@ -54,6 +46,7 @@ void put_pending(BytesWriter& w, std::span<const Event> pending) {
 /// Writes one delta-form blob in wire order: the header, the upserts, the
 /// deletions, then the pending tail.  Each section's count is patched in
 /// once its items are written, so a caller can filter while it writes.
+/// Every upsert must come before the first deletion.
 class DeltaEncoder {
  public:
   DeltaEncoder(std::uint64_t cid, std::uint64_t base_cid, std::size_t reserve) {
@@ -69,18 +62,14 @@ class DeltaEncoder {
     ++count_;
   }
 
-  /// Closes the upserts; every later item is a deletion.
-  void begin_deletions() {
-    close_section();
-    open_section();
-  }
-
   void deletion(std::string_view k) {
+    begin_deletions();
     w_.put_string(k);
     ++count_;
   }
 
   [[nodiscard]] Bytes finish(std::span<const Event> pending) {
+    begin_deletions();
     close_section();
     put_pending(w_, pending);
     return w_.take();
@@ -93,30 +82,228 @@ class DeltaEncoder {
     w_.put_u32(0);
   }
   void close_section() { w_.patch_u32(count_at_, count_); }
+  /// Closes the upserts the first time a deletion or the end comes.
+  void begin_deletions() {
+    if (in_deletions_) return;
+    in_deletions_ = true;
+    close_section();
+    open_section();
+  }
 
   BytesWriter w_;
   std::size_t count_at_{0};
   std::uint32_t count_{0};
+  bool in_deletions_{false};
 };
+
+std::uint32_t hash_key(std::string_view k) noexcept {
+  const std::size_t h = std::hash<std::string_view>{}(k);
+  return static_cast<std::uint32_t>(h ^ (h >> 32));
+}
+
+/// Index size for `slots` keys: a power of two at least twice as large.
+std::size_t index_size_for(std::size_t slots) {
+  return std::bit_ceil(std::max<std::size_t>(16, 2 * slots));
+}
 
 }  // namespace
 
+bool operator==(const TaskState::Counters& a, const TaskState::Counters& b) {
+  if (a.live_ != b.live_ || a.live_bytes_ != b.live_bytes_) return false;
+  // Both walks run in key order, so equal tables pair up entry by entry.
+  std::vector<std::uint32_t>::const_iterator theirs = b.ordered().begin();
+  bool equal = true;
+  a.for_each_live([&](std::string_view k, std::int64_t v) {
+    while (!b.is_live(*theirs)) ++theirs;
+    equal = equal && b.key(*theirs) == k && b.slots_[*theirs].value == v;
+    ++theirs;
+  });
+  return equal;
+}
+
+std::uint32_t TaskState::Counters::find(std::string_view key) const {
+  if (index_.empty()) return kNone;
+  const std::uint32_t h = hash_key(key);
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+    const std::uint32_t e = index_[i];
+    if (e == 0) return kNone;
+    if (slots_[e - 1].hash == h && this->key(e - 1) == key) return e - 1;
+  }
+}
+
+std::uint32_t TaskState::Counters::find_or_add(std::string_view key) {
+  const std::uint32_t h = hash_key(key);
+  if (2 * (slots_.size() + 1) <= index_.size()) {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = h & mask;
+    for (; index_[i] != 0; i = (i + 1) & mask) {
+      const std::uint32_t id = index_[i] - 1;
+      if (slots_[id].hash == h && this->key(id) == key) return id;
+    }
+    constexpr std::size_t kMaxArena = std::numeric_limits<std::uint32_t>::max();
+    if (slots_.size() >= kNone - 1 || arena_.size() + key.size() > kMaxArena) {
+      throw std::length_error("TaskState: too many keys");
+    }
+    const auto id = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back({0, static_cast<std::uint32_t>(arena_.size()),
+                      static_cast<std::uint32_t>(key.size()), h, 0});
+    arena_.append(key);
+    index_[i] = id + 1;
+    return id;
+  }
+  // The index is due to grow: look the key up first so a hit never does.
+  if (const std::uint32_t id = find(key); id != kNone) return id;
+  grow_index(slots_.size() + 1);
+  return find_or_add(key);
+}
+
+void TaskState::Counters::revive(std::uint32_t id) {
+  Slot& s = slots_[id];
+  s.flags |= kLive;
+  s.value = 0;
+  ++live_;
+  live_bytes_ += entry_size(key(id));
+}
+
+void TaskState::Counters::kill(std::uint32_t id) {
+  slots_[id].flags &= static_cast<std::uint8_t>(~kLive);
+  --live_;
+  live_bytes_ -= entry_size(key(id));
+}
+
+void TaskState::Counters::reserve(std::size_t keys) {
+  slots_.reserve(slots_.size() + keys);
+  if (index_.size() < index_size_for(slots_.size() + keys)) {
+    grow_index(slots_.size() + keys);
+  }
+}
+
+void TaskState::Counters::index_insert(std::uint32_t id) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = slots_[id].hash & mask;
+  while (index_[i] != 0) i = (i + 1) & mask;
+  index_[i] = id + 1;
+}
+
+void TaskState::Counters::grow_index(std::size_t min_slots) {
+  index_.assign(index_size_for(min_slots), 0);
+  for (std::uint32_t id = 0; id < slots_.size(); ++id) index_insert(id);
+}
+
+const std::vector<std::uint32_t>& TaskState::Counters::ordered() const {
+  const std::size_t sorted = ordered_.size();
+  if (sorted == slots_.size()) return ordered_;
+  ordered_.reserve(slots_.capacity());
+  for (std::size_t id = sorted; id < slots_.size(); ++id) {
+    ordered_.push_back(static_cast<std::uint32_t>(id));
+  }
+  const auto less = [this](std::uint32_t a, std::uint32_t b) {
+    return key(a) < key(b);
+  };
+  const auto added = ordered_.begin() + static_cast<std::ptrdiff_t>(sorted);
+  // Keys usually arrive in order (a deserialised blob, a partition merge),
+  // so test before sorting, and merge only when the runs interleave.
+  if (!std::is_sorted(added, ordered_.end(), less)) {
+    std::sort(added, ordered_.end(), less);
+  }
+  if (sorted != 0 && less(*added, *(added - 1))) {
+    std::inplace_merge(ordered_.begin(), added, ordered_.end(), less);
+  }
+  return ordered_;
+}
+
+void TaskState::Counters::compact() {
+  Counters kept;
+  kept.slots_.reserve(live_);
+  for (const std::uint32_t id : ordered()) {
+    if (!is_live(id)) continue;
+    const Slot& s = slots_[id];
+    const auto at = static_cast<std::uint32_t>(kept.arena_.size());
+    kept.slots_.push_back({s.value, at, s.key_len, s.hash, s.flags});
+    kept.arena_.append(key(id));
+    kept.ordered_.push_back(static_cast<std::uint32_t>(kept.ordered_.size()));
+  }
+  kept.live_ = live_;
+  kept.live_bytes_ = live_bytes_;
+  if (!kept.slots_.empty()) kept.grow_index(kept.slots_.size());
+  *this = std::move(kept);
+}
+
+void TaskState::clear_dirty() { forget_changes(changed_); }
+
+void TaskState::hand_over_snapshot(TaskState& snap) {
+  // Sort here, once, so the copy inherits an ordered list: the live state
+  // is never walked itself, and every snapshot would re-sort its keys.
+  counters.ordered();
+  snap.counters = counters;
+  changed_.swap(snap.changed_);
+  forget_changes(snap.changed_);
+}
+
+void TaskState::forget_changes(const std::vector<std::uint32_t>& ids) {
+  for (const std::uint32_t id : ids) {
+    counters.slots_[id].flags &= static_cast<std::uint8_t>(~Counters::kChanged);
+  }
+  changed_.clear();
+  if (counters.slots_.size() - counters.live_ > counters.live_) {
+    counters.compact();
+  }
+}
+
+void TaskState::merge_dirty_from(const TaskState& other) {
+  for (const std::uint32_t theirs : other.changed_) {
+    const std::string_view k = other.counters.key(theirs);
+    if (other.counters.slots_[theirs].flags & Counters::kDirty) {
+      mark(counters.find_or_add(k), Counters::kDirty);
+    } else if (const std::uint32_t id = counters.find_or_add(k);
+               !counters.is_live(id)) {
+      mark(id, Counters::kDeleted);
+    }
+  }
+}
+
+TaskState::KeySet TaskState::changed_keys(std::uint8_t flag) const {
+  KeySet keys;
+  for (const std::uint32_t id : changed_) {
+    if (counters.slots_[id].flags & flag) keys.insert(counters.key(id));
+  }
+  return keys;
+}
+
+void TaskState::assign_untracked(std::string_view key, std::int64_t value) {
+  const std::uint32_t id = counters.find_or_add(key);
+  if (!counters.is_live(id)) counters.revive(id);
+  counters.slots_[id].value = value;
+}
+
+void TaskState::remove_untracked(std::string_view key) {
+  const std::uint32_t id = counters.find(key);
+  if (id != Counters::kNone && counters.is_live(id)) counters.kill(id);
+}
+
+void TaskState::put_entries(BytesWriter& w) const {
+  w.put_u32(static_cast<std::uint32_t>(counters.size()));
+  counters.for_each_live(
+      [&w](std::string_view k, std::int64_t v) { put_entry(w, k, v); });
+}
+
 Bytes TaskState::serialize() const {
   BytesWriter w;
-  w.reserve(state_payload_size(counters));
-  put_state(w, counters);
+  w.reserve(4 + counters.live_bytes_);
+  put_entries(w);
   return w.take();
 }
 
 TaskState TaskState::deserialize(BytesReader& r) {
   TaskState s;
   const auto n = r.get_u32();
+  // The count comes from the blob: reserve no more keys than the remaining
+  // bytes can hold (an entry takes at least its length prefix and value).
+  s.counters.reserve(std::min<std::size_t>(n, r.remaining() / entry_size({})));
   for (std::uint32_t i = 0; i < n; ++i) {
-    std::string k = r.get_string();
-    const std::int64_t v = r.get_i64();
-    // Keys arrive in map order, so the end hint makes each insert constant
-    // time; a repeated key (a hand-built blob) keeps its last value.
-    s.counters.insert_or_assign(s.counters.end(), std::move(k), v);
+    const std::string k = r.get_string();
+    s.assign_untracked(k, r.get_i64());
   }
   return s;
 }
@@ -153,52 +340,69 @@ Event deserialize_event(BytesReader& r) {
 
 Bytes CheckpointBlob::encode_full(std::uint64_t cid, const TaskState& state,
                                   std::span<const Event> pending) {
-  const std::size_t payload = state_payload_size(state.counters);
+  const std::size_t payload = 4 + state.counters.live_bytes_;
   BytesWriter w;
   w.reserve(kFullFramingBytes + payload + pending_size(pending.size()));
   w.put_u64(cid);
   w.put_u32(static_cast<std::uint32_t>(payload));
-  put_state(w, state.counters);
+  state.put_entries(w);
   put_pending(w, pending);
   return w.take();
+}
+
+template <typename Upsert, typename Deletion>
+void TaskState::visit_changes(Upsert&& upsert, Deletion&& deletion) const {
+  constexpr std::uint8_t kDirtyLive = Counters::kDirty | Counters::kLive;
+  // Count each list from the change list first, so a walk of the ordered
+  // list runs only for a non-empty list and stops at its last entry.
+  std::size_t upserts = 0;
+  std::size_t absent = 0;
+  for (const std::uint32_t id : changed_) {
+    const std::uint8_t flags = counters.slots_[id].flags;
+    if ((flags & kDirtyLive) == kDirtyLive) ++upserts;
+    if ((flags & kDirtyLive) == Counters::kDirty) ++absent;
+  }
+  const std::size_t tombstones = changed_.size() - upserts - absent;
+  const auto walk = [this](std::size_t count, std::uint8_t mask,
+                           std::uint8_t want, auto&& visit) {
+    for (const std::uint32_t id : counters.ordered()) {
+      if (count == 0) return;
+      const Counters::Slot& slot = counters.slots_[id];
+      if ((slot.flags & mask) != want) continue;
+      visit(counters.key(id), slot.value);
+      --count;
+    }
+  };
+  walk(upserts, kDirtyLive, kDirtyLive, upsert);
+  const auto deleted = [&](std::string_view k, std::int64_t) { deletion(k); };
+  walk(absent, kDirtyLive, Counters::kDirty, deleted);
+  walk(tombstones, Counters::kDeleted, Counters::kDeleted, deleted);
 }
 
 Bytes CheckpointBlob::encode_delta(std::uint64_t cid, std::uint64_t base_cid,
                                    const TaskState& state,
                                    std::span<const Event> pending) {
-  // Reserve as if every dirty key were still present: exact in the usual
-  // case, 8 bytes over per dirty key that was erased through `counters`.
-  std::size_t reserve = kDeltaFramingBytes + pending_size(pending.size());
-  for (const auto& k : state.dirty_keys()) reserve += entry_size(k);
-  for (const auto& k : state.deleted_keys()) reserve += key_size(k);
-  DeltaEncoder enc(cid, base_cid, reserve);
-  // A dirty key can be absent if user code erased it through `counters`
-  // directly; it is written as a deletion so the delta stays faithful.
-  std::vector<std::string_view> absent;
-  for (const auto& k : state.dirty_keys()) {
-    if (auto it = state.counters.find(k); it != state.counters.end()) {
-      enc.upsert(k, it->second);
-    } else {
-      absent.push_back(k);
-    }
-  }
-  enc.begin_deletions();
-  for (const std::string_view k : absent) enc.deletion(k);
-  for (const auto& k : state.deleted_keys()) enc.deletion(k);
+  DeltaEncoder enc(cid, base_cid,
+                   delta_size(state) + pending.size() * kEventWireBytes);
+  state.visit_changes(
+      [&](std::string_view k, std::int64_t v) { enc.upsert(k, v); },
+      [&](std::string_view k) { enc.deletion(k); });
   return enc.finish(pending);
 }
 
 std::size_t CheckpointBlob::full_size(const TaskState& state) {
-  return kFullFramingBytes + state_payload_size(state.counters) +
-         pending_size(0);
+  return kFullFramingBytes + 4 + state.counters.live_bytes_ + pending_size(0);
 }
 
 std::size_t CheckpointBlob::delta_size(const TaskState& state) {
+  using Counters = TaskState::Counters;
+  const Counters& c = state.counters;
   std::size_t bytes = kDeltaFramingBytes + pending_size(0);
-  for (const auto& k : state.dirty_keys()) {
-    bytes += state.counters.contains(k) ? entry_size(k) : key_size(k);
+  for (const std::uint32_t id : state.changed_) {
+    const std::uint8_t flags = c.slots_[id].flags;
+    const bool upsert = (flags & Counters::kDirty) && (flags & Counters::kLive);
+    bytes += upsert ? entry_size(c.key(id)) : key_size(c.key(id));
   }
-  for (const auto& k : state.deleted_keys()) bytes += key_size(k);
   return bytes;
 }
 
@@ -215,7 +419,6 @@ Bytes CheckpointBlob::serialize() const {
   for (const auto& k : deleted) bytes += key_size(k);
   DeltaEncoder enc(checkpoint_id, base_checkpoint_id, bytes);
   for (const auto& [k, v] : changed) enc.upsert(k, v);
-  enc.begin_deletions();
   for (const auto& k : deleted) enc.deletion(k);
   return enc.finish(pending);
 }
@@ -260,24 +463,18 @@ CheckpointBlob CheckpointBlob::make_delta(std::uint64_t cid,
   CheckpointBlob b;
   b.checkpoint_id = cid;
   b.base_checkpoint_id = base_cid;
-  for (const auto& k : state.dirty_keys()) {
-    auto it = state.counters.find(k);
-    // A dirty key can be absent if user code erased it through `counters`
-    // directly; treat that as a deletion so the delta stays faithful.
-    if (it == state.counters.end()) {
-      b.deleted.push_back(k);
-    } else {
-      b.changed[k] = it->second;
-    }
-  }
-  for (const auto& k : state.deleted_keys()) b.deleted.push_back(k);
+  state.visit_changes(
+      [&](std::string_view k, std::int64_t v) {
+        b.changed.emplace_hint(b.changed.end(), k, v);
+      },
+      [&](std::string_view k) { b.deleted.emplace_back(k); });
   b.pending = std::move(pending);
   return b;
 }
 
 void CheckpointBlob::apply_delta_to(TaskState& base) const {
-  for (const auto& [k, v] : changed) base.counters[k] = v;
-  for (const auto& k : deleted) base.counters.erase(k);
+  for (const auto& [k, v] : changed) base.assign_untracked(k, v);
+  for (const auto& k : deleted) base.remove_untracked(k);
 }
 
 std::optional<std::uint64_t> CheckpointBlob::delta_base_of(
@@ -306,14 +503,11 @@ std::string CheckpointBlob::fgm_key(std::uint64_t batch_seq, TaskId task,
          std::to_string(task.value) + "/" + std::to_string(replica);
 }
 
-int StatePartitionMap::partition_of_state_key(const std::string& k) const {
+int StatePartitionMap::partition_of_state_key(std::string_view k) const {
   constexpr std::string_view kPrefix = "key/";
-  if (k.size() <= kPrefix.size() || k.compare(0, kPrefix.size(), kPrefix) != 0) {
-    return reserved();
-  }
+  if (k.size() <= kPrefix.size() || !k.starts_with(kPrefix)) return reserved();
   std::uint64_t key = 0;
-  for (std::size_t i = kPrefix.size(); i < k.size(); ++i) {
-    const char c = k[i];
+  for (const char c : k.substr(kPrefix.size())) {
     if (c < '0' || c > '9') return reserved();
     key = key * 10 + static_cast<std::uint64_t>(c - '0');
   }
@@ -322,20 +516,21 @@ int StatePartitionMap::partition_of_state_key(const std::string& k) const {
 
 TaskState extract_partition(TaskState& state, const StatePartitionMap& map,
                             int p) {
-  std::vector<std::string> keys;
-  for (const auto& [k, v] : state.counters) {
-    if (map.partition_of_state_key(k) == p) keys.push_back(k);
-  }
   TaskState part;
-  for (const auto& k : keys) {
-    part[k] = state.counters.find(k)->second;
-    state.erase(k);
+  const TaskState::Counters& c = state.counters;
+  // Erasing keeps every slot, so the ordered list stays valid while the
+  // walk removes entries from it.
+  for (const std::uint32_t id : c.ordered()) {
+    if (!c.is_live(id) || map.partition_of_state_key(c.key(id)) != p) continue;
+    part[c.key(id)] = c.slots_[id].value;
+    state.erase_slot(id);
   }
   return part;
 }
 
 void merge_partition(TaskState& state, const TaskState& part) {
-  for (const auto& [k, v] : part.counters) state[k] = v;
+  part.counters.for_each_live(
+      [&state](std::string_view k, std::int64_t v) { state[k] = v; });
 }
 
 }  // namespace rill::dsps

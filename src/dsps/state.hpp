@@ -8,19 +8,21 @@
 // Delta checkpointing: TaskState records which keys were upserted or erased
 // since the last `clear_dirty()` (i.e. since the last blob that persisted
 // them).  A CheckpointBlob can then take a *delta* form — base checkpoint id
-// plus only the changed/deleted keys — instead of the full ordered map.  The
+// plus only the changed/deleted keys — instead of every entry.  The
 // CCR pending-capture list is always carried in full; only user state is
 // deltified.  Full blobs keep the pre-delta wire format byte-for-byte, so
 // runs with delta mode off are unchanged on the wire.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -28,103 +30,269 @@
 
 namespace rill::dsps {
 
-/// In-memory state of a stateful task instance.  An ordered map keeps
-/// serialisation deterministic; ordered dirty/deleted sets keep delta
-/// serialisation deterministic too.  All three use transparent comparison,
-/// so a string_view key is looked up without building a std::string.
+class StatePartitionMap;
+struct TaskState;
+[[nodiscard]] TaskState extract_partition(TaskState& state,
+                                          const StatePartitionMap& map, int p);
+void merge_partition(TaskState& state, const TaskState& part);
+
+/// In-memory state of a stateful task instance: one flat slot table.
+///
+/// Each key written owns a slot holding its value and its
+/// live/dirty/deleted flags; a slot keeps its id until a compaction drops
+/// the slots that are no longer live.  All key bytes sit in one arena, and
+/// an open-addressing hash index maps a key to its slot, so an update is
+/// one hash probe and allocates nothing once the key exists.  A slot whose
+/// flags change since the last `clear_dirty()` is appended once to a
+/// change list, which is what a delta blob and its size are built from.
+/// A key-ordered slot list, re-sorted only after keys were added, drives
+/// every byte that leaves the state, so entries go on the wire in
+/// `std::string` key order, never in hash order.
+///
+/// Not thread-safe, even for concurrent readers: a const walk may re-sort
+/// the ordered list.
 struct TaskState {
-  using Counters = std::map<std::string, std::int64_t, std::less<>>;
-  using KeySet = std::set<std::string, std::less<>>;
+  /// The live entries, read-only: `size`, `empty`, `contains`, `==` and
+  /// iteration as `[key, value]` pairs in key order.  Only TaskState
+  /// mutates them.  Iteration yields a copy of each key as a std::string;
+  /// the state's own walks read the arena in place.
+  class Counters {
+   public:
+    using value_type = std::pair<std::string, std::int64_t>;
+
+    class const_iterator {
+     public:
+      using iterator_category = std::input_iterator_tag;
+      using value_type = Counters::value_type;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = value_type;
+
+      const_iterator() = default;
+      [[nodiscard]] value_type operator*() const {
+        const std::uint32_t id = table_->ordered_[at_];
+        return {std::string(table_->key(id)), table_->slots_[id].value};
+      }
+      const_iterator& operator++() {
+        ++at_;
+        skip_dead();
+        return *this;
+      }
+      const_iterator operator++(int) {
+        const_iterator before = *this;
+        ++*this;
+        return before;
+      }
+      friend bool operator==(const const_iterator&,
+                             const const_iterator&) = default;
+
+     private:
+      friend class Counters;
+      const_iterator(const Counters* table, std::size_t at)
+          : table_(table), at_(at) {
+        skip_dead();
+      }
+      void skip_dead() {
+        while (at_ < table_->ordered_.size() &&
+               !table_->is_live(table_->ordered_[at_])) {
+          ++at_;
+        }
+      }
+
+      const Counters* table_{nullptr};
+      std::size_t at_{0};
+    };
+    using iterator = const_iterator;
+
+    Counters() = default;
+    Counters(const Counters&) = default;
+
+    [[nodiscard]] std::size_t size() const noexcept { return live_; }
+    [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
+    [[nodiscard]] bool contains(std::string_view key) const {
+      const std::uint32_t id = find(key);
+      return id != kNone && is_live(id);
+    }
+    const_iterator begin() const {
+      ordered();
+      return {this, 0};
+    }
+    const_iterator end() const { return {this, ordered().size()}; }
+
+    friend bool operator==(const Counters& a, const Counters& b);
+
+   private:
+    friend struct TaskState;
+    friend struct CheckpointBlob;
+    friend TaskState extract_partition(TaskState&, const StatePartitionMap&,
+                                       int);
+    friend void merge_partition(TaskState&, const TaskState&);
+
+    Counters(Counters&&) noexcept = default;
+    Counters& operator=(const Counters&) = default;
+    Counters& operator=(Counters&&) noexcept = default;
+
+    static constexpr std::uint32_t kNone = ~0u;
+    static constexpr std::uint8_t kLive = 1;
+    static constexpr std::uint8_t kDirty = 2;
+    static constexpr std::uint8_t kDeleted = 4;
+    static constexpr std::uint8_t kChanged = kDirty | kDeleted;
+
+    struct Slot {
+      std::int64_t value{0};
+      std::uint32_t key_at{0};
+      std::uint32_t key_len{0};
+      std::uint32_t hash{0};
+      std::uint8_t flags{0};
+    };
+
+    [[nodiscard]] std::string_view key(std::uint32_t id) const noexcept {
+      const Slot& s = slots_[id];
+      return {arena_.data() + s.key_at, s.key_len};
+    }
+    [[nodiscard]] bool is_live(std::uint32_t id) const noexcept {
+      return (slots_[id].flags & kLive) != 0;
+    }
+    /// Calls `visit(key, value)` for each live entry in key order.
+    template <typename Visit>
+    void for_each_live(Visit&& visit) const {
+      for (const std::uint32_t id : ordered()) {
+        if (is_live(id)) visit(key(id), slots_[id].value);
+      }
+    }
+    /// Slot of `key`, or kNone.
+    [[nodiscard]] std::uint32_t find(std::string_view key) const;
+    /// Slot of `key`, added (not live, value 0, no flags) if absent.
+    std::uint32_t find_or_add(std::string_view key);
+    /// Makes a slot live with value 0, or not live; both keep the running
+    /// size of the live entries.
+    void revive(std::uint32_t id);
+    void kill(std::uint32_t id);
+    /// Room for `keys` more keys without growing the index.
+    void reserve(std::size_t keys);
+    /// The key-ordered slot list, first merging in slots added since the
+    /// last walk.
+    const std::vector<std::uint32_t>& ordered() const;
+    /// Drops the slots that are not live.  Only for a table with no change
+    /// recorded, whose dead slots nothing refers to; renumbers the rest.
+    void compact();
+
+    void index_insert(std::uint32_t id);
+    void grow_index(std::size_t min_slots);
+
+    std::string arena_;
+    std::vector<Slot> slots_;
+    /// Open addressing with linear probing: slot id + 1, 0 = empty.  Zero
+    /// or a power of two at least twice the slot count (load <= 1/2).
+    std::vector<std::uint32_t> index_;
+    mutable std::vector<std::uint32_t> ordered_;
+    std::size_t live_{0};
+    /// Sum of the live entries' wire sizes (length prefix, key, value).
+    std::size_t live_bytes_{0};
+  };
+
+  /// A snapshot of changed keys, in key order, for inspection and tests.
+  /// The views are valid until the next insert.
+  using KeySet = std::set<std::string_view>;
 
   Counters counters;
 
-  /// Mutable access marks the key dirty (and revives it if it was deleted).
-  /// Direct mutation through `counters` bypasses dirty tracking and must
-  /// only be used by code that never checkpoints incrementally (tests).
-  /// One search per container; a key string is built only on first insert.
+  /// Mutable access marks the key dirty (and revives it if it was
+  /// deleted).  One hash probe; the key's bytes are copied on first
+  /// insert only.  The reference is valid until the state next adds a key
+  /// (an upsert, erase or merge of a key it has not held) or compacts (in
+  /// `clear_dirty()` or `hand_over_snapshot()`).
   std::int64_t& operator[](std::string_view key) {
-    upsert(dirty_, key);
-    if (auto it = deleted_.find(key); it != deleted_.end()) deleted_.erase(it);
-    return upsert(counters, key)->second;
+    const std::uint32_t id = counters.find_or_add(key);
+    if (!counters.is_live(id)) counters.revive(id);
+    mark(id, Counters::kDirty);
+    return counters.slots_[id].value;
   }
 
   /// Removes a key, recording the deletion for the next delta.  An absent
   /// key is still tombstoned: it may exist in the persisted base even
   /// though it is already gone from memory.
-  void erase(std::string_view key) {
-    if (auto it = counters.find(key); it != counters.end()) counters.erase(it);
-    if (auto it = dirty_.find(key); it != dirty_.end()) dirty_.erase(it);
-    upsert(deleted_, key);
-  }
+  void erase(std::string_view key) { erase_slot(counters.find_or_add(key)); }
 
   [[nodiscard]] std::int64_t get(std::string_view key) const {
-    auto it = counters.find(key);
-    return it == counters.end() ? 0 : it->second;
+    const std::uint32_t id = counters.find(key);
+    return id != Counters::kNone && counters.is_live(id)
+               ? counters.slots_[id].value
+               : 0;
   }
 
-  /// Equality is over the user-visible map only: a deserialized state is
-  /// clean while the original may carry dirty bookkeeping.
+  /// Equality is over the user-visible entries only: a deserialized state
+  /// is clean while the original may carry dirty bookkeeping.
   friend bool operator==(const TaskState& a, const TaskState& b) {
     return a.counters == b.counters;
   }
 
-  [[nodiscard]] const KeySet& dirty_keys() const noexcept { return dirty_; }
-  [[nodiscard]] const KeySet& deleted_keys() const noexcept { return deleted_; }
-  [[nodiscard]] bool has_dirty() const noexcept {
-    return !dirty_.empty() || !deleted_.empty();
+  /// Keys upserted since the last clear (some may since have been removed
+  /// by apply_delta_to or a merge), and keys deleted since then.  The two
+  /// are disjoint.
+  [[nodiscard]] KeySet dirty_keys() const {
+    return changed_keys(Counters::kDirty);
   }
+  [[nodiscard]] KeySet deleted_keys() const {
+    return changed_keys(Counters::kDeleted);
+  }
+  [[nodiscard]] bool has_dirty() const noexcept { return !changed_.empty(); }
 
   /// Forgets all recorded changes — called after the changes were persisted
   /// (full or delta blob) so the next delta starts from this point.
-  void clear_dirty() {
-    dirty_.clear();
-    deleted_.clear();
-  }
+  void clear_dirty();
 
-  /// PREPARE hand-over: makes `snap` a copy of this map that owns the
+  /// PREPARE hand-over: makes `snap` a copy of this table that owns the
   /// recorded changes, and leaves this state clean.  The result equals
-  /// `snap = *this; clear_dirty();`, but the dirty and deleted sets move
-  /// instead of being copied, and `snap`'s map nodes are reused.
-  void hand_over_snapshot(TaskState& snap) {
-    snap.counters = counters;
-    snap.dirty_ = std::move(dirty_);
-    snap.deleted_ = std::move(deleted_);
-    clear_dirty();
-  }
+  /// `snap = *this; clear_dirty();`, but the table is copied into `snap`'s
+  /// buffers and the change list moves instead of being copied.
+  void hand_over_snapshot(TaskState& snap);
 
   /// Unions `other`'s recorded changes into ours.  Used on ROLLBACK: the
-  /// prepared snapshot's dirty set (changes that were never persisted) must
-  /// flow back into the live state so the next blob still covers them.
-  void merge_dirty_from(const TaskState& other) {
-    for (const auto& k : other.dirty_) {
-      dirty_.insert(k);
-      deleted_.erase(k);
-    }
-    for (const auto& k : other.deleted_) {
-      if (counters.find(k) == counters.end()) {
-        dirty_.erase(k);
-        deleted_.insert(k);
-      }
-    }
-  }
+  /// prepared snapshot's dirty keys (changes that were never persisted)
+  /// must flow back into the live state so the next blob still covers
+  /// them.  A deletion only flows back to a key that is absent here.
+  void merge_dirty_from(const TaskState& other);
 
   [[nodiscard]] Bytes serialize() const;
+  /// Keys may arrive in any order; a repeated key keeps its last value.
   [[nodiscard]] static TaskState deserialize(BytesReader& r);
 
  private:
-  /// Find-or-insert with a single tree search.
-  static Counters::iterator upsert(Counters& map, std::string_view key) {
-    auto it = map.lower_bound(key);
-    if (it == map.end() || it->first != key) it = map.emplace_hint(it, key, 0);
-    return it;
-  }
-  static void upsert(KeySet& set, std::string_view key) {
-    auto it = set.lower_bound(key);
-    if (it == set.end() || *it != key) set.emplace_hint(it, key);
-  }
+  friend struct CheckpointBlob;
+  friend TaskState extract_partition(TaskState&, const StatePartitionMap&,
+                                     int);
 
-  KeySet dirty_;
-  KeySet deleted_;
+  /// Writes the entry count, then each live entry in key order.
+  void put_entries(BytesWriter& w) const;
+  /// Sets a slot's change flag (dirty or deleted, clearing the other) and
+  /// appends the slot to the change list the first time it changes.
+  void mark(std::uint32_t id, std::uint8_t change) {
+    std::uint8_t& flags = counters.slots_[id].flags;
+    if ((flags & Counters::kChanged) == 0) changed_.push_back(id);
+    flags = static_cast<std::uint8_t>((flags & ~Counters::kChanged) | change);
+  }
+  void erase_slot(std::uint32_t id) {
+    if (counters.is_live(id)) counters.kill(id);
+    mark(id, Counters::kDeleted);
+  }
+  /// Writes or removes an entry without recording the change: the delta
+  /// replay of apply_delta_to and deserialisation.
+  void assign_untracked(std::string_view key, std::int64_t value);
+  void remove_untracked(std::string_view key);
+  /// Clears the change flags of the slots in `ids`, then this state's own
+  /// change list, and compacts when dead slots outnumber live ones.
+  void forget_changes(const std::vector<std::uint32_t>& ids);
+  [[nodiscard]] KeySet changed_keys(std::uint8_t flag) const;
+  /// The recorded changes in delta wire order, each list in key order:
+  /// `upsert(key, value)` for each dirty key still live, then
+  /// `deletion(key)` for each dirty key no longer live and then for each
+  /// tombstone.
+  template <typename Upsert, typename Deletion>
+  void visit_changes(Upsert&& upsert, Deletion&& deletion) const;
+
+  /// Slots with a change flag, each once, in the order they first changed.
+  std::vector<std::uint32_t> changed_;
 };
 
 /// Serialisation of a single event for the CCR pending-event list.
@@ -169,8 +337,9 @@ struct CheckpointBlob {
                                           std::span<const Event> pending);
 
   /// Exact sizes of encode_full / encode_delta for `state` with no pending
-  /// events, computed without encoding: the full form from one pass over
-  /// the map, the delta form from the dirty and deleted sets.
+  /// events, computed without encoding: the full form in O(1) from the
+  /// running size of the live entries, the delta form from the change
+  /// list.
   [[nodiscard]] static std::size_t full_size(const TaskState& state);
   [[nodiscard]] static std::size_t delta_size(const TaskState& state);
 
@@ -245,7 +414,7 @@ class StatePartitionMap {
 
   /// Buckets a state-map key: `"key/<n>"` entries go to partition_of_key(n),
   /// everything else (including malformed "key/" entries) to reserved().
-  [[nodiscard]] int partition_of_state_key(const std::string& k) const;
+  [[nodiscard]] int partition_of_state_key(std::string_view k) const;
 
  private:
   int partitions_;

@@ -144,7 +144,7 @@ TEST(TaskState, MergeDirtyRestoresUnpersistedChanges) {
   TaskState snapshot = live;
   snapshot["a"] += 1;
   snapshot.erase("gone");
-  live.counters = snapshot.counters;  // live caught up, bookkeeping did not
+  live = snapshot;  // live caught up, bookkeeping did not
   live.clear_dirty();
 
   live.merge_dirty_from(snapshot);
@@ -313,8 +313,8 @@ Bytes reference_bytes(const CheckpointBlob& b) {
 }
 
 /// A random state with a random change record: upserts, tombstones (some
-/// of keys that were never there), and dirty keys erased through
-/// `counters` directly.  Round 0 is the empty state.
+/// of keys that were never there), and dirty keys no longer in the map.
+/// Round 0 is the empty state.
 TaskState random_state(Rng& rng, int round) {
   TaskState s;
   if (round == 0) return s;
@@ -332,8 +332,13 @@ TaskState random_state(Rng& rng, int round) {
     } else if (roll < 0.75) {
       s.erase(key);
     } else {
+      // Dirty, but gone from the map: the key is erased after a PREPARE
+      // hand-over, and a ROLLBACK merges the snapshot's changes back.
       s[key] = 1;
-      s.counters.erase(key);  // dirty, but gone from the map
+      TaskState snap;
+      s.hand_over_snapshot(snap);
+      s.erase(key);
+      s.merge_dirty_from(snap);
     }
   }
   return s;

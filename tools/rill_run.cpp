@@ -2,10 +2,12 @@
 //
 // Run `rill_run --help` for the full flag reference.  Unknown flags and
 // malformed values exit 2; a failed migration exits 1.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -161,15 +163,45 @@ bool parse_strategy(const std::string& s, core::StrategyKind& out) {
   return true;
 }
 
-/// Whole-string double; dies on trailing garbage ("3x") or empty input.
+/// Whole-string finite double; dies on trailing garbage ("3x"), empty
+/// input, and the infinities and NaNs strtod also accepts.
 double parse_num(const char* argv0, const std::string& flag,
                  const std::string& s) {
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') {
+  if (end == s.c_str() || *end != '\0' || !std::isfinite(v)) {
     die(argv0, "bad value for " + flag + ": '" + s + "'");
   }
   return v;
+}
+
+/// Longest time a flag may give, in seconds: half of SimDuration's range,
+/// so the run's own offsets added to it cannot overflow.
+constexpr double kMaxFlagSec =
+    static_cast<double>(std::numeric_limits<SimDuration>::max()) / 2e6;
+
+/// A time in seconds: dies unless 0 <= v <= kMaxFlagSec.
+double check_sec(const char* argv0, const std::string& flag, double v) {
+  if (v < 0.0 || v > kMaxFlagSec) {
+    char bound[32];
+    std::snprintf(bound, sizeof bound, "%g", kMaxFlagSec);
+    die(argv0, flag + " times must be in [0, " + bound + "] seconds");
+  }
+  return v;
+}
+
+/// Whether `v` is a whole number in int's range.  Checked before any cast:
+/// casting an out-of-range double to int is undefined behaviour.
+bool fits_int(double v) {
+  return v >= static_cast<double>(std::numeric_limits<int>::min()) &&
+         v <= static_cast<double>(std::numeric_limits<int>::max()) &&
+         v == std::trunc(v);
+}
+
+/// The optional index field of a CSV flag (a shard, worker or VM).
+int csv_index(const char* argv0, const std::string& flag, double v) {
+  if (!fits_int(v)) die(argv0, flag + " index must be a whole number");
+  return static_cast<int>(v);
 }
 
 std::uint64_t parse_u64(const char* argv0, const std::string& flag,
@@ -185,9 +217,7 @@ std::uint64_t parse_u64(const char* argv0, const std::string& flag,
 int parse_int(const char* argv0, const std::string& flag,
               const std::string& s) {
   const double v = parse_num(argv0, flag, s);
-  if (v != static_cast<double>(static_cast<int>(v))) {
-    die(argv0, "bad value for " + flag + ": '" + s + "'");
-  }
+  if (!fits_int(v)) die(argv0, "bad value for " + flag + ": '" + s + "'");
   return static_cast<int>(v);
 }
 
@@ -241,6 +271,14 @@ int main(int argc, char** argv) {
     auto csv = [&](std::size_t min_n, std::size_t max_n) {
       return parse_csv(argv[0], arg, next(), min_n, max_n);
     };
+    // Field i of a CSV flag as a time in seconds or in milliseconds.
+    auto sec = [&](std::size_t i, const std::vector<double>& v) {
+      return time::sec_f(check_sec(argv[0], arg, v[i]));
+    };
+    auto ms = [&](std::size_t i, const std::vector<double>& v) {
+      check_sec(argv[0], arg, v[i] / 1000.0);
+      return time::ms(static_cast<std::int64_t>(v[i]));
+    };
     if (arg == "--dag") {
       if (!parse_dag(next(), cfg.dag)) die(argv[0], "unknown dag");
     } else if (arg == "--strategy") {
@@ -258,9 +296,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       cfg.platform.seed = parse_u64(argv[0], arg, next());
     } else if (arg == "--migrate-at") {
-      cfg.migrate_at = time::sec_f(num());
+      cfg.migrate_at = time::sec_f(check_sec(argv[0], arg, num()));
     } else if (arg == "--duration") {
-      cfg.run_duration = time::sec_f(num());
+      const double v = num();
+      if (v <= 0) die(argv[0], "--duration must be > 0");
+      cfg.run_duration = time::sec_f(check_sec(argv[0], arg, v));
     } else if (arg == "--linear-n") {
       cfg.custom_topology = workloads::build_linear_n(
           parse_int(argv[0], arg, next()), cfg.platform.source_rate);
@@ -301,17 +341,17 @@ int main(int argc, char** argv) {
         die(argv[0], "--traffic-diurnal must be in [0, 1)");
       }
     } else if (arg == "--traffic-diurnal-period-s") {
-      cfg.traffic.diurnal_period_sec = num();
+      cfg.traffic.diurnal_period_sec = check_sec(argv[0], arg, num());
       if (cfg.traffic.diurnal_period_sec <= 0) {
         die(argv[0], "--traffic-diurnal-period-s must be > 0");
       }
     } else if (arg == "--traffic-crowd") {
       const auto v = csv(5, 5);
       workloads::FlashCrowd crowd;
-      crowd.at_sec = v[0];
-      crowd.ramp_sec = v[1];
-      crowd.hold_sec = v[2];
-      crowd.fall_sec = v[3];
+      crowd.at_sec = check_sec(argv[0], arg, v[0]);
+      crowd.ramp_sec = check_sec(argv[0], arg, v[1]);
+      crowd.hold_sec = check_sec(argv[0], arg, v[2]);
+      crowd.fall_sec = check_sec(argv[0], arg, v[3]);
       crowd.multiplier = v[4];
       if (crowd.multiplier < 1.0) {
         die(argv[0], "--traffic-crowd multiplier must be >= 1");
@@ -375,31 +415,29 @@ int main(int argc, char** argv) {
       cfg.platform.respawn_restore = v == 1;
     } else if (arg == "--chaos-kv-outage") {
       const auto v = csv(2, 3);
-      cfg.chaos.kv_outage(time::sec_f(v[0]), time::sec_f(v[1]),
-                          v.size() > 2 ? static_cast<int>(v[2]) : -1);
+      cfg.chaos.kv_outage(sec(0, v), sec(1, v),
+                          v.size() > 2 ? csv_index(argv[0], arg, v[2]) : -1);
     } else if (arg == "--chaos-kv-slow") {
       const auto v = csv(3, 4);
-      cfg.chaos.kv_latency(time::sec_f(v[0]), time::sec_f(v[1]),
-                           time::ms(static_cast<std::int64_t>(v[2])),
-                           v.size() > 3 ? static_cast<int>(v[3]) : -1);
+      cfg.chaos.kv_latency(sec(0, v), sec(1, v), ms(2, v),
+                           v.size() > 3 ? csv_index(argv[0], arg, v[3]) : -1);
     } else if (arg == "--chaos-drop-control") {
       const auto v = csv(3, 3);
-      cfg.chaos.drop_control(time::sec_f(v[0]), time::sec_f(v[1]), v[2]);
+      cfg.chaos.drop_control(sec(0, v), sec(1, v), v[2]);
     } else if (arg == "--chaos-drop-user") {
       const auto v = csv(3, 3);
-      cfg.chaos.drop_user(time::sec_f(v[0]), time::sec_f(v[1]), v[2]);
+      cfg.chaos.drop_user(sec(0, v), sec(1, v), v[2]);
     } else if (arg == "--chaos-delay") {
       const auto v = csv(3, 3);
-      cfg.chaos.net_delay(time::sec_f(v[0]), time::sec_f(v[1]),
-                          time::ms(static_cast<std::int64_t>(v[2])));
+      cfg.chaos.net_delay(sec(0, v), sec(1, v), ms(2, v));
     } else if (arg == "--chaos-crash") {
       const auto v = csv(1, 2);
-      cfg.chaos.crash_worker(time::sec_f(v[0]),
-                             v.size() > 1 ? static_cast<int>(v[1]) : -1);
+      cfg.chaos.crash_worker(
+          sec(0, v), v.size() > 1 ? csv_index(argv[0], arg, v[1]) : -1);
     } else if (arg == "--chaos-vm-fail") {
       const auto v = csv(1, 2);
-      cfg.chaos.fail_vm(time::sec_f(v[0]),
-                        v.size() > 1 ? static_cast<int>(v[1]) : -1);
+      cfg.chaos.fail_vm(sec(0, v),
+                        v.size() > 1 ? csv_index(argv[0], arg, v[1]) : -1);
     } else if (arg == "--trace-out") {
       trace_out = next();
     } else if (arg == "--trace-jsonl") {
