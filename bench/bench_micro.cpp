@@ -8,11 +8,13 @@
 #include <array>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "dsps/acker.hpp"
+#include "dsps/event.hpp"
 #include "dsps/state.hpp"
 #include "obs/attribution.hpp"
 #include "obs/registry.hpp"
@@ -40,8 +42,8 @@ BENCHMARK(BM_EngineScheduleRun)->Arg(1000)->Arg(10000);
 
 void BM_EngineCancelHeavy(benchmark::State& state) {
   // The ack-timeout pattern: nearly every timer is cancelled before it
-  // fires.  Guards the slot/free-list engine against regressions — the
-  // hash-map predecessor spent most of its time here in rehashing.
+  // fires.  Guards the slot store and its free list against regressions —
+  // the hash-map predecessor spent most of its time here in rehashing.
   for (auto _ : state) {
     sim::Engine engine;
     const int n = static_cast<int>(state.range(0));
@@ -64,7 +66,7 @@ BENCHMARK(BM_EngineCancelHeavy)->Arg(1000)->Arg(100000);
 
 void BM_EngineSlotReuse(benchmark::State& state) {
   // Steady-state schedule/fire churn on one engine: slots must recycle
-  // through the free list without the slot vector growing.
+  // through the free list without the slot store adding chunks.
   sim::Engine engine;
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
@@ -75,6 +77,47 @@ void BM_EngineSlotReuse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_EngineSlotReuse);
+
+// Delays of the hold model below: intra-VM transit (150 µs), inter-VM
+// transit with jitter (1.2-1.5 ms) and the tasks' 100 ms service time.
+constexpr SimDuration kHoldDelays[] = {
+    time::us(150),  time::us(150),  time::us(1200), time::us(1300),
+    time::us(1400), time::us(1500), time::ms(100),  time::ms(100)};
+
+/// One hold-model event: it carries a tuple and, when it fires, schedules
+/// its successor, so the queue stays at the depth it started with.
+struct HoldEvent {
+  sim::Engine* engine;
+  std::uint64_t* fired;
+  dsps::Event ev;
+  void operator()() {
+    ++*fired;
+    ev.id = ev.id * 6364136223846793005ull + 1442695040888963407ull;
+    engine->schedule_detached(kHoldDelays[(ev.id >> 33) % std::size(kHoldDelays)],
+                              HoldEvent{engine, fired, ev});
+  }
+};
+
+void BM_EngineHold(benchmark::State& state) {
+  // The classic hold model at the queue depths the workloads run at: 17
+  // pending on the keyed workloads, a mean of 75 and a peak of 261 on
+  // grid-ccr, and 4096 to show the trend.  Each iteration fires one event.
+  sim::Engine engine;
+  std::uint64_t fired = 0;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    dsps::Event ev;
+    ev.id = static_cast<EventId>(i + 1);
+    engine.schedule_detached(kHoldDelays[static_cast<std::size_t>(i) %
+                                         std::size(kHoldDelays)],
+                             HoldEvent{&engine, &fired, ev});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.step());
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EngineHold)->Arg(17)->Arg(75)->Arg(261)->Arg(4096);
 
 void BM_AckerAddAck(benchmark::State& state) {
   sim::Engine engine;

@@ -24,8 +24,8 @@ SimTime Network::fifo_arrival(VmId from, VmId to, SimTime proposed) {
   return arrival;
 }
 
-SendOutcome Network::send(VmId from, VmId to, std::size_t bytes,
-                          Deliver deliver, MsgClass cls) {
+SendOutcome Network::transmit(VmId from, VmId to, std::size_t bytes,
+                              MsgClass cls, SimTime& arrival) {
   ++stats_.messages_sent;
   stats_.bytes_sent += bytes;
 
@@ -63,17 +63,9 @@ SendOutcome Network::send(VmId from, VmId to, std::size_t bytes,
     }
   }
 
-  const SimTime arrival =
+  arrival =
       fifo_arrival(from, to, engine_.now() + static_cast<SimTime>(latency));
-  engine_.schedule_at_detached(arrival, std::move(deliver));
   return outcome;
-}
-
-SendOutcome Network::send_between_slots(SlotId from, SlotId to,
-                                        std::size_t bytes, Deliver deliver,
-                                        MsgClass cls) {
-  return send(cluster_.vm_of(from), cluster_.vm_of(to), bytes,
-              std::move(deliver), cls);
 }
 
 }  // namespace rill::net

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -16,7 +17,6 @@
 #include "common/pinned.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
-#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 
 namespace rill::net {
@@ -60,8 +60,6 @@ struct NetworkStats {
 /// delivery is a callback; the network itself is payload-agnostic.
 class RILL_PINNED Network {
  public:
-  using Deliver = sim::Callback;
-
   /// Fault-injection hook (implemented by chaos::ChaosInjector).  Consulted
   /// per message: a dropped message is simply never delivered — the layers
   /// above must survive via timeouts, acking and wave retries.  The hook
@@ -80,13 +78,27 @@ class RILL_PINNED Network {
       : engine_(engine), cluster_(cluster), config_(config), rng_(rng) {}
 
   /// Send `bytes` worth of payload from `from` VM to `to` VM and run
-  /// `deliver` on arrival.  FIFO per (from, to) pair.
-  SendOutcome send(VmId from, VmId to, std::size_t bytes, Deliver deliver,
-                   MsgClass cls = MsgClass::Data);
+  /// `deliver` on arrival.  FIFO per (from, to) pair.  `deliver` is
+  /// forwarded to the engine, which builds it in the slot it fires from; a
+  /// dropped message never reaches the engine.
+  template <sim::Callable F>
+  SendOutcome send(VmId from, VmId to, std::size_t bytes, F&& deliver,
+                   MsgClass cls = MsgClass::Data) {
+    SimTime arrival = 0;
+    const SendOutcome outcome = transmit(from, to, bytes, cls, arrival);
+    if (!outcome.dropped) {
+      engine_.schedule_at_detached(arrival, std::forward<F>(deliver));
+    }
+    return outcome;
+  }
 
   /// Convenience overload routed by slot.
+  template <sim::Callable F>
   SendOutcome send_between_slots(SlotId from, SlotId to, std::size_t bytes,
-                                 Deliver deliver, MsgClass cls = MsgClass::Data);
+                                 F&& deliver, MsgClass cls = MsgClass::Data) {
+    return send(cluster_.vm_of(from), cluster_.vm_of(to), bytes,
+                std::forward<F>(deliver), cls);
+  }
 
   void set_fault_hook(FaultHook* hook) noexcept { fault_hook_ = hook; }
 
@@ -94,6 +106,10 @@ class RILL_PINNED Network {
   [[nodiscard]] const NetworkConfig& config() const noexcept { return config_; }
 
  private:
+  /// Counts one message and draws its fate: dropped, or its `arrival` time.
+  SendOutcome transmit(VmId from, VmId to, std::size_t bytes, MsgClass cls,
+                       SimTime& arrival);
+
   /// Smallest arrival time that keeps the (from, to) channel FIFO.
   [[nodiscard]] SimTime fifo_arrival(VmId from, VmId to, SimTime proposed);
 

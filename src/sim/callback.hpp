@@ -6,7 +6,9 @@
 // on every tuple hop.  A Callback keeps any capture of up to kInlineBytes
 // in the object itself and falls back to one heap allocation only for
 // larger (or throwing-move) captures.  Being move-only, it also accepts
-// move-only captures and never copies the one it holds.
+// move-only captures and never copies the one it holds.  The engine builds
+// each scheduled callable straight into a Callback that stays put until the
+// event fires (emplace), so a capture is never relocated on its way there.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +17,12 @@
 #include <utility>
 
 namespace rill::sim {
+
+/// What a Callback can hold, and so what the engine and the network accept:
+/// a `void()` callable, or a Callback passed by rvalue.
+template <typename F>
+concept Callable = std::is_invocable_r_v<void, std::decay_t<F>&> &&
+                   std::is_constructible_v<std::decay_t<F>, F>;
 
 class Callback {
  public:
@@ -27,13 +35,7 @@ class Callback {
   template <typename F, typename Fn = std::decay_t<F>>
     requires(!std::is_same_v<Fn, Callback> && std::is_invocable_r_v<void, Fn&>)
   Callback(F&& f) {
-    if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &kHeapOps<Fn>;
-    }
+    emplace(std::forward<F>(f));
   }
 
   Callback(Callback&& other) noexcept { take(other); }
@@ -48,8 +50,32 @@ class Callback {
   Callback& operator=(const Callback&) = delete;
   ~Callback() { reset(); }
 
-  /// Invokes the held callable; undefined when empty.
+  /// Constructs the callable `f` decays to in this Callback, which must be
+  /// empty.  If the constructor throws, the Callback stays empty.
+  template <typename F, typename Fn = std::decay_t<F>>
+    requires(!std::is_same_v<Fn, Callback> && std::is_invocable_r_v<void, Fn&>)
+  void emplace(F&& f) {
+    if constexpr (fits_inline<Fn>()) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      ops_ = &kInlineOps<Fn>;
+    } else {
+      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
+      ops_ = &kHeapOps<Fn>;
+    }
+  }
+  /// Takes over `other`'s callable; this Callback must be empty.
+  void emplace(Callback&& other) noexcept { take(other); }
+
+  /// Invokes the held callable in place; undefined when empty.
   void operator()() { ops_->invoke(buf_); }
+
+  /// Destroys the held callable, and with it its captures.
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+  }
 
   /// True when a callable of type F is stored without a heap allocation.
   template <typename F>
@@ -88,14 +114,6 @@ class Callback {
       [](void* self) { (**held<Fn*>(self))(); },
       [](void* dst, void* src) noexcept { ::new (dst) Fn*(*held<Fn*>(src)); },
       [](void* self) noexcept { delete *held<Fn*>(self); }};
-
-  /// Destroys the held callable, and with it its captures.
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
 
   void take(Callback& other) noexcept {
     if (other.ops_ != nullptr) {

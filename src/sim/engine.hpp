@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -17,7 +17,8 @@
 
 namespace rill::sim {
 
-/// Handle used to cancel a scheduled callback.
+/// Handle used to cancel a scheduled callback.  A default TimerId names no
+/// callback, so cancelling it is a no-op that returns false.
 struct TimerId {
   std::uint64_t value{0};
   friend constexpr bool operator==(TimerId, TimerId) = default;
@@ -35,45 +36,55 @@ class Engine {
   /// Current simulated time.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedule `cb` to run `delay` from now.  Negative delays clamp to "now".
-  /// The returned TimerId is the only handle for cancellation; callers that
-  /// intend to never cancel must say so via schedule_detached().
+  /// Schedule `f` to run `delay` from now.  Negative delays clamp to "now".
+  /// The callable is built in the slot it fires from, so `f` is copied or
+  /// moved exactly once.  The returned TimerId is the only handle for
+  /// cancellation; callers that intend to never cancel must say so via
+  /// schedule_detached().
+  template <Callable F>
   [[nodiscard("keep the TimerId to cancel, or use schedule_detached")]]
-  TimerId schedule(SimDuration delay, Callback cb) {
-    return push(at(delay), std::move(cb));
+  TimerId schedule(SimDuration delay, F&& f) {
+    return push(at(delay), std::forward<F>(f));
   }
 
-  /// Schedule `cb` at an absolute instant (clamped to now if in the past).
+  /// Schedule `f` at an absolute instant (clamped to now if in the past).
+  template <Callable F>
   [[nodiscard("keep the TimerId to cancel, or use schedule_at_detached")]]
-  TimerId schedule_at(SimTime when, Callback cb) {
-    return push(when, std::move(cb));
+  TimerId schedule_at(SimTime when, F&& f) {
+    return push(when, std::forward<F>(f));
   }
 
   /// Fire-and-forget variants for callbacks that are never cancelled — the
   /// callback itself must be safe to run late (e.g. it re-checks an epoch
   /// or a liveness flag).  Exists so discarding a TimerId is an explicit
   /// decision rather than a silent one.
-  void schedule_detached(SimDuration delay, Callback cb) {
-    push(at(delay), std::move(cb));
+  template <Callable F>
+  void schedule_detached(SimDuration delay, F&& f) {
+    push(at(delay), std::forward<F>(f));
   }
-  void schedule_at_detached(SimTime when, Callback cb) {
-    push(when, std::move(cb));
+  template <Callable F>
+  void schedule_at_detached(SimTime when, F&& f) {
+    push(when, std::forward<F>(f));
   }
 
-  /// Cancel a pending callback.  Returns false if it already fired or was
-  /// previously cancelled.  Cancelling is O(1); the entry is lazily skipped.
+  /// Cancel a pending callback and destroy it (and its captures) at once.
+  /// Returns false if it already fired, is running, or was previously
+  /// cancelled.  The queue entry is lazily skipped when it reaches the head.
   [[nodiscard("cancel() reports whether the callback was still pending")]]
   bool cancel(TimerId id);
 
-  /// Run until the event queue is empty or `limit` is reached, whichever is
-  /// first.  The clock stops at the time of the last executed event (or at
-  /// `limit` if events remain beyond it).
+  /// Run until the event queue is empty or `limit` (at or after now()) is
+  /// reached, whichever is first; either way the clock then reads `limit`.
   void run_until(SimTime limit);
 
   /// Run until the queue is completely empty.
   void run();
 
-  /// Execute exactly one event.  Returns false if the queue is empty.
+  /// Execute exactly one event.  Returns false if the queue is empty.  The
+  /// callback runs in place in its slot.  Its own TimerId is dead before it
+  /// starts, and its slot is freed only after it returns or throws, so it
+  /// may schedule and cancel freely.  An exception propagates to the caller
+  /// with the event counted as executed.
   bool step();
 
   /// Number of callbacks still pending (cancelled entries excluded).
@@ -84,53 +95,83 @@ class Engine {
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
  private:
-  // Callbacks live in an index-stable slot vector with a free-list, so the
-  // schedule/fire hot path never hashes; with inline callback storage it
-  // never allocates once the vectors have grown.  A slot's generation
-  // counter is bumped on release, which both invalidates stale heap entries
-  // (lazy cancellation) and stale TimerIds (ABA protection on slot reuse).
-  struct Slot {
+  // Callbacks live in slots that never move: chunks of 32 slots (4 KB),
+  // added one at a time, so an engine that schedules little allocates
+  // little.  A slot's generation is odd while a callback waits in it and
+  // even otherwise; it is bumped when the callback is queued and again
+  // when it fires or is cancelled.  That one counter marks queue entries
+  // stale (lazy cancellation) and rejects stale TimerIds after the slot
+  // is reused.  Cache-line aligned, so a 128-byte slot spans two lines.
+  struct alignas(64) Slot {
     Callback cb;
-    std::uint32_t gen{0};
-    bool active{false};
   };
+  static constexpr std::uint32_t kChunkBits = 5;
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkBits;
 
+  // A 24-byte queue entry.  The queue is a 4-ary min-heap on (when, seq).
   struct Entry {
     SimTime when;
     std::uint64_t seq;
     std::uint32_t index;
     std::uint32_t gen;
   };
+  static_assert(sizeof(Entry) == 24);
 
-  struct EntryLater {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
+  /// (when, seq) as one unsigned 128-bit value: the firing order.
+  using Key = unsigned __int128;
+  [[nodiscard]] static Key key(const Entry& e) noexcept {
+    return (static_cast<Key>(e.when) << 64) | e.seq;
+  }
 
   [[nodiscard]] bool live(const Entry& e) const noexcept {
-    const Slot& s = slots_[e.index];
-    return s.active && s.gen == e.gen;
+    return gens_[e.index] == e.gen;
   }
 
   [[nodiscard]] SimTime at(SimDuration delay) const noexcept {
     return delay <= 0 ? now_ : now_ + static_cast<SimTime>(delay);
   }
 
-  // Stores `cb` in a free slot and queues it at `when` (clamped to now).
-  TimerId push(SimTime when, Callback&& cb);
+  [[nodiscard]] Callback& slot(std::uint32_t index) noexcept {
+    return chunks_[index >> kChunkBits][index & (kChunkSlots - 1)].cb;
+  }
 
-  // Marks the slot free and returns its callback.  The heap entry (if any)
-  // becomes stale via the generation bump.
-  Callback release(std::uint32_t index);
+  // Builds the callable in a free slot, then queues it at `when` (clamped
+  // to now).  If building throws, the slot stays free and nothing is queued.
+  template <typename F>
+  TimerId push(SimTime when, F&& f) {
+    const std::uint32_t index =
+        free_slots_.empty() ? fresh_slot() : free_slots_.back();
+    slot(index).emplace(std::forward<F>(f));
+    return enqueue(when, index);
+  }
+
+  // The next never-used slot, adding a chunk when every slot is in use.
+  std::uint32_t fresh_slot();
+  // Claims the slot push() filled and puts it on the queue.
+  TimerId enqueue(SimTime when, std::uint32_t index);
+  // Pops the head entry and runs its callback.
+  void fire();
+  // Destroys slot `index`'s callable `cb` and puts the slot on the free list.
+  void free_slot(Callback& cb, std::uint32_t index) noexcept;
+
+  // Sifts a new entry up from the bottom.  It takes the fields rather than
+  // an Entry so they arrive in registers, not through a stack copy.
+  void heap_push(SimTime when, std::uint64_t seq, std::uint32_t index,
+                 std::uint32_t gen);
+  // Removes the head: the last entry sifts down from the root.
+  void heap_pop();
 
   SimTime now_{0};
   std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};
   std::size_t active_count_{0};
-  std::priority_queue<Entry, std::vector<Entry>, EntryLater> heap_;
-  std::vector<Slot> slots_;
+  std::vector<Entry> heap_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  // One generation per slot, at least for every chunk; even (free) until
+  // the slot's first use.
+  std::vector<std::uint32_t> gens_;
+  std::uint32_t used_slots_{0};
+  // Reserved to the slot capacity, so freeing a slot never allocates.
   std::vector<std::uint32_t> free_slots_;
 };
 

@@ -240,6 +240,35 @@ TEST(Checkpoint, DestructorCancelsInFlightInitTimers) {
   EXPECT_EQ(with_init, control + 2u);
 }
 
+TEST(Checkpoint, TeardownWithoutInitSessionSparesOtherTimers) {
+  // Regression: the coordinator's destructor cancels its INIT resend and
+  // deadline timers even when no INIT session ever armed them.  Those
+  // default TimerIds must not name a live callback, or tearing down a
+  // platform cancels whatever waits in the engine's first slot.
+  sim::Engine engine;
+  int fired = 0;
+  engine.schedule_detached(time::sec(1), [&] { ++fired; });
+  {
+    Platform platform(engine, PlatformConfig{});
+    platform.setup_infrastructure();
+    Topology topo("one-worker");
+    const TaskId src = topo.add_source("src");
+    const TaskId worker = topo.add_worker("A");
+    const TaskId sink = topo.add_sink("sink");
+    topo.add_edge(src, worker);
+    topo.add_edge(worker, sink);
+    topo.validate();
+    const std::vector<VmId> vms =
+        platform.cluster().provision_n(cluster::VmType::D2, 1, "w");
+    RoundRobinScheduler scheduler;
+    platform.deploy(std::move(topo), vms, scheduler);
+    ASSERT_EQ(engine.pending(), 1u);
+  }
+  EXPECT_EQ(engine.pending(), 1u);
+  engine.run();
+  EXPECT_EQ(fired, 1);
+}
+
 TEST(Checkpoint, ConcurrentCheckpointRejected) {
   Harness h(testutil::mini_chain());
   h.p().start();

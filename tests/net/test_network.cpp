@@ -5,6 +5,7 @@
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
 #include "net/network.hpp"
+#include "sim/copy_count.hpp"
 #include "sim/engine.hpp"
 
 namespace rill::net {
@@ -130,6 +131,24 @@ TEST_F(NetFixture, SendBetweenSlotsRoutesByHostVm) {
   net.send_between_slots(s1, s3, 0, [&] { cross = engine.now(); });
   engine.run();
   EXPECT_LT(same, cross);
+}
+
+TEST_F(NetFixture, SendBuildsTheDeliveryInPlace) {
+  // send() forwards the delivery callable to the engine, which builds it
+  // in the slot it fires from: one copy of the capture into the lambda, at
+  // most one move, and none on arrival.
+  Network net = make();
+  testutil::CopyCount count;
+  testutil::Counted probe(count);
+  int delivered = 0;
+  net.send(vm1, vm2, 64, [probe, &delivered] { ++delivered; });
+  EXPECT_EQ(count.copies, 1);
+  EXPECT_LE(count.moves, 1);
+  const int moves = count.moves;
+  engine.run();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(count.copies, 1);
+  EXPECT_EQ(count.moves, moves);
 }
 
 }  // namespace

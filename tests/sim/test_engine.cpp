@@ -4,10 +4,12 @@
 #include <array>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
 #include "dsps/event.hpp"
+#include "sim/copy_count.hpp"
 #include "sim/engine.hpp"
 
 namespace rill::sim {
@@ -202,9 +204,10 @@ TEST(Engine, PendingExcludesCancelled) {
 }
 
 TEST(Engine, RescheduleFromOwnCallbackReusesSlotSafely) {
-  // A callback scheduling more work while its own slot is being recycled
-  // is the acker's resend idiom; the engine must release the slot before
-  // invoking, so the nested schedule may land in it.
+  // A callback scheduling its own successor is the acker's resend idiom.
+  // The running callback keeps its slot until it returns, so each
+  // successor lands in another slot, and two slots alternate down the
+  // chain.
   Engine e;
   int chain = 0;
   std::function<void()> again = [&] {
@@ -254,9 +257,10 @@ TEST(Engine, CancelDestroysCapturedStateImmediately) {
 }
 
 TEST(Engine, CallbackGrowingTheSlotVectorCompletes) {
-  // The running callback was moved out of its slot, so the slot vector can
-  // reallocate under it while it schedules; the nested timers still fire
-  // in (time, seq) order.
+  // The running callback stays in its slot while it schedules enough
+  // timers to add several slot chunks.  Chunks never move, so its captures
+  // stay valid (payload is read after the growth), and the nested timers
+  // still fire in (time, seq) order.
   Engine e;
   constexpr int kTimers = 1000;
   std::vector<int> fired;
@@ -278,6 +282,79 @@ TEST(Engine, CallbackGrowingTheSlotVectorCompletes) {
     return (kTimers - a) % 7 < (kTimers - b) % 7;
   });
   EXPECT_EQ(fired, expected);
+}
+
+TEST(Engine, DefaultTimerIdCancelsNothing) {
+  // A default TimerId is what a handle member holds before it is armed.
+  // Cancelling one must not hit the callback waiting in the first slot.
+  Engine e;
+  int fired = 0;
+  e.schedule_detached(time::ms(1), [&] { ++fired; });
+  EXPECT_FALSE(e.cancel(TimerId{}));
+  EXPECT_EQ(e.pending(), 1u);
+  e.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(e.cancel(TimerId{}));
+}
+
+TEST(Engine, ScheduleBuildsTheCallableInPlace) {
+  // The capture is copied once into the lambda, and the lambda is moved at
+  // most once, into its slot.  Firing runs it there and cancelling
+  // destroys it there: neither moves it again.
+  Engine e;
+  testutil::CopyCount fired_count;
+  testutil::CopyCount cancelled_count;
+  testutil::Counted fired_probe(fired_count);
+  testutil::Counted cancelled_probe(cancelled_count);
+  e.schedule_detached(time::ms(1), [fired_probe] {});
+  const TimerId id = e.schedule(time::ms(2), [cancelled_probe] {});
+  EXPECT_EQ(fired_count.copies, 1);
+  EXPECT_LE(fired_count.moves, 1);
+  EXPECT_EQ(cancelled_count.copies, 1);
+  EXPECT_LE(cancelled_count.moves, 1);
+  const int fired_moves = fired_count.moves;
+  const int cancelled_moves = cancelled_count.moves;
+  EXPECT_TRUE(e.cancel(id));
+  e.run();
+  EXPECT_EQ(e.executed(), 1u);
+  EXPECT_EQ(fired_count.copies, 1);
+  EXPECT_EQ(fired_count.moves, fired_moves);
+  EXPECT_EQ(cancelled_count.copies, 1);
+  EXPECT_EQ(cancelled_count.moves, cancelled_moves);
+}
+
+TEST(Engine, CallbackThrowingOutOfRunLeavesTheEngineConsistent) {
+  // An exception escapes run() with its event counted as executed.  The
+  // thrower's captures, inline or heap-stored, are destroyed with it, its
+  // slot is free again, and the rest of the queue is untouched.
+  Engine e;
+  auto token = std::make_shared<int>(0);
+  std::array<char, 2 * Callback::kInlineBytes> pad{};
+  int fired = 0;
+  e.schedule_detached(time::ms(1),
+                      [token] { throw std::runtime_error("inline capture"); });
+  e.schedule_detached(time::ms(2), [token, pad] {
+    static_cast<void>(pad);
+    throw std::runtime_error("heap-stored capture");
+  });
+  e.schedule_detached(time::ms(3), [&] { ++fired; });
+  EXPECT_THROW(e.run(), std::runtime_error);
+  EXPECT_EQ(e.now(), static_cast<SimTime>(time::ms(1)));
+  EXPECT_EQ(e.executed(), 1u);
+  EXPECT_EQ(e.pending(), 2u);
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_THROW(e.run(), std::runtime_error);
+  EXPECT_EQ(e.executed(), 2u);
+  EXPECT_EQ(e.pending(), 1u);
+  EXPECT_EQ(token.use_count(), 1);
+
+  const TimerId next = e.schedule(time::ms(1), [&] { ++fired; });
+  EXPECT_EQ(e.pending(), 2u);
+  e.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(e.cancel(next));
+  EXPECT_EQ(e.executed(), 4u);
+  EXPECT_EQ(e.pending(), 0u);
 }
 
 TEST(Engine, ExecutedCounter) {

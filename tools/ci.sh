@@ -204,15 +204,17 @@ if [ "$run_asan" = 1 ]; then
   # outages, DSM-T, logic updates, shard outages, cluster release, DSM
   # fallback, controller queue) drive the worker start-up callbacks that
   # capture an executor by reference, the re-pin path and the INIT-session
-  # teardown.
-  echo "==> asan: configure + build + fast chaos/FGM/codec/control subset"
+  # teardown.  The engine suites (Engine, the EngineReference differential
+  # test, PeriodicTimer) check that callbacks running in place in their
+  # slots never touch a freed or reused slot, also when one throws.
+  echo "==> asan: configure + build + fast chaos/FGM/codec/control/engine subset"
   cmake --preset asan
   cmake --build --preset asan -j "$jobs"
   asan_subset='Chaos|CaptureWindow|Fgm|StatePartition|ExtractPartition'
   asan_subset+='|Checkpoint|TaskState|EventSerde|^Bytes\.'
   asan_subset+='|RebalanceFixture|ScopedRepin|RestoreOutage|CommitOutage'
   asan_subset+='|DsmTimeout|LogicUpdate|ShardOutage|ClusterFixture|DsmFallback'
-  asan_subset+='|ControllerQueue'
+  asan_subset+='|ControllerQueue|^Engine|EngineReference|PeriodicTimer'
   ctest --preset asan -j "$jobs" -R "$asan_subset"
 fi
 
