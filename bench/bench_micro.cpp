@@ -53,9 +53,7 @@ void BM_EngineCancelHeavy(benchmark::State& state) {
       timers.push_back(engine.schedule(time::sec(30) + time::us(i), [] {}));
     }
     for (int i = 0; i < n; ++i) {
-      // lint: nodiscard-ok(benchmark measures cancel cost; verdict irrelevant)
-      if (i % 16 != 0)
-        (void)engine.cancel(timers[static_cast<std::size_t>(i)]);
+      if (i % 16 != 0) engine.cancel(timers[static_cast<std::size_t>(i)]);
     }
     engine.run();
     benchmark::DoNotOptimize(engine.executed());

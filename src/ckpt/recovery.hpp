@@ -72,7 +72,6 @@ class RecoveryTracker {
       const noexcept {
     return records_;
   }
-  [[nodiscard]] bool window_open() const noexcept { return open_; }
 
  private:
   void maybe_close(SimTime at);

@@ -22,6 +22,11 @@ using SimDuration = std::int64_t;
 
 inline constexpr SimTime kSimTimeMax = std::numeric_limits<SimTime>::max();
 
+/// Longest time a command-line flag may give: half of SimDuration's range,
+/// so a run's own offsets added to it cannot overflow.
+inline constexpr SimDuration kMaxFlagTime =
+    std::numeric_limits<SimDuration>::max() / 2;
+
 /// Convenience constructors.  `5 * time::sec` style arithmetic is
 /// deliberately avoided; call sites read `time::sec(5)`.
 namespace time {

@@ -71,7 +71,6 @@ class AckerService {
   [[nodiscard]] const AckerStats& stats() const noexcept { return stats_; }
 
   [[nodiscard]] SimDuration timeout() const noexcept { return ack_timeout_; }
-  void set_timeout(SimDuration t) noexcept { ack_timeout_ = t; }
 
   /// Flight recorder: timeout scans that expire roots emit an instant.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }

@@ -23,10 +23,8 @@ CheckpointCoordinator::~CheckpointCoordinator() {
   // deadline timers capture `this` and would fire into a destroyed
   // coordinator if the engine keeps running (tests tear platforms down
   // while the engine lives on).  Cancel both; a cleared TimerId is a no-op.
-  // lint: nodiscard-ok(cancel-if-pending: false just means it never armed)
-  static_cast<void>(platform_.engine().cancel(init_resend_timer_));
-  // lint: nodiscard-ok(cancel-if-pending: false just means it never armed)
-  static_cast<void>(platform_.engine().cancel(init_deadline_timer_));
+  platform_.engine().cancel(init_resend_timer_);
+  platform_.engine().cancel(init_deadline_timer_);
 }
 
 void CheckpointCoordinator::start_periodic() {
@@ -38,8 +36,7 @@ void CheckpointCoordinator::start_periodic() {
 void CheckpointCoordinator::stop_periodic() {
   if (!periodic_running_) return;
   periodic_running_ = false;
-  // lint: nodiscard-ok(cancel-if-pending: false just means the tick already fired)
-  static_cast<void>(platform_.engine().cancel(periodic_timer_));
+  platform_.engine().cancel(periodic_timer_);
 }
 
 bool CheckpointCoordinator::periodic_running() const noexcept {
@@ -64,8 +61,7 @@ void CheckpointCoordinator::arm_periodic() {
 void CheckpointCoordinator::apply_interval(SimDuration interval) {
   platform_.config_mut().checkpoint_interval = interval;
   if (!periodic_running_) return;
-  // lint: nodiscard-ok(cancel-if-pending: false just means the tick already fired)
-  static_cast<void>(platform_.engine().cancel(periodic_timer_));
+  platform_.engine().cancel(periodic_timer_);
   arm_periodic();
 }
 
@@ -426,10 +422,8 @@ void CheckpointCoordinator::end_init_session(std::optional<RootId> completed) {
   clear_init_prefetch();
   // Either timer may have fired.  On the deadline path this runs inside the
   // deadline's own callback, whose id the engine already retired.
-  // lint: nodiscard-ok(cancel-if-pending: either timer may have fired)
-  static_cast<void>(platform_.engine().cancel(init_resend_timer_));
-  // lint: nodiscard-ok(cancel-if-pending: either timer may have fired)
-  static_cast<void>(platform_.engine().cancel(init_deadline_timer_));
+  platform_.engine().cancel(init_resend_timer_);
+  platform_.engine().cancel(init_deadline_timer_);
   for (RootId r : init_.outstanding) {
     if (r != completed) platform_.acker().forget(r);
   }

@@ -745,8 +745,6 @@ void Executor::continue_init_fetch(std::shared_ptr<InitFetch> fetch,
     return;
   }
   const std::uint64_t epoch = epoch_;
-  // lint: nodiscard-ok(Store::get is the async void overload — the result
-  // arrives through the completion callback, not the return value)
   platform_.store().get(
       platform_.cluster().vm_of(slot_), key,
       [this, ev, epoch, span, consume](bool ok, std::optional<Bytes> raw) {
@@ -915,8 +913,6 @@ void Executor::fgm_move_next_batch(std::function<void(FgmMoveOutcome)> done) {
           done(FgmMoveOutcome::Failed);
           return;
         }
-        // lint: nodiscard-ok(Store::get is the async void overload — the
-        // result arrives through the completion callback)
         platform_.store().get(
             platform_.cluster().vm_of(fgm_shadow_slot_), key,
             [this, done, keep, epoch, batch,

@@ -184,9 +184,6 @@ class RILL_PINNED Executor {
   [[nodiscard]] bool fgm_shadow_is_ready() const noexcept {
     return fgm_shadow_ready_;
   }
-  [[nodiscard]] SlotId fgm_shadow_slot() const noexcept {
-    return fgm_shadow_slot_;
-  }
   /// Partitions (including the reserved bucket) not yet moved.
   [[nodiscard]] int fgm_unmoved() const noexcept;
 

@@ -36,20 +36,20 @@ void Platform::setup_infrastructure() {
                                             net::NetworkConfig{}, rng_net_);
   io_vm_ = cluster_.provision(cluster::VmType::D3, "io");
   const int nshards = std::max(1, config_.kv_shards);
-  store_vms_.clear();
+  std::vector<VmId> store_vms;
   for (int i = 0; i < nshards; ++i) {
     // The single-shard VM keeps the historical name so existing traces and
     // reports are unchanged; shards are numbered only when there are many.
     const std::string name =
         nshards == 1 ? std::string("redis") : "redis" + std::to_string(i);
-    store_vms_.push_back(cluster_.provision(cluster::VmType::D3, name));
+    store_vms.push_back(cluster_.provision(cluster::VmType::D3, name));
   }
-  store_vm_ = store_vms_.front();
+  store_vm_ = store_vms.front();
   // The store tier's jitter streams are seeded independently rather than
   // forked from rng_root_, so fault-free runs draw nothing from them and
   // the pre-existing component streams stay byte-identical.
   store_ = std::make_unique<kvstore::ShardedStore>(
-      engine_, *network_, store_vms_, kvstore::StoreConfig{},
+      engine_, *network_, std::move(store_vms), kvstore::StoreConfig{},
       config_.seed ^ 0x5743'4841'4f53'7276ull);
   acker_ = std::make_unique<AckerService>(engine_, config_.ack_timeout);
   coordinator_ = std::make_unique<CheckpointCoordinator>(*this);

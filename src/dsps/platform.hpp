@@ -92,10 +92,6 @@ class RILL_PINNED Platform {
   [[nodiscard]] VmId io_vm() const noexcept { return io_vm_; }
   /// Shard 0's host (the only store VM when kv_shards == 1).
   [[nodiscard]] VmId store_vm() const noexcept { return store_vm_; }
-  /// Every store-tier VM, one per shard.
-  [[nodiscard]] const std::vector<VmId>& store_vms() const noexcept {
-    return store_vms_;
-  }
   [[nodiscard]] const std::vector<VmId>& worker_vms() const noexcept {
     return worker_vms_;
   }
@@ -248,7 +244,6 @@ class RILL_PINNED Platform {
   bool deployed_{false};
   VmId io_vm_{};
   VmId store_vm_{};
-  std::vector<VmId> store_vms_;
   std::vector<VmId> worker_vms_;
 
   /// Worker and sink executors, ordered by (task, replica): task t's

@@ -51,18 +51,6 @@ Placement RoundRobinScheduler::place(const std::vector<InstanceRef>& instances,
   return out;
 }
 
-Placement PackingScheduler::place(const std::vector<InstanceRef>& instances,
-                                  const std::vector<SlotId>& slots,
-                                  const cluster::Cluster& /*cluster*/) const {
-  require_capacity(instances.size(), slots.size());
-  Placement out;
-  out.reserve(instances.size());
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    out.emplace_back(instances[i], slots[i]);  // slots are already VM-major
-  }
-  return out;
-}
-
 Placement LocalityScheduler::place(const std::vector<InstanceRef>& instances,
                                    const std::vector<SlotId>& slots,
                                    const cluster::Cluster& cluster) const {

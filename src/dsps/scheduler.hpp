@@ -2,9 +2,9 @@
 //
 // The paper uses "Storm's default round-robin scheduler ... during initial
 // deployment and on rebalance".  We implement that as RoundRobinScheduler
-// (deal instances across VMs one slot at a time) plus a PackingScheduler
-// (fill each VM before moving on) used by the ablation bench to show how
-// placement locality affects migration behaviour.
+// (deal instances across VMs one slot at a time).  LocalityScheduler, an
+// R-Storm-style alternative, serves the ablation bench; PinnedScheduler
+// replays a recorded placement for the migration abort path.
 #pragma once
 
 #include <map>
@@ -51,18 +51,6 @@ class RoundRobinScheduler final : public Scheduler {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
     return "round-robin";
-  }
-  [[nodiscard]] Placement place(const std::vector<InstanceRef>& instances,
-                                const std::vector<SlotId>& slots,
-                                const cluster::Cluster& cluster) const override;
-};
-
-/// Consolidating scheduler: fill every slot of a VM before the next VM.
-/// Improves locality (fewer network hops) at the price of skew.
-class PackingScheduler final : public Scheduler {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "packing";
   }
   [[nodiscard]] Placement place(const std::vector<InstanceRef>& instances,
                                 const std::vector<SlotId>& slots,

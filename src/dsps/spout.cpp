@@ -43,8 +43,7 @@ void Spout::stop() {
   running_ = false;
   if (gen_armed_) {
     gen_armed_ = false;
-    // lint: nodiscard-ok(cancel-if-pending: false just means the tick already fired)
-    static_cast<void>(platform_.engine().cancel(gen_pending_));
+    platform_.engine().cancel(gen_pending_);
   }
   pump_timer_.stop();
 }
@@ -85,8 +84,7 @@ void Spout::set_rate(double events_per_sec) {
 
   if (gen_armed_) {
     gen_armed_ = false;
-    // lint: nodiscard-ok(cancel-if-pending: rearmed below at the scaled delay)
-    static_cast<void>(platform_.engine().cancel(gen_pending_));
+    platform_.engine().cancel(gen_pending_);
   }
   if (rate_ueps_ == 0) return;  // silence until a later set_rate() > 0
 

@@ -190,9 +190,7 @@ void Store::attempt(VmId client, std::shared_ptr<const Request> req,
                timeout_timer]() mutable {
                 if (*settled) return;
                 *settled = true;
-                // lint: nodiscard-ok(cancel-if-pending: settled flag already
-                // guards the race with the timeout)
-                static_cast<void>(engine_.cancel(timeout_timer));
+                engine_.cancel(timeout_timer);
                 (*done_sp)(true, std::move(reply));
               },
               net::MsgClass::Store);

@@ -175,8 +175,7 @@ void PeriodicTimer::start() {
 void PeriodicTimer::stop() {
   if (!running_) return;
   running_ = false;
-  // lint: nodiscard-ok(cancel-if-pending: false just means the tick already fired)
-  static_cast<void>(engine_.cancel(pending_));
+  engine_.cancel(pending_);
 }
 
 void PeriodicTimer::arm() {

@@ -69,8 +69,8 @@ class Engine {
 
   /// Cancel a pending callback and destroy it (and its captures) at once.
   /// Returns false if it already fired, is running, or was previously
-  /// cancelled.  The queue entry is lazily skipped when it reaches the head.
-  [[nodiscard("cancel() reports whether the callback was still pending")]]
+  /// cancelled, so a cancel-if-pending caller may ignore the result.  The
+  /// queue entry is lazily skipped when it reaches the head.
   bool cancel(TimerId id);
 
   /// Run until the event queue is empty or `limit` (at or after now()) is
@@ -188,9 +188,6 @@ class PeriodicTimer {
   void start();
   void stop();
   [[nodiscard]] bool running() const noexcept { return running_; }
-
-  /// Change the period; takes effect from the next (re)start or tick.
-  void set_period(SimDuration period) noexcept { period_ = period; }
 
  private:
   void arm();

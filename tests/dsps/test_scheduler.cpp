@@ -43,16 +43,6 @@ TEST_F(SchedulerFixture, RoundRobinWrapsWhenOverSubscribed) {
   for (const auto& [vm, n] : counts) EXPECT_EQ(n, 2);
 }
 
-TEST_F(SchedulerFixture, PackingFillsFirstVmFirst) {
-  const auto vms = clu.provision_n(cluster::VmType::D2, 3, "vm");
-  PackingScheduler pack;
-  const Placement p = pack.place(make_instances(3), clu.vacant_slots(), clu);
-  const auto counts = per_vm(p);
-  EXPECT_EQ(counts.at(vms[0]), 2);
-  EXPECT_EQ(counts.at(vms[1]), 1);
-  EXPECT_EQ(counts.count(vms[2]), 0u);
-}
-
 TEST_F(SchedulerFixture, ThrowsWhenNotEnoughSlots) {
   clu.provision(cluster::VmType::D1);
   RoundRobinScheduler rr;

@@ -6,10 +6,7 @@ struct Held {
   Engine& eng_;
   TimerId pending_{};
   ~Held() { stop(); }
-  void stop() {
-    // lint: nodiscard-ok(teardown cancel; false just means it already fired)
-    static_cast<void>(eng_.cancel(pending_));
-  }
+  void stop() { eng_.cancel(pending_); }
   void arm() {
     pending_ = eng_.schedule(5, [this] { tick(); });
   }

@@ -10,8 +10,6 @@ struct TraceStats {
   std::unordered_map<int, long> per_task_;
   double skew_estimate_{0.0};
 
-  [[nodiscard]] bool flush() { return true; }
-
   void tick() {
     // lint: wallclock-ok(diagnostic only; value never reaches the trace)
     auto wall = std::chrono::steady_clock::now();
@@ -21,8 +19,6 @@ struct TraceStats {
       // lint: float-accum-ok(estimate is advisory and never serialized)
       skew_estimate_ += static_cast<double>(n);
     }
-    // lint: nodiscard-ok(flush result is advisory in this diagnostic path)
-    static_cast<void>(this->flush());
   }
 };
 

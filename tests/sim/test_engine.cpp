@@ -91,7 +91,7 @@ TEST(Engine, CancelFromInsideCallback) {
   Engine e;
   int fired = 0;
   const TimerId victim = e.schedule(time::ms(20), [&] { ++fired; });
-  e.schedule_detached(time::ms(10), [&] { (void)e.cancel(victim); });
+  e.schedule_detached(time::ms(10), [&] { e.cancel(victim); });
   e.run();
   EXPECT_EQ(fired, 0);
 }
@@ -160,7 +160,7 @@ TEST(Engine, CancelledHeadDoesNotAdvanceClock) {
   const TimerId id = e.schedule(time::sec(9), [] {});
   SimTime fired_at = 0;
   e.schedule_detached(time::sec(1), [&] { fired_at = e.now(); });
-  (void)e.cancel(id);
+  e.cancel(id);
   e.run();
   // The cancelled 9 s entry must not drag the clock to 9 s.
   EXPECT_EQ(fired_at, static_cast<SimTime>(time::sec(1)));
@@ -197,7 +197,7 @@ TEST(Engine, PendingExcludesCancelled) {
   const TimerId a = e.schedule(time::ms(1), [] {});
   e.schedule_detached(time::ms(2), [] {});
   EXPECT_EQ(e.pending(), 2u);
-  (void)e.cancel(a);
+  e.cancel(a);
   EXPECT_EQ(e.pending(), 1u);
   e.run();
   EXPECT_EQ(e.pending(), 0u);

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: RelWithDebInfo build + full test suite, then the ASan
 # preset (build + the fast chaos/FGM teardown, codec and control-plane
-# subset). The TSan
-# preset (`--tsan`) is opt-in: it builds the tree and runs the RillLint
-# suite, which drives the one threaded component — rill_lint's --jobs
-# worker pool.  The simulator itself is single-threaded.
+# subset).  The TSan preset (`--tsan`) is opt-in and only builds the
+# tree: nothing starts a thread yet, so no test has one to check.
 #
-# A lint gate runs right after the default-preset tests:
-#   * rill_lint (tools/lint) enforces the determinism rules R1–R4, the
+# The default-preset build itself rejects a discarded [[nodiscard]]
+# result (-Werror=unused-result).  A lint gate runs right after the
+# default-preset tests:
+#   * rill_lint (tools/lint) enforces the determinism rules R1–R3, the
 #     metric-name grammar R5 and the callback-lifetime rule R6 over src/
 #     bench/ tools/ and must report zero findings — any new violation
 #     fails the gate (there is no committed baseline; the tree is clean);
@@ -92,8 +92,8 @@ echo "==> tier-1: ctest (default preset)"
 ctest --preset default -j "$jobs"
 
 if [ "$run_lint" = 1 ]; then
-  echo "==> lint gate: rill_lint (rules R1-R6)"
-  ./build/tools/lint/rill_lint --root . --jobs "$jobs"
+  echo "==> lint gate: rill_lint (rules R1-R3, R5, R6)"
+  ./build/tools/lint/rill_lint --root .
 
   if command -v clang-tidy >/dev/null 2>&1; then
     echo "==> lint gate: clang-tidy (.clang-tidy profile)"
@@ -219,14 +219,12 @@ if [ "$run_asan" = 1 ]; then
 fi
 
 if [ "$run_tsan" = 1 ]; then
-  # The simulator is single-threaded; the one threaded component is
-  # rill_lint's --jobs worker pool, which the RillLint suite drives with
-  # up to 8 workers.  The full build keeps the rest of the tree
-  # instrumentation-clean.
-  echo "==> tsan: configure + build + rill_lint suite"
+  # Build only: the simulator and rill_lint are single-threaded.  ROADMAP
+  # item 3's campaign runner will start the first threads; its tests run
+  # here then.
+  echo "==> tsan: configure + build"
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"
-  ctest --preset tsan -j "$jobs" -R '^RillLint\.'
 fi
 
 echo "==> ci.sh: all requested suites passed"

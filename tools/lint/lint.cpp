@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstddef>
-#include <functional>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -218,7 +215,6 @@ struct FileInfo {
   // itself to its own R2.
   std::set<std::string> unordered_vars;
   std::set<std::string> unordered_accessors;
-  std::set<std::string> nodiscard_funcs;
   std::set<std::string> float_fields;
   // Class model inputs for R6.
   std::vector<ScanClass> classes;
@@ -387,27 +383,6 @@ void index_file(FileInfo& info) {
       continue;
     }
 
-    // `[[nodiscard...]]` — record the first function name it decorates.
-    if (t[i].text == "nodiscard" && i > 0 && t[i - 1].text == "[[") {
-      std::size_t j = i + 1;
-      while (j < t.size() && t[j].text != "]]") ++j;
-      ++j;
-      int angle = 0;
-      for (std::size_t steps = 0; j < t.size() && steps < 64; ++j, ++steps) {
-        const std::string& x = t[j].text;
-        if (x == ";" || x == "{" || x == "}" || x == "=") break;
-        if (x == "<") ++angle;
-        if (x == ">" && angle > 0) --angle;
-        if (angle == 0 && t[j].kind == TokKind::Ident && j + 1 < t.size() &&
-            t[j + 1].text == "(" && x != "operator" && x != "decltype" &&
-            x != "noexcept") {
-          info.nodiscard_funcs.insert(x);
-          break;
-        }
-      }
-      continue;
-    }
-
     // float/double field declarations on the report surface (for R3).
     if (info.report_surface && (name == "double" || name == "float") &&
         i + 2 < t.size() && t[i + 1].kind == TokKind::Ident) {
@@ -425,7 +400,6 @@ struct Scope {
   // Union over the file's include closure (ordered: see FileInfo).
   std::set<std::string> unordered_vars;
   std::set<std::string> unordered_accessors;
-  std::set<std::string> nodiscard_funcs;
   std::set<std::string> float_fields;
 };
 
@@ -580,94 +554,6 @@ void check_r3(const std::string& path, const FileInfo& info, const Scope& scope,
   }
 }
 
-void check_r4(const std::string& path, const FileInfo& info, const Scope& scope,
-              std::vector<Finding>& out) {
-  const std::vector<Token>& t = info.lexed.tokens;
-  for (std::size_t i = 1; i + 1 < t.size(); ++i) {
-    if (t[i].kind != TokKind::Ident) continue;
-    if (!scope.nodiscard_funcs.contains(t[i].text)) continue;
-    if (t[i + 1].text != "(") continue;
-    // Member calls only: a receiver keeps declarations (`TimerId schedule(`)
-    // and definitions (`Engine::schedule(`) out of the match.
-    const std::string& recv = t[i - 1].text;
-    if (recv != "." && recv != "->") continue;
-
-    const std::size_t close = match_paren_fwd(t, i + 1);
-    if (close + 1 >= t.size()) continue;
-    const std::string& nxt = t[close + 1].text;
-
-    bool explicit_discard = false;
-    if (nxt == ")") {
-      // `static_cast<void>(x.f());` — the call's close is nested one level.
-      const std::size_t open = match_paren_back(t, close + 1);
-      const bool cast = open >= 4 && t[open - 1].text == ">" &&
-                        t[open - 2].text == "void" && t[open - 3].text == "<" &&
-                        t[open - 4].text == "static_cast";
-      if (!(cast && close + 2 < t.size() && t[close + 2].text == ";")) continue;
-      explicit_discard = true;
-    } else if (nxt != ";") {
-      continue;  // result feeds an expression — consumed
-    }
-
-    if (!explicit_discard) {
-      // Walk back across the receiver chain (`a.b().c[i].f`) to the token
-      // before the statement's first expression.
-      std::size_t j = i - 1;
-      bool bof = false;
-      while (t[j].text == "." || t[j].text == "->") {
-        if (j == 0) { bof = true; break; }
-        --j;
-        if (t[j].text == ")") {
-          j = match_paren_back(t, j);
-          if (j == 0) { bof = true; break; }
-          --j;
-          if (t[j].kind == TokKind::Ident) {
-            if (j == 0) { bof = true; break; }
-            --j;
-          }
-        } else if (t[j].text == "]") {
-          j = match_bracket_back(t, j);
-          if (j == 0) { bof = true; break; }
-          --j;
-          if (t[j].kind == TokKind::Ident) {
-            if (j == 0) { bof = true; break; }
-            --j;
-          }
-        } else if (t[j].kind == TokKind::Ident) {
-          if (j == 0) { bof = true; break; }
-          --j;
-        } else {
-          break;
-        }
-      }
-      const std::string prev = bof ? ";" : t[j].text;
-      if (prev == ";" || prev == "{" || prev == "}") {
-        // Plain statement-level discard.
-      } else if (prev == ")") {
-        // `(void)x.f();` is an explicit discard; any other `...) x.f();`
-        // is a control clause (`if (...) x.f();`) — still a discard.
-        explicit_discard =
-            j >= 2 && t[j - 1].text == "void" && t[j - 2].text == "(";
-      } else {
-        continue;  // assignment, return, argument, ... — consumed
-      }
-    }
-
-    if (waived(info.lexed, t[i].line, "nodiscard")) continue;
-    if (explicit_discard) {
-      emit(out, path, t[i], "R4/nodiscard",
-           "explicitly discarded result of [[nodiscard]] call '" + t[i].text +
-               "' without a waiver",
-           "explain the discard with // lint: nodiscard-ok(reason)");
-    } else {
-      emit(out, path, t[i], "R4/nodiscard",
-           "discarded result of [[nodiscard]] call '" + t[i].text + "'",
-           "consume the result, or discard explicitly with "
-           "static_cast<void>(...) plus // lint: nodiscard-ok(reason)");
-    }
-  }
-}
-
 /// R5: instrument names.  At a member call to one of the recording APIs
 /// (counter / gauge / histogram / instant / begin / span_at), every string
 /// literal at argument depth 1 must match [a-z0-9_.]+ and must not be an
@@ -684,10 +570,9 @@ bool clean_metric_name(std::string_view body) {
 }
 
 void check_r5(const std::string& path, const FileInfo& info,
-              const Options& opts, std::vector<Finding>& out) {
-  for (const std::string& prefix : opts.name_helper_allowlist) {
-    if (path.rfind(prefix, 0) == 0) return;
-  }
+              std::vector<Finding>& out) {
+  // The one naming helper may concatenate name parts.
+  if (path.starts_with("src/obs/names")) return;
   static const std::unordered_set<std::string> kInstruments = {
       "counter", "gauge", "histogram", "instant", "begin", "span_at"};
   const std::vector<Token>& t = info.lexed.tokens;
@@ -998,16 +883,16 @@ struct ClassInfo {
 };
 using ClassModel = std::map<std::string, ClassInfo>;
 
-ClassModel build_model(const std::vector<const FileInfo*>& order) {
+ClassModel build_model(const std::map<std::string, FileInfo>& infos) {
   ClassModel model;
-  for (const FileInfo* fi : order) {
-    for (const ScanClass& c : fi->classes) {
+  for (const auto& [path, info] : infos) {
+    for (const ScanClass& c : info.classes) {
       ClassInfo& ci = model[c.name];
       ci.pinned = ci.pinned || c.pinned;
       ci.members.insert(c.members.begin(), c.members.end());
     }
-    const std::vector<Token>& t = fi->lexed.tokens;
-    for (const ScanRegion& r : fi->regions) {
+    const std::vector<Token>& t = info.lexed.tokens;
+    for (const ScanRegion& r : info.regions) {
       std::set<std::string>& ids = model[r.cls].method_idents[r.method];
       for (std::size_t j = r.begin; j < r.end && j < t.size(); ++j) {
         if (t[j].kind == TokKind::Ident) ids.insert(t[j].text);
@@ -1079,17 +964,24 @@ std::size_t prev_before_receiver(const std::vector<Token>& t, std::size_t i) {
 }
 
 void check_r6(const std::string& path, const FileInfo& info,
-              const ClassModel& model, const Options& opts,
-              std::vector<Finding>& out) {
+              const ClassModel& model, std::vector<Finding>& out) {
+  // Handle-returning schedulers: the "member handle + destructor cancel"
+  // legality route applies only to these.
+  static const std::unordered_set<std::string> kHandleSchedulers = {
+      "schedule", "schedule_at"};
+  // Every API whose lambda arguments R6 checks: the handle schedulers, the
+  // fire-and-forget ones (no handle to cancel, so a raw-`this`/by-ref
+  // capture needs RILL_PINNED or a waiver) and the net/kvstore
+  // completion-callback APIs.
+  static const std::unordered_set<std::string> kCallbackApis = {
+      "schedule", "schedule_at", "schedule_detached", "schedule_at_detached",
+      "send", "send_between_slots", "put", "get", "del", "put_batch", "mget",
+      "mdel", "put_pipelined"};
   const std::vector<Token>& t = info.lexed.tokens;
-  std::set<std::string> handles(opts.handle_schedulers.begin(),
-                                opts.handle_schedulers.end());
-  std::set<std::string> all = handles;
-  all.insert(opts.detached_schedulers.begin(), opts.detached_schedulers.end());
-  all.insert(opts.callback_apis.begin(), opts.callback_apis.end());
 
   for (std::size_t i = 1; i + 1 < t.size(); ++i) {
-    if (t[i].kind != TokKind::Ident || !all.contains(t[i].text)) continue;
+    if (t[i].kind != TokKind::Ident || !kCallbackApis.contains(t[i].text))
+      continue;
     if (t[i + 1].text != "(") continue;
     const std::string& recv = t[i - 1].text;
     if (recv != "." && recv != "->") continue;
@@ -1105,7 +997,7 @@ void check_r6(const std::string& path, const FileInfo& info,
     // Legality route (a): the returned handle is stored into a member of
     // the enclosing class whose destructor cancels that member.
     bool handle_held = false;
-    if (handles.contains(t[i].text) && encl != nullptr) {
+    if (kHandleSchedulers.contains(t[i].text) && encl != nullptr) {
       const std::size_t p = prev_before_receiver(t, i);
       if (p != kNpos && p >= 1 && t[p].text == "=" &&
           t[p - 1].kind == TokKind::Ident &&
@@ -1168,69 +1060,29 @@ void check_r6(const std::string& path, const FileInfo& info,
   }
 }
 
-/// Chunk-free work-stealing parallel loop; `body(i)` must be safe to run
-/// concurrently for distinct `i`.
-void parallel_for(std::size_t n, int jobs,
-                  const std::function<void(std::size_t)>& body) {
-  const int workers =
-      static_cast<int>(std::min<std::size_t>(jobs > 1 ? jobs : 1, n));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  const auto drain = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n) return;
-      body(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers) - 1);
-  for (int w = 1; w < workers; ++w) pool.emplace_back(drain);
-  drain();
-  for (std::thread& th : pool) th.join();
-}
-
 }  // namespace
 
 std::vector<Finding> run(const std::vector<SourceFile>& files,
                          const Options& opts) {
-  // Deterministic processing order regardless of input order or job count.
-  std::vector<std::size_t> order(files.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return files[a].path < files[b].path;
-  });
-
-  // Pass 1 (parallel): lex, index, and class-scan every file independently.
-  std::vector<FileInfo> slots(files.size());
-  parallel_for(order.size(), opts.jobs, [&](std::size_t k) {
-    const SourceFile& f = files[order[k]];
-    FileInfo& info = slots[k];
+  // Pass 1: lex, index and class-scan every file.  The map keeps the files
+  // in path order, whatever the input order, so everything below runs in
+  // a deterministic order.
+  std::map<std::string, FileInfo> infos;
+  for (const SourceFile& f : files) {
+    const auto [it, fresh] = infos.try_emplace(f.path);
+    if (!fresh) continue;
+    FileInfo& info = it->second;
     info.lexed = lex(f.content);
     info.report_surface = is_report_surface(f.path);
     index_file(info);
     scan_classes(info);
-  });
-
-  std::map<std::string, const FileInfo*> infos;
-  std::vector<const FileInfo*> by_order;
-  std::vector<std::string> paths;
-  by_order.reserve(order.size());
-  paths.reserve(order.size());
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    infos.emplace(files[order[k]].path, &slots[k]);
-    by_order.push_back(&slots[k]);
-    paths.push_back(files[order[k]].path);
   }
 
   // Include-closure edges: resolve quoted includes against src/, the scan
   // root, and the including file's own directory.
   std::unordered_map<std::string, std::vector<std::string>> edges;
   for (const auto& [path, info] : infos) {
-    for (const std::string& inc : info->lexed.quoted_includes) {
+    for (const std::string& inc : info.lexed.quoted_includes) {
       for (const std::string& cand :
            {std::string("src/") + inc, inc,
             dirname_of(path).empty() ? inc : dirname_of(path) + "/" + inc}) {
@@ -1243,31 +1095,23 @@ std::vector<Finding> run(const std::vector<SourceFile>& files,
   }
 
   // Cross-TU class model for R6, merged in sorted file order.
-  const ClassModel model = build_model(by_order);
+  const ClassModel model = build_model(infos);
 
-  // Pass 2 (parallel): per file, union declarations over its include
-  // closure (BFS), then run the rules.  All shared state is read-only.
-  std::vector<std::vector<Finding>> per_file(order.size());
-  parallel_for(order.size(), opts.jobs, [&](std::size_t k) {
-    const std::string& path = paths[k];
-    const FileInfo& info = *by_order[k];
-    std::vector<Finding>& findings = per_file[k];
+  // Pass 2: per file, union declarations over its include closure (BFS),
+  // then run the rules.
+  std::vector<Finding> findings;
+  for (const auto& [path, info] : infos) {
     Scope scope;
-    for (const std::string& seed : opts.nodiscard_seed) {
-      scope.nodiscard_funcs.insert(seed);
-    }
     std::vector<std::string> queue{path};
     std::unordered_set<std::string> seen{path};
     while (!queue.empty()) {
       const std::string cur = std::move(queue.back());
       queue.pop_back();
-      const FileInfo& ci = *infos.at(cur);
+      const FileInfo& ci = infos.at(cur);
       scope.unordered_vars.insert(ci.unordered_vars.begin(),
                                   ci.unordered_vars.end());
       scope.unordered_accessors.insert(ci.unordered_accessors.begin(),
                                        ci.unordered_accessors.end());
-      scope.nodiscard_funcs.insert(ci.nodiscard_funcs.begin(),
-                                   ci.nodiscard_funcs.end());
       scope.float_fields.insert(ci.float_fields.begin(), ci.float_fields.end());
       const auto e = edges.find(cur);
       if (e == edges.end()) continue;
@@ -1278,16 +1122,10 @@ std::vector<Finding> run(const std::vector<SourceFile>& files,
     check_r1(path, info, opts, findings);
     check_r2(path, info, scope, findings);
     check_r3(path, info, scope, findings);
-    check_r4(path, info, scope, findings);
-    check_r5(path, info, opts, findings);
-    check_r6(path, info, model, opts, findings);
-  });
-
-  std::vector<Finding> findings;
-  for (std::vector<Finding>& v : per_file) {
-    findings.insert(findings.end(), std::make_move_iterator(v.begin()),
-                    std::make_move_iterator(v.end()));
+    check_r5(path, info, findings);
+    check_r6(path, info, model, findings);
   }
+
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               if (a.file != b.file) return a.file < b.file;

@@ -19,10 +19,6 @@
 //                      into trace/report-surface fields.  FP accumulation
 //                      is evaluation-order sensitive; reordering a loop
 //                      changes report bytes.
-//   R4 nodiscard       a call to a [[nodiscard]]-annotated API whose
-//                      result is discarded.  The nodiscard set is derived
-//                      from the scanned headers themselves, so annotating
-//                      an API is all it takes to enforce it tree-wide.
 //   R5 metric-name     instrument name literals (counter / gauge /
 //                      histogram / instant / begin / span_at call sites)
 //                      must match [a-z0-9_.]+, and names must never be
@@ -45,13 +41,17 @@
 //                      schedules), or (c) the site carries a
 //                      `// lint: lifetime-ok(<reason>)` waiver.
 //
+// The numbering skips R4: a discarded [[nodiscard]] result is a compile
+// error (the build passes -Werror=unused-result), which the compiler
+// checks by type, not by name.
+//
 // Waivers: a statement may opt out with a comment on the same line or up
 // to three lines above it:
 //
 //   // lint: unordered-iter-ok(<reason>)
 //   // lint: wallclock-ok(<reason>)
 //   // lint: float-accum-ok(<reason>)
-//   // lint: nodiscard-ok(<reason>)
+//   // lint: float-size-field-ok(<reason>)
 //   // lint: metric-name-ok(<reason>)
 //   // lint: name-concat-ok(<reason>)
 //   // lint: lifetime-ok(<reason>)
@@ -106,32 +106,6 @@ struct Options {
   /// Path prefixes (relative, '/'-separated) exempt from R1 — the
   /// deterministic time/rng shim lives here.
   std::vector<std::string> wallclock_allowlist{"src/common/"};
-  /// Method names treated as [[nodiscard]] even if the annotation is not
-  /// visible in the scanned set (seed list; the scan extends it).
-  std::vector<std::string> nodiscard_seed{"schedule", "schedule_at",
-                                          "cancel"};
-  /// Path prefixes exempt from R5 — the single naming helper lives here
-  /// and is allowed to concatenate name parts.
-  std::vector<std::string> name_helper_allowlist{"src/obs/names"};
-
-  // ---- R6 ----
-  /// Handle-returning scheduler methods: the "member handle + destructor
-  /// cancel" legality route applies only to these.
-  std::vector<std::string> handle_schedulers{"schedule", "schedule_at"};
-  /// Fire-and-forget scheduler methods: a raw-`this`/by-ref capture here
-  /// needs RILL_PINNED or a waiver — there is no handle to cancel.
-  std::vector<std::string> detached_schedulers{"schedule_detached",
-                                               "schedule_at_detached"};
-  /// net/kvstore completion-callback APIs whose lambda arguments R6 also
-  /// checks.
-  std::vector<std::string> callback_apis{"send",  "send_between_slots",
-                                         "put",   "get",
-                                         "del",   "put_batch",
-                                         "mget",  "mdel",
-                                         "put_pipelined"};
-  /// Worker threads for the lex/index and rule passes (1 = sequential).
-  /// Output is deterministic regardless: findings are merged and sorted.
-  int jobs{1};
 };
 
 /// One input file: path is repo-relative with '/' separators.

@@ -8,8 +8,6 @@
 //   --root DIR           repository root (default: .)
 //   --allow PREFIX       extra path prefix exempt from R1 (repeatable)
 //   --list               print scanned file paths and exit
-//   --jobs N             scan with N worker threads (default 1; output is
-//                        deterministic either way)
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 #include <cstdlib>
@@ -34,8 +32,8 @@ bool has_source_ext(const fs::path& p) {
 }
 
 int usage(std::ostream& os, int code) {
-  os << "usage: rill_lint [--root DIR] [--allow PREFIX]... [--jobs N]\n"
-        "                 [--list] [paths...]\n"
+  os << "usage: rill_lint [--root DIR] [--allow PREFIX]... [--list]\n"
+        "                 [paths...]\n"
         "default paths: src bench tools\n";
   return code;
 }
@@ -61,12 +59,6 @@ int main(int argc, char** argv) {
       root = value("--root");
     } else if (arg == "--allow") {
       opts.wallclock_allowlist.push_back(value("--allow"));
-    } else if (arg == "--jobs") {
-      opts.jobs = std::atoi(value("--jobs").c_str());
-      if (opts.jobs < 1) {
-        std::cerr << "rill_lint: --jobs requires a positive integer\n";
-        return usage(std::cerr, 2);
-      }
     } else if (arg == "--list") {
       list_only = true;
     } else if (arg == "-h" || arg == "--help") {

@@ -175,10 +175,8 @@ double parse_num(const char* argv0, const std::string& flag,
   return v;
 }
 
-/// Longest time a flag may give, in seconds: half of SimDuration's range,
-/// so the run's own offsets added to it cannot overflow.
-constexpr double kMaxFlagSec =
-    static_cast<double>(std::numeric_limits<SimDuration>::max()) / 2e6;
+/// Longest time a flag may give, in seconds.
+constexpr double kMaxFlagSec = time::to_sec(kMaxFlagTime);
 
 /// A time in seconds: dies unless 0 <= v <= kMaxFlagSec.
 double check_sec(const char* argv0, const std::string& flag, double v) {

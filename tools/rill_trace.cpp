@@ -8,15 +8,16 @@
 // end-to-end latency within 1%; the post-request slow tail is dominated by
 // migration pause) and exits 0/1; IO or parse failures exit 2.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/time.hpp"
 #include "obs/analysis.hpp"
 #include "obs/registry.hpp"
 #include "obs/slo.hpp"
@@ -47,6 +48,7 @@ void print_help(std::FILE* out, const char* argv0) {
 
 [[noreturn]] void die(const char* argv0, const std::string& msg) {
   std::fprintf(stderr, "%s: %s\n", argv0, msg.c_str());
+  std::fprintf(stderr, "run '%s --help' for the flag reference\n", argv0);
   std::exit(2);
 }
 
@@ -173,20 +175,33 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) die(argv[0], "missing value for " + arg);
       return argv[++i];
     };
+    // Digits only: unlike strtoull, from_chars takes no sign or space and
+    // reports overflow instead of wrapping.
     auto u64 = [&](const std::string& s) -> std::uint64_t {
-      char* end = nullptr;
-      const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-      if (end == s.c_str() || *end != '\0') {
+      std::uint64_t v = 0;
+      const char* last = s.data() + s.size();
+      const auto [end, ec] = std::from_chars(s.data(), last, v);
+      if (ec != std::errc{} || end != last) {
         die(argv[0], "bad value for " + arg + ": '" + s + "'");
+      }
+      return v;
+    };
+    // A time in `unit_us` units, held to rill_run's bound on flag times.
+    auto time_flag = [&](std::uint64_t unit_us) -> std::uint64_t {
+      const std::uint64_t v = u64(next());
+      if (v > static_cast<std::uint64_t>(kMaxFlagTime) / unit_us) {
+        char bound[32];
+        std::snprintf(bound, sizeof bound, "%g", time::to_sec(kMaxFlagTime));
+        die(argv[0], arg + " times must be in [0, " + bound + "] seconds");
       }
       return v;
     };
     if (arg == "--top") {
       top_k = static_cast<std::size_t>(u64(next()));
     } else if (arg == "--slo-p99-ms") {
-      slo_cfg.target_p99_us = u64(next()) * 1000ull;
+      slo_cfg.target_p99_us = time_flag(1000) * 1000;
     } else if (arg == "--slo-window-s") {
-      slo_cfg.window_sec = u64(next());
+      slo_cfg.window_sec = time_flag(1'000'000);
       if (slo_cfg.window_sec == 0) die(argv[0], "--slo-window-s must be > 0");
     } else if (arg == "--check") {
       run_check = true;
