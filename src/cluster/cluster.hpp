@@ -45,6 +45,14 @@ class Cluster {
   /// intra- vs inter-VM latency.
   [[nodiscard]] VmId vm_of(SlotId id) const { return slot(id).vm; }
 
+  /// Adds `delta` (+1 or -1) to the busy count of the VM hosting `slot`.
+  /// dsps::Executor calls it whenever it turns busy or idle and moves its
+  /// entry when it changes slot while busy, so a VM's count is always the
+  /// number of busy executors whose slot is on it.
+  void add_busy(SlotId slot, int delta) { vm_mut(vm_of(slot)).busy += delta; }
+  /// Busy executors on the VM hosting `slot`.
+  [[nodiscard]] int busy_on(SlotId slot) const { return vm(vm_of(slot)).busy; }
+
   /// Occupy / vacate a slot.  Throws if the slot is already taken (occupy)
   /// or already empty (vacate) — double-booking a 1-core slot is a
   /// scheduler bug we want to fail loudly on.

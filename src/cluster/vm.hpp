@@ -63,6 +63,9 @@ struct Vm {
   SimTime provisioned_at{0};
   /// Set when the VM has been released back to the cloud.
   std::optional<SimTime> released_at;
+  /// Instances on this VM serving an event right now: the noisy-neighbour
+  /// model's load figure (see Cluster::add_busy).
+  int busy{0};
 
   [[nodiscard]] bool active() const noexcept { return !released_at.has_value(); }
 };

@@ -144,8 +144,10 @@ struct PlatformConfig {
   /// This is what gives the paper's VM packing its capacity meaning — a
   /// consolidated D3 (4 slots) steals CPU under load where a dedicated D1
   /// does not — and is what the autoscale controller's scale-out relieves.
-  /// 0 (default) disables the model entirely and keeps every baseline
-  /// byte-identical.
+  /// `n` comes from a per-VM busy-executor count the executors keep as
+  /// they start and finish events and change slot, so a tuple costs O(1)
+  /// here however many executors the platform runs.  0 (default) disables
+  /// the model entirely and keeps every baseline byte-identical.
   int vm_steal_permille = 0;
 
   /// Master seed; every component forks its own stream from this.

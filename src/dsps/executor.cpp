@@ -41,10 +41,38 @@ std::string_view numbered_key(KeyBuf& buf, std::string_view prefix, Int n) {
   return {buf.data(), static_cast<std::size_t>(end - buf.data())};
 }
 
+/// The per-version counter the user logic bumps: "v<version>".
+std::string version_key(int version) {
+  KeyBuf buf;
+  return std::string(numbered_key(buf, "v", version));
+}
+
 }  // namespace
 
 Executor::Executor(Platform& platform, InstanceId id, InstanceRef ref)
-    : platform_(platform), id_(id), ref_(ref) {}
+    : platform_(platform), id_(id), ref_(ref) {
+  version_key_ = version_key(logic_version_);
+}
+
+void Executor::bind_slot(SlotId slot) {
+  if (busy_) {
+    platform_.cluster().add_busy(slot_, -1);
+    platform_.cluster().add_busy(slot, +1);
+  }
+  slot_ = slot;
+}
+
+void Executor::set_busy(bool busy) {
+  if (busy == busy_) return;
+  busy_ = busy;
+  platform_.cluster().add_busy(slot_, busy ? +1 : -1);
+}
+
+void Executor::set_logic_version(int v) {
+  logic_version_ = v;
+  version_key_ = version_key(v);
+  version_slot_ = {};
+}
 
 void Executor::trace_end(std::uint64_t span) {
   if (auto* tr = platform_.tracer()) tr->end(span);
@@ -101,7 +129,7 @@ const std::string& Executor::attr_label() {
 void Executor::kill() {
   ++epoch_;
   life_ = LifeState::Dead;
-  busy_ = false;
+  set_busy(false);
   awaiting_init_ = false;
   if (user_in_flight_) {
     // The delivery being serviced dies with the worker.  Charged here (not
@@ -215,7 +243,7 @@ std::uint64_t Executor::buffered_user_events() const noexcept {
 
 void Executor::respawn(SlotId new_slot) {
   ++epoch_;
-  slot_ = new_slot;
+  bind_slot(new_slot);
   life_ = LifeState::Starting;
 }
 
@@ -292,12 +320,12 @@ void Executor::pump() {
     queue_.pop_front();
 
     if (ev.is_control()) {
-      busy_ = true;
+      set_busy(true);
       const std::uint64_t epoch = epoch_;
       platform_.engine().schedule_detached(
           platform_.config().control_handling, [this, ev, epoch] {
             if (epoch != epoch_) return;
-            busy_ = false;
+            set_busy(false);
             std::uint64_t span = obs::kNoSpan;
             if (auto* tr = platform_.tracer()) {
               span = tr->begin(obs::instance_track(id_.value), "task",
@@ -332,7 +360,7 @@ void Executor::pump() {
       continue;
     }
 
-    busy_ = true;
+    set_busy(true);
     user_in_flight_ = true;
     if (auto* at = attributor_for(ev))
       at->on_service_start(ev.id, platform_.engine().now(), attr_label());
@@ -350,7 +378,7 @@ void Executor::pump() {
       }
       user_in_flight_ = false;
       finish_user_event(ev);
-      busy_ = false;
+      set_busy(false);
       pump();
     });
     return;
@@ -358,14 +386,14 @@ void Executor::pump() {
 }
 
 void Executor::apply_user_logic(const Event& ev) {
-  KeyBuf buf;
-  state_["processed"] += 1;
-  state_["sig"] ^= static_cast<std::int64_t>(mix64(ev.id));
-  if (ev.replayed) state_["replayed_seen"] += 1;
+  state_.at(processed_slot_, "processed") += 1;
+  state_.at(sig_slot_, "sig") ^= static_cast<std::int64_t>(mix64(ev.id));
+  if (ev.replayed) state_.at(replayed_slot_, "replayed_seen") += 1;
   if (platform_.topology().task(ref_.task).keyed_state) {
+    KeyBuf buf;
     state_[numbered_key(buf, "key/", ev.key)] += 1;
   }
-  state_[numbered_key(buf, "v", logic_version_)] += 1;
+  state_.at(version_slot_, version_key_) += 1;
 }
 
 void Executor::finish_user_event(const Event& ev) {
@@ -948,7 +976,9 @@ void Executor::fgm_move_next_batch(std::function<void(FgmMoveOutcome)> done) {
 }
 
 void Executor::fgm_finalize() {
-  slot_ = fgm_shadow_slot_;
+  // May run while this executor serves a tuple: bind_slot moves its busy
+  // count to the shadow's VM with it.
+  bind_slot(fgm_shadow_slot_);
   fgm_active_ = false;
   fgm_shadow_ready_ = false;
   fgm_partitions_ = 0;

@@ -99,7 +99,9 @@ class RILL_PINNED Executor {
   [[nodiscard]] InstanceRef ref() const noexcept { return ref_; }
   [[nodiscard]] TaskId task() const noexcept { return ref_.task; }
   [[nodiscard]] SlotId slot() const noexcept { return slot_; }
-  void bind_slot(SlotId slot) noexcept { slot_ = slot; }
+  /// Every write of slot() goes through here: a busy executor's entry in
+  /// the per-VM busy count (Cluster::add_busy) moves with it.
+  void bind_slot(SlotId slot);
 
   // ---- lifecycle (driven by the rebalancer) ----
   /// Kill the worker: drop queued events (counted lost), state, snapshots.
@@ -155,7 +157,7 @@ class RILL_PINNED Executor {
   /// that carry logic updates.  The user logic tags per-version counters
   /// ("v<N>") so tests can audit which version processed which events.
   [[nodiscard]] int logic_version() const noexcept { return logic_version_; }
-  void set_logic_version(int v) noexcept { logic_version_ = v; }
+  void set_logic_version(int v);
 
   // ---- FGM fluid migration (StrategyKind::FGM) ----
   // The executor never pauses: it keeps its old slot while a *shadow* slot
@@ -197,6 +199,9 @@ class RILL_PINNED Executor {
   friend class Platform;
 
   void pump();
+  /// Every write of busy_ goes through here, keeping the per-VM busy count
+  /// (Cluster::add_busy) in step.
+  void set_busy(bool busy);
   void finish_user_event(const Event& ev);
   /// `span` is the flight-recorder span covering this control event's
   /// handling (obs::kNoSpan when tracing is off); each handler closes it at
@@ -294,6 +299,15 @@ class RILL_PINNED Executor {
   std::deque<Event> pend_until_init_;
 
   TaskState state_;
+  /// Cached slots of the fixed keys apply_user_logic updates on every
+  /// event ("key/<n>" varies per event and is probed).
+  TaskState::Handle processed_slot_;
+  TaskState::Handle sig_slot_;
+  TaskState::Handle replayed_slot_;
+  /// "v<logic_version_>" and its cached slot; set_logic_version resets
+  /// both.
+  std::string version_key_;
+  TaskState::Handle version_slot_;
   std::optional<TaskState> prepared_state_;
   std::uint64_t prepared_checkpoint_{0};
   bool committed_this_wave_{false};

@@ -455,12 +455,8 @@ VmId Platform::vm_of_instance(InstanceRef ref) const {
 SimDuration Platform::user_service_time(const Executor& ex) const {
   const TaskDef& def = topology_.task(ex.task());
   if (config_.vm_steal_permille <= 0) return def.service_time;
-  const VmId vm = cluster_.vm_of(ex.slot());
-  std::int64_t busy_neighbours = 0;
-  for (const auto& other : executors_) {
-    if (other.get() == &ex || !other->busy()) continue;
-    if (cluster_.vm_of(other->slot()) == vm) ++busy_neighbours;
-  }
+  const std::int64_t busy_neighbours =
+      cluster_.busy_on(ex.slot()) - (ex.busy() ? 1 : 0);
   return def.service_time +
          def.service_time * config_.vm_steal_permille * busy_neighbours / 1000;
 }

@@ -199,8 +199,10 @@ class RILL_PINNED Platform {
 
   /// Effective service time for a user event at `ex`: the task's base
   /// service time, dilated by vm_steal_permille for every other busy
-  /// executor colocated on the same VM (noisy-neighbour CPU steal).
-  /// Integer-µs arithmetic; with the knob at 0 this is exactly the base.
+  /// executor colocated on the same VM (noisy-neighbour CPU steal).  The
+  /// neighbours are the VM's busy count (Cluster::busy_on) less `ex`
+  /// itself, so this is O(1) in the number of executors.  Integer-µs
+  /// arithmetic; with the knob at 0 this is exactly the base.
   [[nodiscard]] SimDuration user_service_time(const Executor& ex) const;
 
  private:

@@ -1,6 +1,7 @@
 #include "dsps/state.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <functional>
 #include <limits>
@@ -108,6 +109,12 @@ std::size_t index_size_for(std::size_t slots) {
 
 }  // namespace
 
+std::uint64_t StateLayout::next() noexcept {
+  // Atomic so that engines on different threads never hand out one id.
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1) + 1;
+}
+
 bool operator==(const TaskState::Counters& a, const TaskState::Counters& b) {
   if (a.live_ != b.live_ || a.live_bytes_ != b.live_bytes_) return false;
   // Both walks run in key order, so equal tables pair up entry by entry.
@@ -214,20 +221,25 @@ const std::vector<std::uint32_t>& TaskState::Counters::ordered() const {
 }
 
 void TaskState::Counters::compact() {
-  Counters kept;
-  kept.slots_.reserve(live_);
+  std::string arena;
+  std::vector<Slot> slots;
+  std::vector<std::uint32_t> in_order;
+  slots.reserve(live_);
   for (const std::uint32_t id : ordered()) {
     if (!is_live(id)) continue;
     const Slot& s = slots_[id];
-    const auto at = static_cast<std::uint32_t>(kept.arena_.size());
-    kept.slots_.push_back({s.value, at, s.key_len, s.hash, s.flags});
-    kept.arena_.append(key(id));
-    kept.ordered_.push_back(static_cast<std::uint32_t>(kept.ordered_.size()));
+    const auto at = static_cast<std::uint32_t>(arena.size());
+    slots.push_back({s.value, at, s.key_len, s.hash, s.flags});
+    arena.append(key(id));
+    in_order.push_back(static_cast<std::uint32_t>(in_order.size()));
   }
-  kept.live_ = live_;
-  kept.live_bytes_ = live_bytes_;
-  if (!kept.slots_.empty()) kept.grow_index(kept.slots_.size());
-  *this = std::move(kept);
+  arena_ = std::move(arena);
+  slots_ = std::move(slots);
+  ordered_ = std::move(in_order);
+  index_ = std::vector<std::uint32_t>();
+  if (!slots_.empty()) grow_index(slots_.size());
+  // The live slots were renumbered: every handle must probe again.
+  layout_.renew();
 }
 
 void TaskState::clear_dirty() { forget_changes(changed_); }

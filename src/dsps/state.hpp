@@ -14,6 +14,7 @@
 // runs with delta mode off are unchanged on the wire.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <iterator>
 #include <map>
@@ -36,18 +37,52 @@ struct TaskState;
                                           const StatePartitionMap& map, int p);
 void merge_partition(TaskState& state, const TaskState& part);
 
+/// Names one numbering of a TaskState's slots.  Each construction, copy
+/// and assignment, and both sides of a move, take a fresh id from a
+/// process-wide counter, and `renew()` takes one when a compaction
+/// renumbers the slots.  So no two tables share an id, a table never gets
+/// an old id back, and a slot handle (TaskState::Handle) that names the id
+/// it was taken under is valid exactly while that id is current.
+class StateLayout {
+ public:
+  StateLayout() noexcept : id_(next()) {}
+  StateLayout(const StateLayout&) noexcept : id_(next()) {}
+  StateLayout(StateLayout&& other) noexcept : id_(next()) { other.renew(); }
+  StateLayout& operator=(const StateLayout&) noexcept {
+    renew();
+    return *this;
+  }
+  StateLayout& operator=(StateLayout&& other) noexcept {
+    renew();
+    other.renew();
+    return *this;
+  }
+  ~StateLayout() = default;
+
+  void renew() noexcept { id_ = next(); }
+  /// Never 0, which a handle that was never resolved holds.
+  [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
+
+ private:
+  static std::uint64_t next() noexcept;
+
+  std::uint64_t id_;
+};
+
 /// In-memory state of a stateful task instance: one flat slot table.
 ///
 /// Each key written owns a slot holding its value and its
 /// live/dirty/deleted flags; a slot keeps its id until a compaction drops
 /// the slots that are no longer live.  All key bytes sit in one arena, and
 /// an open-addressing hash index maps a key to its slot, so an update is
-/// one hash probe and allocates nothing once the key exists.  A slot whose
-/// flags change since the last `clear_dirty()` is appended once to a
-/// change list, which is what a delta blob and its size are built from.
-/// A key-ordered slot list, re-sorted only after keys were added, drives
-/// every byte that leaves the state, so entries go on the wire in
-/// `std::string` key order, never in hash order.
+/// one hash probe and allocates nothing once the key exists.  A caller
+/// that updates the same key on every event holds a Handle to its slot and
+/// skips the probe.  A slot whose flags change since the last
+/// `clear_dirty()` is appended once to a change list, which is what a
+/// delta blob and its size are built from.  A key-ordered slot list,
+/// re-sorted only after keys were added, drives every byte that leaves the
+/// state, so entries go on the wire in `std::string` key order, never in
+/// hash order.
 ///
 /// Not thread-safe, even for concurrent readers: a const walk may re-sort
 /// the ordered list.
@@ -174,12 +209,16 @@ struct TaskState {
     /// last walk.
     const std::vector<std::uint32_t>& ordered() const;
     /// Drops the slots that are not live.  Only for a table with no change
-    /// recorded, whose dead slots nothing refers to; renumbers the rest.
+    /// recorded, whose dead slots nothing refers to; renumbers the rest
+    /// and renews the layout.
     void compact();
 
     void index_insert(std::uint32_t id);
     void grow_index(std::size_t min_slots);
 
+    /// The numbering of `slots_`; adding a slot or growing the index keeps
+    /// it, since neither moves a slot.
+    StateLayout layout_;
     std::string arena_;
     std::vector<Slot> slots_;
     /// Open addressing with linear probing: slot id + 1, 0 = empty.  Zero
@@ -195,6 +234,17 @@ struct TaskState {
   /// The views are valid until the next insert.
   using KeySet = std::set<std::string_view>;
 
+  /// A cached slot, for a caller that updates one key on every event:
+  /// the slot the key was last found in and the layout id it was found
+  /// under.  A default handle is unresolved.  A handle may be used with
+  /// any number of tables, but always with the same key.
+  class Handle {
+    friend struct TaskState;
+
+    std::uint64_t layout_{0};
+    std::uint32_t slot_{0};
+  };
+
   Counters counters;
 
   /// Mutable access marks the key dirty (and revives it if it was
@@ -203,10 +253,18 @@ struct TaskState {
   /// (an upsert, erase or merge of a key it has not held) or compacts (in
   /// `clear_dirty()` or `hand_over_snapshot()`).
   std::int64_t& operator[](std::string_view key) {
-    const std::uint32_t id = counters.find_or_add(key);
-    if (!counters.is_live(id)) counters.revive(id);
-    mark(id, Counters::kDirty);
-    return counters.slots_[id].value;
+    return upsert(counters.find_or_add(key));
+  }
+  /// `operator[](key)` through `h`, which probes only when `h` was last
+  /// resolved under another layout: in another table, or in this one
+  /// before a copy, move, assignment or compaction.
+  std::int64_t& at(Handle& h, std::string_view key) {
+    if (h.layout_ != counters.layout_.id()) {
+      h.slot_ = counters.find_or_add(key);
+      h.layout_ = counters.layout_.id();
+    }
+    assert(counters.key(h.slot_) == key && "a handle serves one key");
+    return upsert(h.slot_);
   }
 
   /// Removes a key, recording the deletion for the next delta.  An absent
@@ -265,6 +323,13 @@ struct TaskState {
 
   /// Writes the entry count, then each live entry in key order.
   void put_entries(BytesWriter& w) const;
+  /// Mutable access to a slot: revives it if it is not live and marks it
+  /// dirty.
+  std::int64_t& upsert(std::uint32_t id) {
+    if (!counters.is_live(id)) counters.revive(id);
+    mark(id, Counters::kDirty);
+    return counters.slots_[id].value;
+  }
   /// Sets a slot's change flag (dirty or deleted, clearing the other) and
   /// appends the slot to the change list the first time it changes.
   void mark(std::uint32_t id, std::uint8_t change) {

@@ -2,10 +2,13 @@
 // map-and-sets model it replaced (reference_state.hpp).  Both take the same
 // seeded operation sequence; after every step each byte that can leave a
 // state, each size the delta-or-full guard reads, and the recorded change
-// sets must agree.
+// sets must agree.  A share of the upserts go through long-lived slot
+// handles, which must stay right across every operation that copies,
+// moves, assigns or compacts a table.
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -129,26 +132,57 @@ std::vector<std::pair<std::string, std::int64_t>> entries(
   return ::testing::AssertionSuccess();
 }
 
-/// The live state, the snapshot PREPARE hands over into, and their
-/// reference twins.
+/// Slot handles, one per key: one set used only on the live state, one
+/// only on the snapshot, and one on both.  They live for the whole test,
+/// so each meets every operation step() applies to the tables it is used
+/// with.
+class Handles {
+ public:
+  /// `s[k]`, where `s` is the live state or the snapshot: through one of
+  /// `s`'s own handles or a shared one two times in three, else by key.
+  std::int64_t& upsert(TaskState& s, bool live, const std::string& k,
+                       Rng& rng) {
+    const std::uint64_t way = rng.uniform_int(0, 2);
+    if (way == 0) return s[k];
+    std::map<std::string, TaskState::Handle>& set =
+        way == 2 ? shared_ : live ? live_ : snap_;
+    return s.at(set[k], k);
+  }
+
+ private:
+  std::map<std::string, TaskState::Handle> live_;
+  std::map<std::string, TaskState::Handle> snap_;
+  std::map<std::string, TaskState::Handle> shared_;
+};
+
+/// The live state, the snapshot PREPARE hands over into, their reference
+/// twins and the handles used on them.
 struct Models {
   TaskState live;
   TaskState snap;
   ReferenceState ref_live;
   ReferenceState ref_snap;
+  Handles* handles{nullptr};
+
+  std::int64_t& live_at(const std::string& k, Rng& rng) {
+    return handles->upsert(live, /*live=*/true, k, rng);
+  }
+  std::int64_t& snap_at(const std::string& k, Rng& rng) {
+    return handles->upsert(snap, /*live=*/false, k, rng);
+  }
 };
 
 /// Applies one random operation to both models; returns its name.  A
 /// step that builds an intermediate state checks it on the spot.
 const char* step(Models& m, Rng& rng) {
-  const std::uint64_t op = rng.uniform_int(0, 15);
+  const std::uint64_t op = rng.uniform_int(0, 16);
   switch (op) {
     case 0:
     case 1:
     case 2: {
       const std::string k = random_key(rng);
       const auto v = static_cast<std::int64_t>(rng.next() % 1000);
-      m.live[k] += v;
+      m.live_at(k, rng) += v;
       m.ref_live[k] += v;
       return "upsert";
     }
@@ -185,7 +219,7 @@ const char* step(Models& m, Rng& rng) {
       // The production route to a dirty key absent from the map: erased
       // after PREPARE handed it over, then merged back on ROLLBACK.
       const std::string k = random_key(rng);
-      m.live[k] += 1;
+      m.live_at(k, rng) += 1;
       m.ref_live[k] += 1;
       m.live.hand_over_snapshot(m.snap);
       m.ref_live.hand_over_snapshot(m.ref_snap);
@@ -238,16 +272,20 @@ const char* step(Models& m, Rng& rng) {
     case 14: {
       const std::string k = random_key(rng);
       const std::string ghost = ghost_key(rng);
-      m.snap[k] = 5;
+      m.snap_at(k, rng) = 5;
       m.ref_snap[k] = 5;
       m.snap.erase(ghost);
       m.ref_snap.erase(ghost);
       return "mutate snapshot";
     }
+    case 15:
+      m.live = TaskState{};
+      m.ref_live = ReferenceState{};
+      return "reset";
     default: {
       const std::string k = random_key(rng);
       const auto v = static_cast<std::int64_t>(rng.next() % 1000) - 500;
-      m.live[k] = v;
+      m.live_at(k, rng) = v;
       m.ref_live[k] = v;
       return "assign";
     }
@@ -256,8 +294,10 @@ const char* step(Models& m, Rng& rng) {
 
 TEST(TaskStateDifferential, MatchesTheOrderedMapModel) {
   Rng rng(0xD1FFull);
+  Handles handles;
   for (int round = 0; round < 240; ++round) {
     Models m;
+    m.handles = &handles;
     const int steps = static_cast<int>(rng.uniform_int(10, 60));
     for (int i = 0; i < steps; ++i) {
       const char* op = step(m, rng);
