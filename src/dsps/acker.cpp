@@ -26,7 +26,7 @@ void AckerService::register_root(RootId root, OnComplete on_complete,
   p.seq = next_seq_++;
   p.on_complete = std::move(on_complete);
   p.on_fail = std::move(on_fail);
-  pending_[root] = std::move(p);
+  pending_.insert_or_assign(root, std::move(p));
 }
 
 bool AckerService::pending(RootId root) const {
@@ -34,31 +34,31 @@ bool AckerService::pending(RootId root) const {
 }
 
 void AckerService::add(RootId root, EventId event) {
-  auto it = pending_.find(root);
-  if (it == pending_.end()) return;  // root already resolved; late add is a no-op
+  PendingRoot* p = pending_.find(root);
+  if (p == nullptr) return;  // root already resolved; late add is a no-op
   ++stats_.adds;
-  it->second.hash ^= event;
+  p->hash ^= event;
 }
 
 void AckerService::ack(RootId root, EventId event) {
-  auto it = pending_.find(root);
-  if (it == pending_.end()) return;  // late ack after timeout/fail: ignore
+  PendingRoot* p = pending_.find(root);
+  if (p == nullptr) return;  // late ack after timeout/fail: ignore
   ++stats_.acks;
-  it->second.hash ^= event;
-  if (it->second.hash == 0) {
+  p->hash ^= event;
+  if (p->hash == 0) {
     ++stats_.roots_completed;
-    OnComplete cb = std::move(it->second.on_complete);
-    pending_.erase(it);
+    OnComplete cb = std::move(p->on_complete);
+    pending_.erase(p);  // the probe above serves the erase
     if (cb) cb(root);
   }
 }
 
 void AckerService::fail(RootId root) {
-  auto it = pending_.find(root);
-  if (it == pending_.end()) return;
+  PendingRoot* p = pending_.find(root);
+  if (p == nullptr) return;
   ++stats_.roots_failed;
-  OnFail cb = std::move(it->second.on_fail);
-  pending_.erase(it);
+  OnFail cb = std::move(p->on_fail);
+  pending_.erase(p);
   if (cb) cb(root);
 }
 
@@ -76,9 +76,9 @@ void AckerService::scan() {
       expired.emplace_back(p.seq, root);
     }
   }
-  // Fail in registration order, not in hash-bucket order.  Replay
-  // scheduling and trace emission follow the fail order, so bucket order
-  // here would leak stdlib iteration order into the deterministic surface.
+  // Fail in registration order, not in slot order.  Replay scheduling and
+  // trace emission follow the fail order, so slot order here would leak
+  // the table's probe layout into the deterministic surface.
   std::sort(expired.begin(), expired.end());
   if (tracer_ != nullptr && !expired.empty()) {
     tracer_->instant(

@@ -11,9 +11,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 
 #include "common/ids.hpp"
+#include "common/root_table.hpp"
 #include "common/time.hpp"
 #include "sim/engine.hpp"
 
@@ -80,8 +80,8 @@ class AckerService {
     std::uint64_t hash{0};
     SimTime registered_at{0};
     /// Monotone registration sequence; the timeout scan fails expired roots
-    /// in this order so replay never depends on hash-bucket order (root ids
-    /// are random 64-bit values, so sorting by id would be arbitrary).
+    /// in this order so replay never depends on slot order (root ids are
+    /// random 64-bit values, so sorting by id would be arbitrary).
     std::uint64_t seq{0};
     OnComplete on_complete;
     OnFail on_fail;
@@ -93,7 +93,9 @@ class AckerService {
   SimDuration ack_timeout_;
   sim::PeriodicTimer scanner_;
   std::uint64_t next_seq_{0};
-  std::unordered_map<RootId, PendingRoot> pending_;
+  /// Pending roots in one flat table: registering, adding to and acking a
+  /// root allocate nothing once the table has grown to the in-flight set.
+  RootTable<PendingRoot> pending_;
   AckerStats stats_;
   obs::Tracer* tracer_{nullptr};
 };

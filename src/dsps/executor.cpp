@@ -87,15 +87,16 @@ void Executor::settle(const Event& ev, std::uint64_t span, bool forward) {
 template <typename Held>
 void Executor::release_to_front(Held& held, bool migration) {
   const SimTime now = platform_.engine().now();
-  for (auto it = held.rbegin(); it != held.rend(); ++it) {
-    if (auto* at = attributor_for(*it)) {
+  for (std::size_t i = held.size(); i-- > 0;) {
+    const Event& ev = held[i];
+    if (auto* at = attributor_for(ev)) {
       if (migration) {
-        at->on_migration_release(it->id, now);
+        at->on_migration_release(ev.id, now);
       } else {
-        at->on_release(it->id, now);
+        at->on_release(ev.id, now);
       }
     }
-    queue_.push_front(std::move(*it));
+    queue_.push_front(ev);
   }
   held.clear();
 }
@@ -202,15 +203,15 @@ void Executor::kill() {
 
 std::vector<Event> Executor::drain_unprocessed_for_requeue() {
   std::vector<Event> out;
-  const auto take = [&out](std::deque<Event>& q) {
-    std::deque<Event> keep;
-    for (Event& ev : q) {
+  const auto take = [&out](RingQueue<Event>& q) {
+    RingQueue<Event> keep;
+    for (const Event& ev : q) {
       if (ev.is_control()) {
         // Control events stay behind: their wave or INIT session dies with
         // this process and the coordinator re-sends as needed.
-        keep.push_back(std::move(ev));
+        keep.push_back(ev);
       } else {
-        out.push_back(std::move(ev));
+        out.push_back(ev);
       }
     }
     q = std::move(keep);
@@ -222,7 +223,7 @@ std::vector<Event> Executor::drain_unprocessed_for_requeue() {
 }
 
 void Executor::requeue(std::vector<Event> events) {
-  for (Event& ev : events) queue_.push_back(std::move(ev));
+  for (const Event& ev : events) queue_.push_back(ev);
   // No-op while Starting; set_ready()/restore will pump the queue once the
   // respawned worker is accepting work again.
   pump();
@@ -257,10 +258,10 @@ void Executor::set_ready(bool awaiting_init) {
   }
   // Senders' transport clients flush once the worker connection is up.
   while (!transport_buffer_.empty()) {
-    Event& ev = transport_buffer_.front();
+    const Event& ev = transport_buffer_.front();
     if (auto* at = attributor_for(ev))
       at->on_release(ev.id, platform_.engine().now());
-    queue_.push_back(std::move(ev));
+    queue_.push_back(ev);
     transport_buffer_.pop_front();
   }
   pump();
@@ -297,12 +298,12 @@ void Executor::enqueue(Event ev) {
       }
       if (auto* at = attributor_for(ev))
         at->on_enqueue(ev.id, platform_.engine().now());
-      transport_buffer_.push_back(std::move(ev));
+      transport_buffer_.push_back(ev);
       return;
     case LifeState::Running:
       if (auto* at = attributor_for(ev))
         at->on_enqueue(ev.id, platform_.engine().now());
-      queue_.push_back(std::move(ev));
+      queue_.push_back(ev);
       if (platform_.metrics() != nullptr) {
         bind_metrics();
         m_queue_depth_->set(static_cast<double>(queue_.size()));
@@ -316,7 +317,7 @@ void Executor::pump() {
   // Instant branches (capture / pend) loop; timed branches schedule and
   // return, re-entering pump() on completion.
   while (ready() && !busy_ && !queue_.empty()) {
-    Event ev = std::move(queue_.front());
+    const Event ev = queue_.front();
     queue_.pop_front();
 
     if (ev.is_control()) {
@@ -342,7 +343,7 @@ void Executor::pump() {
       // FGM: this tuple's key range is mid-transfer — hold it until the
       // batch commits (or aborts) so the moving partition stays quiescent.
       ++stats_.fgm_diverted;
-      fgm_buffer_.push_back(std::move(ev));
+      fgm_buffer_.push_back(ev);
       continue;
     }
 
@@ -350,13 +351,13 @@ void Executor::pump() {
       // CCR: snapshot the in-flight event instead of processing it.
       ++stats_.captured;
       if (committed_this_wave_) ++stats_.post_commit_arrivals;
-      pending_capture_.push_back(std::move(ev));
+      pending_capture_.push_back(ev);
       continue;
     }
 
     if (awaiting_init_) {
       // Storm's StatefulBoltExecutor pends pre-init tuples.
-      pend_until_init_.push_back(std::move(ev));
+      pend_until_init_.push_back(ev);
       continue;
     }
 

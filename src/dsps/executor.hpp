@@ -14,7 +14,6 @@
 //    replays after migration.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -26,6 +25,7 @@
 
 #include "common/ids.hpp"
 #include "common/pinned.hpp"
+#include "common/ring_queue.hpp"
 #include "common/time.hpp"
 #include "dsps/config.hpp"
 #include "dsps/event.hpp"
@@ -287,16 +287,16 @@ class RILL_PINNED Executor {
   InstanceRef ref_;
   SlotId slot_{};
 
-  std::deque<Event> queue_;
+  RingQueue<Event> queue_;
   bool busy_{false};
   LifeState life_{LifeState::Dead};
   bool awaiting_init_{false};
   /// Deliveries that arrived while Starting (buffered in the senders'
   /// transport clients until the worker connection comes up).
-  std::deque<Event> transport_buffer_;
+  RingQueue<Event> transport_buffer_;
   /// User events pended while awaiting INIT (Storm's StatefulBoltExecutor
   /// buffers pre-init tuples).
-  std::deque<Event> pend_until_init_;
+  RingQueue<Event> pend_until_init_;
 
   TaskState state_;
   /// Cached slots of the fixed keys apply_user_logic updates on every
@@ -361,7 +361,7 @@ class RILL_PINNED Executor {
   int fgm_partitions_{0};
   std::vector<bool> fgm_moved_;
   int fgm_in_flight_{-1};
-  std::deque<Event> fgm_buffer_;
+  RingQueue<Event> fgm_buffer_;
   std::uint64_t fgm_batch_seq_{0};
 
   /// Bumped on kill/respawn so that in-flight scheduled callbacks from a

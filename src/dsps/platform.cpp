@@ -73,6 +73,14 @@ void Platform::deploy(Topology topology, std::vector<VmId> worker_vms,
         static_cast<int>(std::lround(def.selectivity * 1000.0)));
   }
   executors_.resize(executor_base_.back());
+  // Barrier fan-in per task: the coordinator injects one copy per source
+  // in-edge; worker upstream tasks forward one copy per instance.
+  control_fanin_.assign(topology_.tasks().size(), 0);
+  for (const EdgeDef& e : topology_.edges()) {
+    const TaskDef& up = topology_.task(e.from);
+    control_fanin_[e.to.value] +=
+        up.kind == TaskKind::Source ? 1 : up.parallelism;
+  }
 
   // Sources and sinks live on the dedicated I/O VM (paper §5: "they are
   // not migrated, to allow logging of end-to-end statistics").
@@ -418,14 +426,7 @@ void Platform::send_control_from_coordinator(InstanceRef dst_ref, Event ev) {
 }
 
 int Platform::control_fanin(TaskId task) const {
-  int fanin = 0;
-  for (TaskId up : topology_.upstream(task)) {
-    const TaskDef& u = topology_.task(up);
-    // The coordinator injects one copy per source in-edge; worker upstream
-    // tasks forward one copy per instance.
-    fanin += (u.kind == TaskKind::Source) ? 1 : u.parallelism;
-  }
-  return fanin;
+  return control_fanin_.at(task.value);
 }
 
 std::vector<TaskId> Platform::entry_tasks() const {

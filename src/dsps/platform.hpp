@@ -180,7 +180,8 @@ class RILL_PINNED Platform {
   void send_control_from_coordinator(InstanceRef dst, Event ev);
 
   /// Number of control-event copies an instance of `task` must collect for
-  /// barrier alignment of a sequentially-wired wave.
+  /// barrier alignment of a sequentially-wired wave (a table built at
+  /// deploy).
   [[nodiscard]] int control_fanin(TaskId task) const;
 
   /// Entry tasks: workers with at least one Source upstream (per-edge).
@@ -276,6 +277,8 @@ class RILL_PINNED Platform {
   std::vector<Route> routes_;
   /// Each task's selectivity rounded to whole per-mille at deploy.
   std::vector<int> selectivity_permille_;
+  /// control_fanin() per task, built at deploy.
+  std::vector<int> control_fanin_;
 
   PlatformStats stats_;
 };

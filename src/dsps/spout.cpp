@@ -167,7 +167,7 @@ void Spout::emit_root(SimTime born_at, bool replay, RootId origin) {
     platform_.acker().register_root(
         root, [this](RootId r) { on_root_complete(r); },
         [this](RootId r) { on_root_fail(r); });
-    cache_[root] = CachedRoot{born_at, replay, origin};
+    cache_.insert_or_assign(root, CachedRoot{born_at, origin});
   }
 
   Event tmpl;
@@ -212,11 +212,11 @@ void Spout::on_root_complete(RootId root) {
 }
 
 void Spout::on_root_fail(RootId root) {
-  auto it = cache_.find(root);
-  if (it == cache_.end()) return;
-  const SimTime born = it->second.born_at;
-  const RootId origin = it->second.origin;
-  cache_.erase(it);
+  CachedRoot* cached = cache_.find(root);
+  if (cached == nullptr) return;
+  const SimTime born = cached->born_at;
+  const RootId origin = cached->origin;
+  cache_.erase(cached);
   // At-least-once: re-emit the whole causal tree from the source, exactly
   // like Storm replaying a failed tuple.  The fresh root id starts a new
   // acker tree; `origin` keeps the lineage auditable.

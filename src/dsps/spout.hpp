@@ -17,11 +17,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
 
 #include "common/ids.hpp"
+#include "common/ring_queue.hpp"
+#include "common/root_table.hpp"
 #include "common/time.hpp"
 #include "dsps/event.hpp"
 #include "dsps/scheduler.hpp"
@@ -87,9 +87,8 @@ class Spout {
 
  private:
   struct CachedRoot {
-    SimTime born_at;
-    bool replay;     ///< this cache entry is itself a replay
-    RootId origin;   ///< lineage id stable across replays
+    SimTime born_at{0};
+    RootId origin{0};  ///< lineage id stable across replays
   };
 
   void tick();                   ///< periodic external generation
@@ -129,9 +128,9 @@ class Spout {
   /// Optional key-assignment override (Zipf traffic model).
   std::function<std::uint64_t()> key_picker_;
   /// Birth timestamps of generated-but-not-yet-emitted events.
-  std::deque<SimTime> backlog_;
+  RingQueue<SimTime> backlog_;
   /// Roots awaiting causal-tree completion (only when acking is on).
-  std::unordered_map<RootId, CachedRoot> cache_;
+  RootTable<CachedRoot> cache_;
 
   SpoutStats stats_;
 };

@@ -184,7 +184,7 @@ void Topology::validate() {
   validated_ = true;
 }
 
-double Topology::input_rate(TaskId id, double source_rate) const {
+std::vector<double> Topology::input_rates(double source_rate) const {
   // Each out-edge carries (input_rate × selectivity) events/s; a task's
   // input rate is the sum over in-edges.  Computed along topo order.
   std::vector<double> in_rate(tasks_.size(), 0.0);
@@ -192,6 +192,7 @@ double Topology::input_rate(TaskId id, double source_rate) const {
   for (TaskId tid : topo_order()) {
     const TaskDef& t = task(tid);
     if (t.kind == TaskKind::Source) {
+      in_rate[tid.value] = source_rate;
       out_per_edge[tid.value] = source_rate;
       continue;
     }
@@ -202,16 +203,23 @@ double Topology::input_rate(TaskId id, double source_rate) const {
     in_rate[tid.value] = rate;
     out_per_edge[tid.value] = rate * t.selectivity;
   }
+  return in_rate;
+}
+
+double Topology::input_rate(TaskId id, double source_rate) const {
+  const std::vector<double> rates = input_rates(source_rate);
   check_id(id);
-  return task(id).kind == TaskKind::Source ? source_rate : in_rate[id.value];
+  return rates[id.value];
 }
 
 int Topology::autosize_parallelism(double source_rate,
                                    double per_instance_rate) {
+  // Parallelism feeds no rate, so one walk sizes every task.
+  const std::vector<double> rates = input_rates(source_rate);
   int total = 0;
   for (TaskDef& t : tasks_) {
     if (t.kind != TaskKind::Worker) continue;
-    const double rate = input_rate(t.id, source_rate);
+    const double rate = rates[t.id.value];
     t.parallelism = std::max(
         1, static_cast<int>(std::ceil(rate / per_instance_rate - 1e-9)));
     total += t.parallelism;

@@ -129,6 +129,9 @@ class Topology {
 
  private:
   void check_id(TaskId id) const;
+  /// Every task's input rate, indexed by TaskId (a source's is its own
+  /// emission rate): one topo-order walk.
+  [[nodiscard]] std::vector<double> input_rates(double source_rate) const;
 
   std::string name_;
   std::vector<TaskDef> tasks_;

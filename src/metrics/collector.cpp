@@ -9,16 +9,34 @@ void Collector::on_source_emit(const dsps::Event& ev, bool replay) {
   input_.add(ev.emitted_at);
   if (replay) {
     ++replayed_roots_;
-    auto it = roots_.find(ev.origin);
-    if (it == roots_.end()) {
-      roots_[ev.origin] = RootRecord{ev.born_at, 0, true};
-    } else {
-      it->second.replay = true;
-    }
   } else {
     ++roots_emitted_;
-    roots_[ev.origin] = RootRecord{ev.born_at, 0, replay};
   }
+  emits_.push_back(SourceEmit{ev.origin, ev.born_at, arrival_origins_.size(),
+                              replay ? 1u : 0u});
+}
+
+std::map<RootId, RootRecord> Collector::roots() const {
+  std::map<RootId, RootRecord> out;
+  std::size_t next_arrival = 0;
+  const auto count_arrivals_until = [&](std::uint64_t end) {
+    for (; next_arrival < end; ++next_arrival) {
+      auto it = out.find(arrival_origins_[next_arrival]);
+      if (it != out.end()) ++it->second.sink_arrivals;
+    }
+  };
+  for (const SourceEmit& e : emits_) {
+    count_arrivals_until(e.arrivals_before);
+    if (e.replay == 0) {
+      out[e.origin] = RootRecord{e.born_at, 0, false};
+    } else if (auto [it, fresh] =
+                   out.try_emplace(e.origin, RootRecord{e.born_at, 0, true});
+               !fresh) {
+      it->second.replay = true;
+    }
+  }
+  count_arrivals_until(arrival_origins_.size());
+  return out;
 }
 
 void Collector::on_emit(const dsps::Event& ev) {
@@ -38,9 +56,7 @@ void Collector::on_sink_arrival(const dsps::Event& ev, SimTime now) {
   output_.add(now);
   latency_.add(now, static_cast<SimDuration>(now - ev.born_at));
 
-  if (auto it = roots_.find(ev.origin); it != roots_.end()) {
-    ++it->second.sink_arrivals;
-  }
+  arrival_origins_.push_back(ev.origin);
 
   if (request_.has_value() && now >= *request_) {
     if (!first_sink_after_request_) first_sink_after_request_ = now;

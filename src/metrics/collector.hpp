@@ -4,8 +4,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "common/time.hpp"
@@ -15,7 +16,7 @@
 
 namespace rill::metrics {
 
-/// Per-root accounting used by the reliability invariants (exactly-once
+/// Per-origin accounting used by the reliability invariants (exactly-once
 /// delivery per sink path under DCR/CCR, at-least-once under DSM).
 struct RootRecord {
   SimTime born_at{0};
@@ -82,10 +83,12 @@ class Collector final : public dsps::EventListener {
     return last_replayed_arrival_;
   }
 
-  /// Per-root book-keeping (tests).
-  [[nodiscard]] const std::unordered_map<RootId, RootRecord>& roots() const noexcept {
-    return roots_;
-  }
+  /// Per-origin records, ordered by origin (tests).  Rebuilt from the two
+  /// logs on every call, replaying them in the order they were written: a
+  /// fresh emit (re)starts its origin's record, a replay emit marks the
+  /// origin's record (or starts a marked one), and an arrival counts only
+  /// when its origin was emitted before it.
+  [[nodiscard]] std::map<RootId, RootRecord> roots() const;
 
  private:
   std::optional<SimTime> request_;
@@ -104,7 +107,17 @@ class Collector final : public dsps::EventListener {
   std::optional<SimTime> last_old_arrival_;
   std::optional<SimTime> last_replayed_arrival_;
 
-  std::unordered_map<RootId, RootRecord> roots_;
+  /// The root ledger, as two append-only logs: recording a source emit or
+  /// a sink arrival is a push_back, with no per-root lookup or node.
+  struct SourceEmit {
+    RootId origin{0};
+    SimTime born_at{0};
+    /// Sink arrivals logged before this emit: where it falls among them.
+    std::uint64_t arrivals_before : 63 {0};
+    std::uint64_t replay : 1 {0};
+  };
+  std::vector<SourceEmit> emits_;
+  std::vector<RootId> arrival_origins_;
 };
 
 }  // namespace rill::metrics

@@ -201,10 +201,10 @@ std::vector<CauseSummary> LatencyAttributor::summarize() const {
       values.push_back(t.cause_us[c]);
       s.total_us += t.cause_us[c];
     }
-    std::sort(values.begin(), values.end());
-    s.p50_us = nearest_rank(values, 0.50);
-    s.p95_us = nearest_rank(values, 0.95);
-    s.p99_us = nearest_rank(values, 0.99);
+    const NearestRanks ranks = select_nearest_ranks(values);
+    s.p50_us = ranks.p50;
+    s.p95_us = ranks.p95;
+    s.p99_us = ranks.p99;
     out.push_back(s);
   }
   return out;

@@ -17,6 +17,7 @@
 // increments with no allocation.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -26,16 +27,53 @@
 
 namespace rill::obs {
 
+/// Zero-based index of the nearest-rank q-quantile in an ascending sample
+/// of n > 0 values: rank ceil(q·n), clamped to [1, n], less one.
+[[nodiscard]] inline std::size_t nearest_rank_index(std::size_t n, double q) {
+  auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
+  if (rank == 0) rank = 1;
+  if (rank > n) rank = n;
+  return rank - 1;
+}
+
 /// Nearest-rank q-quantile of an ascending-sorted sample: the value at
 /// rank ceil(q·n), clamped to [1, n].  0 for an empty sample.
 [[nodiscard]] inline std::uint64_t nearest_rank(
     const std::vector<std::uint64_t>& sorted, double q) {
   if (sorted.empty()) return 0;
-  const std::size_t n = sorted.size();
-  auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
-  if (rank == 0) rank = 1;
-  if (rank > n) rank = n;
-  return sorted[rank - 1];
+  return sorted[nearest_rank_index(sorted.size(), q)];
+}
+
+struct NearestRanks {
+  std::uint64_t p50{0};
+  std::uint64_t p95{0};
+  std::uint64_t p99{0};
+};
+
+/// The nearest-rank p50, p95 and p99 of `values`, by selection instead of
+/// a sort: p99 by std::nth_element over the whole sample, then p95 over
+/// the prefix below it (which holds exactly the smaller ranks) and p50
+/// over the prefix below that.  Equal to nearest_rank() of the sorted
+/// sample; all zero for an empty one.  Reorders `values`.
+[[nodiscard]] inline NearestRanks select_nearest_ranks(
+    std::vector<std::uint64_t>& values) {
+  if (values.empty()) return {};
+  const std::size_t n = values.size();
+  const std::size_t i99 = nearest_rank_index(n, 0.99);
+  const std::size_t i95 = nearest_rank_index(n, 0.95);
+  const std::size_t i50 = nearest_rank_index(n, 0.50);
+  const auto first = values.begin();
+  std::nth_element(first, first + static_cast<std::ptrdiff_t>(i99),
+                   values.end());
+  if (i95 < i99) {
+    std::nth_element(first, first + static_cast<std::ptrdiff_t>(i95),
+                     first + static_cast<std::ptrdiff_t>(i99));
+  }
+  if (i50 < i95) {
+    std::nth_element(first, first + static_cast<std::ptrdiff_t>(i50),
+                     first + static_cast<std::ptrdiff_t>(i95));
+  }
+  return {values[i50], values[i95], values[i99]};
 }
 
 class Counter {

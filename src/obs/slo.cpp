@@ -1,7 +1,5 @@
 #include "obs/slo.hpp"
 
-#include <algorithm>
-
 #include "obs/names.hpp"
 #include "obs/registry.hpp"
 
@@ -31,13 +29,13 @@ void OnlineSloMonitor::advance_to(SimTime now) {
 }
 
 void OnlineSloMonitor::close_window() {
-  std::sort(current_.begin(), current_.end());
   SloWindow win;
   win.start_sec = open_start_us_ / 1'000'000ull;
   win.count = current_.size();
-  win.p50_us = nearest_rank(current_, 0.50);
-  win.p95_us = nearest_rank(current_, 0.95);
-  win.p99_us = nearest_rank(current_, 0.99);
+  const NearestRanks ranks = select_nearest_ranks(current_);
+  win.p50_us = ranks.p50;
+  win.p95_us = ranks.p95;
+  win.p99_us = ranks.p99;
   if (config_.target_p99_us > 0) {
     // An empty *closed* window after traffic started means the sinks went
     // silent for its whole width — online that is a breach (it may turn

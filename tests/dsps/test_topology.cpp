@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dsps/topology.hpp"
 #include "test_util.hpp"
+#include "workloads/dags.hpp"
 
 namespace rill::dsps {
 namespace {
@@ -156,6 +159,106 @@ TEST(Topology, AutosizeOneInstancePer8EvPerSec) {
   Topology t = testutil::mini_diamond();
   const int total = t.autosize_parallelism(8.0);
   EXPECT_EQ(total, 2 + 1 + 1 + 1);  // D at 16 ev/s needs 2 instances
+}
+
+/// "name:parallelism:input-rate" for every task, in id order.
+std::string sizing(const Topology& t, double source_rate) {
+  std::string out;
+  for (const TaskDef& d : t.tasks()) {
+    if (!out.empty()) out += ' ';
+    out += d.name + ":" + std::to_string(d.parallelism) + ":" +
+           std::to_string(t.input_rate(d.id, source_rate));
+  }
+  return out;
+}
+
+TEST(Topology, AutosizePinsEveryDagKind) {
+  // Table 1's sizing at the paper rate and at the 4x rate of the grid-ccr
+  // benchmark.  Keyed has explicit parallelism and is not autosized.
+  using workloads::DagKind;
+  const struct {
+    DagKind kind;
+    double rate;
+    const char* want;
+  } cases[] = {
+      {DagKind::Linear, 8.0,
+       "src:1:8.000000 T1:1:8.000000 T2:1:8.000000 T3:1:8.000000 "
+       "T4:1:8.000000 T5:1:8.000000 sink:1:8.000000"},
+      {DagKind::Linear, 32.0,
+       "src:1:32.000000 T1:4:32.000000 T2:4:32.000000 T3:4:32.000000 "
+       "T4:4:32.000000 T5:4:32.000000 sink:1:32.000000"},
+      {DagKind::Diamond, 8.0,
+       "src:1:8.000000 A:1:8.000000 B:1:8.000000 C:1:8.000000 D:1:8.000000 "
+       "E:4:32.000000 sink:1:32.000000"},
+      {DagKind::Diamond, 32.0,
+       "src:1:32.000000 A:4:32.000000 B:4:32.000000 C:4:32.000000 "
+       "D:4:32.000000 E:16:128.000000 sink:1:128.000000"},
+      {DagKind::Star, 8.0,
+       "src:1:8.000000 A:1:8.000000 B:1:8.000000 Hub:2:16.000000 "
+       "D:2:16.000000 E:2:16.000000 sink:1:32.000000"},
+      {DagKind::Star, 32.0,
+       "src:1:32.000000 A:4:32.000000 B:4:32.000000 Hub:8:64.000000 "
+       "D:8:64.000000 E:8:64.000000 sink:1:128.000000"},
+      {DagKind::Traffic, 8.0,
+       "src:1:8.000000 parse:1:8.000000 speed1:1:8.000000 speed2:1:8.000000 "
+       "dens1:1:8.000000 dens2:1:8.000000 flow1:1:8.000000 flow2:1:8.000000 "
+       "aggregate:3:24.000000 match1:1:8.000000 match2:1:8.000000 "
+       "route:1:8.000000 sink:1:32.000000"},
+      {DagKind::Traffic, 32.0,
+       "src:1:32.000000 parse:4:32.000000 speed1:4:32.000000 "
+       "speed2:4:32.000000 dens1:4:32.000000 dens2:4:32.000000 "
+       "flow1:4:32.000000 flow2:4:32.000000 aggregate:12:96.000000 "
+       "match1:4:32.000000 match2:4:32.000000 route:4:32.000000 "
+       "sink:1:128.000000"},
+      {DagKind::Grid, 8.0,
+       "src:1:8.000000 meter1:1:8.000000 meter2:1:8.000000 "
+       "weather1:1:8.000000 weather2:1:8.000000 parse1:1:8.000000 "
+       "avg1:1:8.000000 parse2:1:8.000000 avg2:1:8.000000 interp:1:8.000000 "
+       "regress:1:8.000000 forecast:1:8.000000 alerts:1:8.000000 "
+       "join:2:16.000000 predict:3:24.000000 publish:4:32.000000 "
+       "sink:1:32.000000"},
+      {DagKind::Grid, 32.0,
+       "src:1:32.000000 meter1:4:32.000000 meter2:4:32.000000 "
+       "weather1:4:32.000000 weather2:4:32.000000 parse1:4:32.000000 "
+       "avg1:4:32.000000 parse2:4:32.000000 avg2:4:32.000000 "
+       "interp:4:32.000000 regress:4:32.000000 forecast:4:32.000000 "
+       "alerts:4:32.000000 join:8:64.000000 predict:12:96.000000 "
+       "publish:16:128.000000 sink:1:128.000000"},
+      {DagKind::Keyed, 8.0,
+       "src:1:8.000000 parse:6:8.000000 count:8:8.000000 sink:1:8.000000"},
+      {DagKind::Keyed, 32.0,
+       "src:1:32.000000 parse:6:32.000000 count:8:32.000000 "
+       "sink:1:32.000000"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(workloads::to_string(c.kind)) + " at " +
+                 std::to_string(c.rate));
+    EXPECT_EQ(sizing(workloads::build_dag(c.kind, c.rate), c.rate), c.want);
+  }
+}
+
+TEST(Topology, AutosizeUsesFractionalSelectivity) {
+  // src → half (selectivity 0.5) → {x, y} → sink: x and y see half the
+  // source rate; the sink sees both.
+  Topology t("sel");
+  const TaskId s = t.add_source("s");
+  TaskDef def;
+  def.name = "half";
+  def.selectivity = 0.5;
+  const TaskId h = t.add_task(std::move(def));
+  const TaskId x = t.add_worker("x");
+  const TaskId y = t.add_worker("y");
+  const TaskId k = t.add_sink("k");
+  t.add_edge(s, h);
+  t.add_edge(h, x);
+  t.add_edge(h, y);
+  t.add_edge(x, k);
+  t.add_edge(y, k);
+  t.validate();
+  EXPECT_EQ(t.autosize_parallelism(40.0), 5 + 3 + 3);
+  EXPECT_EQ(sizing(t, 40.0),
+            "s:1:40.000000 half:5:40.000000 x:3:20.000000 y:3:20.000000 "
+            "k:1:40.000000");
 }
 
 TEST(Topology, CriticalPathLength) {

@@ -86,6 +86,12 @@ TEST(RillLint, R2UnorderedIterFixture) {
   EXPECT_EQ(fs.size(), 2u);
 }
 
+TEST(RillLint, R2FlagsRootTableIteration) {
+  const auto fs = lint_one("r2_root_table.cpp");
+  EXPECT_TRUE(has(fs, "R2/unordered-iter", 13)) << "range-for";
+  EXPECT_EQ(fs.size(), 1u);
+}
+
 TEST(RillLint, R2DeclarationJoinsAcrossIncludes) {
   // routes_ is declared in table_fixture.hpp; the iteration in
   // r2_closure.cpp is only caught if the include closure joins them.

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <unordered_map>
+
+#include "common/rng.hpp"
 #include "metrics/collector.hpp"
 
 namespace rill::metrics {
@@ -112,6 +117,114 @@ TEST(Collector, FirstSinkArrivalAfterEmpty) {
   Collector c;
   EXPECT_FALSE(c.first_sink_arrival_after(0).has_value());
   EXPECT_FALSE(c.first_sink_arrival_after(at(100)).has_value());
+}
+
+// ---- the root ledger ----
+
+TEST(CollectorLedger, ReplayOfAnUnknownOriginStartsAMarkedRecord) {
+  Collector c;
+  c.on_source_emit(user_event(9, at(3), at(40), true), true);
+  ASSERT_EQ(c.roots().size(), 1u);
+  EXPECT_EQ(c.roots().at(9).born_at, at(3));
+  EXPECT_TRUE(c.roots().at(9).replay);
+  EXPECT_EQ(c.roots_emitted(), 0u);
+}
+
+TEST(CollectorLedger, ArrivalBeforeItsOriginIsEmittedIsIgnored) {
+  Collector c;
+  c.on_sink_arrival(user_event(4, at(1), at(1)), at(2));
+  c.on_source_emit(user_event(4, at(3), at(3)), false);
+  c.on_sink_arrival(user_event(4, at(3), at(3)), at(4));
+  // Only the arrival logged after the emit counts.
+  EXPECT_EQ(c.roots().at(4).sink_arrivals, 1u);
+  EXPECT_EQ(c.sink_arrivals(), 2u);
+}
+
+TEST(CollectorLedger, FreshEmitRestartsTheRecord) {
+  Collector c;
+  c.on_source_emit(user_event(6, at(1), at(1)), false);
+  c.on_source_emit(user_event(6, at(1), at(9), true), true);
+  c.on_sink_arrival(user_event(6, at(1), at(9), true), at(10));
+  c.on_source_emit(user_event(6, at(20), at(20)), false);
+  c.on_sink_arrival(user_event(6, at(20), at(20)), at(21));
+  const RootRecord rec = c.roots().at(6);
+  EXPECT_EQ(rec.born_at, at(20));
+  EXPECT_EQ(rec.sink_arrivals, 1u);
+  EXPECT_FALSE(rec.replay);
+}
+
+TEST(CollectorLedger, RecordsAreOrderedByOrigin) {
+  Collector c;
+  for (const RootId o : {30u, 10u, 20u}) {
+    c.on_source_emit(user_event(o, at(1), at(1)), false);
+  }
+  std::vector<RootId> order;
+  for (const auto& [origin, rec] : c.roots()) order.push_back(origin);
+  EXPECT_EQ(order, (std::vector<RootId>{10, 20, 30}));
+}
+
+/// The per-root map the ledger replaced, kept here as the model: each call
+/// updates one record in place.
+struct MapLedger {
+  std::unordered_map<RootId, RootRecord> roots;
+
+  void emit(const dsps::Event& ev, bool replay) {
+    if (replay) {
+      auto it = roots.find(ev.origin);
+      if (it == roots.end()) {
+        roots[ev.origin] = RootRecord{ev.born_at, 0, true};
+      } else {
+        it->second.replay = true;
+      }
+    } else {
+      roots[ev.origin] = RootRecord{ev.born_at, 0, replay};
+    }
+  }
+  void arrive(const dsps::Event& ev) {
+    if (auto it = roots.find(ev.origin); it != roots.end()) {
+      ++it->second.sink_arrivals;
+    }
+  }
+};
+
+TEST(CollectorLedger, RebuildMatchesThePerRootMapModel) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Collector c;
+    MapLedger model;
+    // A small origin pool, so replays of known and unknown origins, fresh
+    // re-emits and arrivals before and after their emit all occur.
+    for (int step = 0; step < 600; ++step) {
+      const RootId origin = rng.uniform_int(0, 24);
+      const SimTime born = at(static_cast<double>(rng.uniform_int(0, 50)));
+      const SimTime now = at(60.0 + step);
+      const std::uint64_t op = rng.uniform_int(0, 9);
+      if (op < 3) {
+        const bool replay = op == 0;
+        const dsps::Event ev = user_event(origin, born, now, replay);
+        c.on_source_emit(ev, replay);
+        model.emit(ev, replay);
+      } else {
+        const dsps::Event ev = user_event(origin, born, now);
+        c.on_sink_arrival(ev, now);
+        model.arrive(ev);
+      }
+      if (step % 50 == 49) {
+        const std::map<RootId, RootRecord> want(model.roots.begin(),
+                                                model.roots.end());
+        const std::map<RootId, RootRecord> got = c.roots();
+        ASSERT_EQ(got.size(), want.size()) << "step " << step;
+        for (const auto& [o, rec] : want) {
+          ASSERT_TRUE(got.contains(o)) << "origin " << o;
+          EXPECT_EQ(got.at(o).born_at, rec.born_at) << "origin " << o;
+          EXPECT_EQ(got.at(o).sink_arrivals, rec.sink_arrivals)
+              << "origin " << o;
+          EXPECT_EQ(got.at(o).replay, rec.replay) << "origin " << o;
+        }
+      }
+    }
+  }
 }
 
 TEST(Collector, LostEventsSplitByKind) {

@@ -381,5 +381,84 @@ TEST(LatencyWindowBoundary, SamplesPastTheWindowStayExcluded) {
   EXPECT_DOUBLE_EQ(*p, 20.0);
 }
 
+// ---- nearest ranks by selection (the window close path) ----
+
+TEST(SelectNearestRanks, MatchesSortingOnRandomWindows) {
+  Rng rng(2024);
+  // Every size from 0 to 300 twice, each once with distinct values and
+  // once drawn from a handful of values, so ties straddle the ranks.
+  for (std::size_t n = 0; n <= 300; ++n) {
+    for (const std::uint64_t spread :
+         {std::uint64_t{1} << 40, std::uint64_t{4}}) {
+      std::vector<std::uint64_t> values(n);
+      for (std::uint64_t& v : values) v = rng.uniform_int(0, spread);
+      std::vector<std::uint64_t> sorted = values;
+      std::sort(sorted.begin(), sorted.end());
+      const NearestRanks got = select_nearest_ranks(values);
+      EXPECT_EQ(got.p50, nearest_rank(sorted, 0.50)) << n << " samples";
+      EXPECT_EQ(got.p95, nearest_rank(sorted, 0.95)) << n << " samples";
+      EXPECT_EQ(got.p99, nearest_rank(sorted, 0.99)) << n << " samples";
+      // Selection only reorders the window.
+      std::sort(values.begin(), values.end());
+      EXPECT_EQ(values, sorted);
+    }
+  }
+}
+
+TEST(SelectNearestRanks, TinyAndTiedWindows) {
+  std::vector<std::uint64_t> none;
+  const NearestRanks empty = select_nearest_ranks(none);
+  EXPECT_EQ(empty.p50, 0u);
+  EXPECT_EQ(empty.p95, 0u);
+  EXPECT_EQ(empty.p99, 0u);
+
+  std::vector<std::uint64_t> one = {7};
+  const NearestRanks single = select_nearest_ranks(one);
+  EXPECT_EQ(single.p50, 7u);
+  EXPECT_EQ(single.p99, 7u);
+
+  // Two samples: p50 is rank 1, p95 and p99 are rank 2.
+  std::vector<std::uint64_t> two = {9, 3};
+  const NearestRanks pair = select_nearest_ranks(two);
+  EXPECT_EQ(pair.p50, 3u);
+  EXPECT_EQ(pair.p95, 9u);
+  EXPECT_EQ(pair.p99, 9u);
+
+  std::vector<std::uint64_t> ties(100, 5);
+  ties[0] = 1;
+  ties[99] = 8;
+  const NearestRanks tied = select_nearest_ranks(ties);
+  EXPECT_EQ(tied.p50, 5u);
+  EXPECT_EQ(tied.p95, 5u);
+  EXPECT_EQ(tied.p99, 5u);  // rank 99 of 100
+}
+
+TEST(SloMonitor, WindowRanksMatchTheSortedNearestRanks) {
+  // The monitor's windows, fed out of order within each window, read the
+  // same ranks as sorting each window.
+  Rng rng(77);
+  OnlineSloMonitor slo(SloConfig{/*target_p99_us=*/0, /*window_sec=*/10});
+  std::vector<std::vector<std::uint64_t>> per_window(6);
+  for (std::size_t w = 0; w < per_window.size(); ++w) {
+    const std::uint64_t n = w == 2 ? 1 : w == 4 ? 2 : rng.uniform_int(3, 90);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t lat = rng.uniform_int(0, 20) * 1000;
+      per_window[w].push_back(lat);
+      slo.record(w * 10 * kSec + i, lat);
+    }
+  }
+  finish(slo, (per_window.size() - 1) * 10 * kSec);
+  ASSERT_EQ(slo.windows().size(), per_window.size());
+  for (std::size_t w = 0; w < per_window.size(); ++w) {
+    std::vector<std::uint64_t> sorted = per_window[w];
+    std::sort(sorted.begin(), sorted.end());
+    const SloWindow& got = slo.windows()[w];
+    EXPECT_EQ(got.count, sorted.size());
+    EXPECT_EQ(got.p50_us, nearest_rank(sorted, 0.50)) << "window " << w;
+    EXPECT_EQ(got.p95_us, nearest_rank(sorted, 0.95)) << "window " << w;
+    EXPECT_EQ(got.p99_us, nearest_rank(sorted, 0.99)) << "window " << w;
+  }
+}
+
 }  // namespace
 }  // namespace rill::obs

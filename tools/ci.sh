@@ -211,7 +211,11 @@ if [ "$run_asan" = 1 ]; then
   # TaskStateDifferential, whose handles outlive every copy, compaction
   # and reset, so a stale one shows as an out-of-bounds access.
   # NoisyNeighbour checks the per-VM busy count, indexed by VM id, after
-  # every event of a closed-loop run.
+  # every event of a closed-loop run.  RootTable and RingQueue are the
+  # differential tests of the flat root table (backward-shift erase moves
+  # entries that own heap values) and the executor's ring queues (indices
+  # wrap at both ends); Acker, Spout and Collector drive them through the
+  # acker's callbacks, the spout's replay cache and the root ledger.
   echo "==> asan: configure + build + fast chaos/FGM/codec/control/engine subset"
   cmake --preset asan
   cmake --build --preset asan -j "$jobs"
@@ -220,7 +224,7 @@ if [ "$run_asan" = 1 ]; then
   asan_subset+='|RebalanceFixture|ScopedRepin|RestoreOutage|CommitOutage'
   asan_subset+='|DsmTimeout|LogicUpdate|ShardOutage|ClusterFixture|DsmFallback'
   asan_subset+='|ControllerQueue|^Engine|EngineReference|PeriodicTimer'
-  asan_subset+='|NoisyNeighbour'
+  asan_subset+='|NoisyNeighbour|RootTable|RingQueue|Acker|Spout|Collector'
   ctest --preset asan -j "$jobs" -R "$asan_subset"
 fi
 

@@ -327,10 +327,13 @@ std::size_t match_angle_fwd(const std::vector<Token>& t, std::size_t open) {
   return t.size() - 1;
 }
 
+/// Containers whose iteration order is not deterministic: the std hash
+/// containers, and RootTable (common/root_table.hpp), whose slot order
+/// follows the keys and the insert/erase history.
 const std::unordered_set<std::string>& unordered_type_names() {
   static const std::unordered_set<std::string> kNames = {
       "unordered_map", "unordered_set", "unordered_multimap",
-      "unordered_multiset"};
+      "unordered_multiset", "RootTable"};
   return kNames;
 }
 
