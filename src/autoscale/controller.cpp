@@ -88,8 +88,9 @@ AutoscaleController::AutoscaleController(dsps::Platform& platform,
       migrations_(migrations),
       plan_(plan),
       config_(config),
-      slo_(obs::SloConfig{config.target_p99_us, config.window_sec}),
-      timer_(platform.engine(), config.decision_period,
+      slo_(obs::SloConfig{config.target_p99_us,
+                          AutoscaleConfig::window_sec}),
+      timer_(platform.engine(), AutoscaleConfig::decision_period,
              // lint: lifetime-ok(timer_ is a member; its destructor cancels
              // the pending tick before `this` goes stale)
              [this] { tick(); }) {}

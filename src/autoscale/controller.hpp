@@ -71,9 +71,9 @@ struct AutoscaleConfig {
   /// SLO: per-window p99 target fed to the online monitor.
   std::uint64_t target_p99_us{1'500'000};
   /// SLO window width, seconds of sim time.
-  std::uint64_t window_sec{10};
+  static constexpr std::uint64_t window_sec = 10;
   /// How often the controller wakes up to decide.
-  SimDuration decision_period{time::sec(5)};
+  static constexpr SimDuration decision_period = time::sec(5);
   /// Minimum gap after a trigger before the next one.
   SimDuration cooldown{time::sec(60)};
   /// Scale-out hysteresis: consecutive violated windows required.

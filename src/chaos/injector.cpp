@@ -149,7 +149,7 @@ SimDuration ChaosInjector::extra_latency(int shard) {
 }
 
 void ChaosInjector::crash_worker(const FaultSpec& f) {
-  const auto workers = platform_->worker_instances();
+  const auto& workers = platform_->worker_instances();
   if (workers.empty()) return;
   const int idx =
       f.target >= 0
@@ -171,7 +171,7 @@ void ChaosInjector::fail_vm(const FaultSpec& f) {
 
   // Every worker instance hosted on the VM dies at once; they relaunch in
   // place once the VM reboots.
-  const auto workers = platform_->worker_instances();
+  const auto& workers = platform_->worker_instances();
   int killed = 0;
   for (std::size_t i = 0; i < workers.size(); ++i) {
     if (platform_->executor(workers[i]).life() == dsps::LifeState::Dead) {
@@ -193,7 +193,7 @@ void ChaosInjector::fail_vm(const FaultSpec& f) {
 
 bool ChaosInjector::crash_instance(int worker_index, bool respawn,
                                    SimDuration delay) {
-  const auto workers = platform_->worker_instances();
+  const auto& workers = platform_->worker_instances();
   const dsps::InstanceRef ref = workers[static_cast<std::size_t>(worker_index)];
   dsps::Executor& ex = platform_->executor(ref);
   if (ex.life() == dsps::LifeState::Dead) return false;

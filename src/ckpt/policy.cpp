@@ -64,8 +64,8 @@ PolicyDecision solve(const PolicyInputs& in, const PolicyConfig& cfg) {
   const double waves_per_failure =
       static_cast<double>(*in.mttf) / std::max<double>(1.0, static_cast<double>(tau));
   d.full_every =
-      std::clamp(static_cast<int>(waves_per_failure), cfg.min_full_every,
-                 cfg.max_full_every);
+      std::clamp(static_cast<int>(waves_per_failure),
+                 PolicyConfig::min_full_every, PolicyConfig::max_full_every);
 
   // Under frequent failures restores dominate: tighten the delta-vs-full
   // threshold so chains stay cheap to walk; otherwise keep the operator's
@@ -79,8 +79,8 @@ PolicyDecision solve(const PolicyInputs& in, const PolicyConfig& cfg) {
 CkptPolicy::CkptPolicy(dsps::Platform& platform, PolicyConfig cfg)
     : platform_(platform),
       cfg_(cfg),
-      mttf_(cfg.estimator_alpha),
-      mttr_(cfg.estimator_alpha),
+      mttf_(PolicyConfig::estimator_alpha),
+      mttr_(PolicyConfig::estimator_alpha),
       base_delta_ratio_(platform.config().ckpt_delta_max_ratio) {}
 
 void CkptPolicy::start() {

@@ -60,9 +60,10 @@ struct PolicyConfig {
   /// next recovery may run longer than the average).
   double mttr_safety{1.2};
   /// EWMA smoothing for both estimators.
-  double estimator_alpha{0.3};
-  int min_full_every{2};
-  int max_full_every{16};
+  static constexpr double estimator_alpha = 0.3;
+  /// Bounds on the compaction cadence the solve picks.
+  static constexpr int min_full_every = 2;
+  static constexpr int max_full_every = 16;
   /// Interval moves smaller than this fraction of the current value are
   /// suppressed — hysteresis against re-arm churn on every epoch.
   double hysteresis{0.10};

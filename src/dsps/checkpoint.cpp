@@ -275,7 +275,7 @@ void CheckpointCoordinator::start_phase(ControlKind kind, CheckpointMode mode,
         // the retries — no retry can commit once a prepared snapshot died
         // with its process.
         if (!wave_doomed_ &&
-            attempt <= platform_.config().checkpoint_wave_retries) {
+            attempt <= PlatformConfig::checkpoint_wave_retries) {
           ++stats_.wave_retries;
           start_phase(kind, mode, cid, attempt + 1, done);
           return;
@@ -367,6 +367,8 @@ void CheckpointCoordinator::prefetch_round(std::uint64_t generation,
                                            std::vector<std::string> keys,
                                            std::vector<InstanceRef> refs,
                                            int round) {
+  // lint: lifetime-ok(the reply arrives through the pinned Store's own
+  // callbacks, and the Platform that owns the Store owns this coordinator)
   platform_.store().get_batch(
       platform_.io_vm(), keys,
       [this, generation, keys, refs = std::move(refs),

@@ -90,9 +90,9 @@ class CheckpointCoordinator {
   /// Run one full PREPARE→COMMIT wave now (JIT checkpoint).  `mode` decides
   /// the PREPARE wiring: Wave = sequential sweep, Capture = broadcast.
   /// COMMIT always sweeps sequentially.  A failed PREPARE or COMMIT wave is
-  /// retried up to `config().checkpoint_wave_retries` times (same wave id,
-  /// so executors re-align and re-persist idempotently); only after the
-  /// retries are exhausted is a ROLLBACK broadcast and done(false) fired.
+  /// retried up to `PlatformConfig::checkpoint_wave_retries` times (same
+  /// wave id, so executors re-align and re-persist idempotently); only after
+  /// the retries are exhausted is a ROLLBACK broadcast and done(false) fired.
   void run_checkpoint(CheckpointMode mode, Done done);
 
   /// Restore task state for `checkpoint_id` after a rebalance.  INIT waves

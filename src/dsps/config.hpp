@@ -1,10 +1,13 @@
-// Platform configuration: every timing constant in the simulation model
-// except the key-value store's, which live in kvstore::StoreConfig.
+// Platform configuration: the platform's timing model and its calibration.
+// The key-value store's and the network's live beside their layers, in
+// kvstore::StoreConfig and net::NetworkConfig.
 //
-// Defaults follow DESIGN.md §6 — paper-specified values where the paper
+// Values follow DESIGN.md §6 — paper-specified values where the paper
 // gives them (100 ms service time, 8 ev/s sources, 30 s ack timeout and
 // checkpoint interval, 1 s DCR/CCR INIT re-send, ≈7.26 s rebalance command)
-// and fitted values for the JVM-worker start-up model.
+// and fitted values for the JVM-worker start-up model.  A value some test,
+// bench or tool sets is a field; a calibration value no caller varies is a
+// `static constexpr` member, so the compiler rejects an assignment to it.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +27,6 @@ struct PlatformConfig {
   // ---- Workload ----
   /// Source emission rate, events per second.
   double source_rate = 8.0;
-  /// Peak sustainable rate per task instance (10 ev/s at 100 ms service).
-  double per_instance_rate = 8.0;
 
   // ---- Reliability ----
   /// Ack timeout for user events and for un-acked checkpoint waves.
@@ -43,9 +44,8 @@ struct PlatformConfig {
 
   // ---- Fault handling / transactional migration ----
   /// Extra attempts the coordinator gives a failed PREPARE/COMMIT wave
-  /// before broadcasting ROLLBACK (0 = fail on first timeout, the
-  /// pre-hardening behaviour).
-  int checkpoint_wave_retries = 2;
+  /// before broadcasting ROLLBACK.
+  static constexpr int checkpoint_wave_retries = 2;
   /// Give-up deadline for a DCR/CCR restore INIT session; on expiry the
   /// strategy aborts the migration and re-pins the old placement.  0 keeps
   /// re-sending forever (DSM, and the abort path's recovery INIT).
@@ -90,7 +90,7 @@ struct PlatformConfig {
 
   // ---- Control-plane latencies ----
   /// Platform-logic handling time for a control event at a task.
-  SimDuration control_handling = time::ms(2);
+  static constexpr SimDuration control_handling = time::ms(2);
   /// DCR/CCR aggressive INIT re-send period (paper §3.1).
   SimDuration init_resend_period = time::sec(1);
 
@@ -98,10 +98,10 @@ struct PlatformConfig {
   /// Mean and stddev of Storm's rebalance command latency (paper: 7.26 s
   /// average, "relatively constant across dataflows, VM counts and
   /// strategies").
-  double rebalance_mean_sec = 7.26;
-  double rebalance_stddev_sec = 0.5;
+  static constexpr double rebalance_mean_sec = 7.26;
+  static constexpr double rebalance_stddev_sec = 0.5;
   /// Delay between the rebalance request and the kill of migrating tasks.
-  SimDuration kill_delay = time::ms(200);
+  static constexpr SimDuration kill_delay = time::ms(200);
   /// A migrated worker becomes able to receive events U(min,max) after the
   /// rebalance command completes, plus a contention term per instance
   /// CO-LOCATED on the same target VM (JVM spin-up and code distribution
@@ -117,8 +117,8 @@ struct PlatformConfig {
   /// straggler and hence to miss a whole 30 s INIT wave under DSM —
   /// the paper's DAG-size-dependent restore jumps.
   double worker_slow_start_prob = 0.05;
-  double worker_slow_start_min_sec = 4.0;
-  double worker_slow_start_max_sec = 10.0;
+  static constexpr double worker_slow_start_min_sec = 4.0;
+  static constexpr double worker_slow_start_max_sec = 10.0;
 
   // ---- Source behaviour ----
   /// While paused, the external stream keeps producing; on unpause the

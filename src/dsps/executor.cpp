@@ -190,8 +190,8 @@ void Executor::kill() {
   stats_.capture_handoff += durable;
   stats_.lost_at_kill += pending_capture_.size() - durable;
   pending_capture_.clear();
-  align_count_.clear();
-  seen_init_roots_.clear();
+  align_count_ = {};
+  seen_init_roots_ = {};
   reset_delta_chain();
   persisted_base_.clear();
   persisted_pending_count_ = 0;
@@ -324,7 +324,7 @@ void Executor::pump() {
       set_busy(true);
       const std::uint64_t epoch = epoch_;
       platform_.engine().schedule_detached(
-          platform_.config().control_handling, [this, ev, epoch] {
+          PlatformConfig::control_handling, [this, ev, epoch] {
             if (epoch != epoch_) return;
             set_busy(false);
             std::uint64_t span = obs::kNoSpan;
@@ -428,10 +428,10 @@ void Executor::finish_user_event(const Event& ev) {
 }
 
 bool Executor::aligned(const Event& ev, int expected) {
-  int& count = align_count_[ev.root];
-  ++count;
-  if (count < expected) return false;
-  align_count_.erase(ev.root);
+  int* count = align_count_.find(ev.root);
+  if (count == nullptr) count = &align_count_.insert_or_assign(ev.root, 0);
+  if (++*count < expected) return false;
+  align_count_.erase(count);
   return true;
 }
 
@@ -691,7 +691,7 @@ void Executor::on_init(const Event& ev, std::uint64_t span) {
     settle(ev, span, /*forward=*/false);
     return;
   }
-  seen_init_roots_.insert(ev.root);
+  seen_init_roots_.insert_or_assign(ev.root, std::uint8_t{1});
 
   if (awaiting_init_) {
     // Respawned worker: state (and CCR pending events) come from the store

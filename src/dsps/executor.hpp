@@ -19,13 +19,12 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.hpp"
 #include "common/pinned.hpp"
 #include "common/ring_queue.hpp"
+#include "common/root_table.hpp"
 #include "common/time.hpp"
 #include "dsps/config.hpp"
 #include "dsps/event.hpp"
@@ -348,9 +347,10 @@ class RILL_PINNED Executor {
   std::map<std::uint64_t, std::uint64_t> persisted_base_;
 
   // Barrier alignment: wave root → copies consumed so far.
-  std::unordered_map<RootId, int> align_count_;
-  // INIT dedup: wave roots already acted on (forwarded / restored).
-  std::unordered_set<RootId> seen_init_roots_;
+  RootTable<int> align_count_;
+  // INIT dedup: wave roots already acted on (forwarded / restored); the
+  // value is unused.
+  RootTable<std::uint8_t> seen_init_roots_;
 
   // ---- FGM fluid migration state ----
   bool fgm_active_{false};

@@ -136,6 +136,28 @@ void Platform::deploy(Topology topology, std::vector<VmId> worker_vms,
     if (!ex) throw std::logic_error("scheduler left an instance unplaced");
   }
   routes_.assign(next_instance_ * topology_.edges().size(), Route{});
+
+  for (auto& [task, spout] : spouts_) spout_list_.push_back(spout.get());
+  for (TaskId t : topology_.topo_order()) {
+    const TaskDef& def = topology_.task(t);
+    if (def.kind == TaskKind::Source) continue;
+    for (int r = 0; r < def.parallelism; ++r) {
+      const InstanceRef ref{t, r};
+      worker_and_sink_refs_.push_back(ref);
+      if (def.kind == TaskKind::Worker) worker_refs_.push_back(ref);
+    }
+    for (TaskId up : topology_.upstream(t)) {
+      if (topology_.task(up).kind == TaskKind::Source) {
+        entry_tasks_.push_back(t);
+        break;
+      }
+    }
+  }
+  for (TaskId t : topology_.sinks()) {
+    for (int r = 0; r < topology_.task(t).parallelism; ++r) {
+      sink_refs_.push_back(InstanceRef{t, r});
+    }
+  }
   deployed_ = true;
 }
 
@@ -237,43 +259,6 @@ Spout& Platform::spout(TaskId source_task) {
   return *it->second;
 }
 
-std::vector<Spout*> Platform::spouts() {
-  std::vector<Spout*> out;
-  out.reserve(spouts_.size());
-  for (auto& [task, spout] : spouts_) out.push_back(spout.get());
-  return out;
-}
-
-std::vector<InstanceRef> Platform::worker_and_sink_instances() const {
-  std::vector<InstanceRef> out;
-  for (TaskId t : topology_.topo_order()) {
-    const TaskDef& def = topology_.task(t);
-    if (def.kind == TaskKind::Source) continue;
-    for (int r = 0; r < def.parallelism; ++r) out.push_back(InstanceRef{t, r});
-  }
-  return out;
-}
-
-std::vector<InstanceRef> Platform::worker_instances() const {
-  std::vector<InstanceRef> out;
-  for (TaskId t : topology_.topo_order()) {
-    const TaskDef& def = topology_.task(t);
-    if (def.kind != TaskKind::Worker) continue;
-    for (int r = 0; r < def.parallelism; ++r) out.push_back(InstanceRef{t, r});
-  }
-  return out;
-}
-
-std::vector<InstanceRef> Platform::sink_instances() const {
-  std::vector<InstanceRef> out;
-  for (TaskId t : topology_.sinks()) {
-    for (int r = 0; r < topology_.task(t).parallelism; ++r) {
-      out.push_back(InstanceRef{t, r});
-    }
-  }
-  return out;
-}
-
 void Platform::pause_sources() {
   for (auto& [task, spout] : spouts_) spout->pause();
 }
@@ -341,7 +326,6 @@ int Platform::emit_user_children(Executor& from, const Event& parent) {
 
       if (user_acking_) acker_->add(child.root, child.id);
       ++stats_.events_emitted;
-      if (child.replayed) ++stats_.replayed_emissions;
       listener().on_emit(child);
 
       if (child.sampled && attributor_ != nullptr)
@@ -380,7 +364,6 @@ void Platform::emit_from_source(Spout& spout, const Event& root_copy_template,
 
     if (user_acking_) acker_->add(copy.root, copy.id);
     ++stats_.events_emitted;
-    if (copy.replayed) ++stats_.replayed_emissions;
     listener().on_emit(copy);
 
     if (copy.sampled && attributor_ != nullptr)
@@ -427,20 +410,6 @@ void Platform::send_control_from_coordinator(InstanceRef dst_ref, Event ev) {
 
 int Platform::control_fanin(TaskId task) const {
   return control_fanin_.at(task.value);
-}
-
-std::vector<TaskId> Platform::entry_tasks() const {
-  std::vector<TaskId> out;
-  for (TaskId t : topology_.topo_order()) {
-    if (topology_.task(t).kind == TaskKind::Source) continue;
-    for (TaskId up : topology_.upstream(t)) {
-      if (topology_.task(up).kind == TaskKind::Source) {
-        out.push_back(t);
-        break;
-      }
-    }
-  }
-  return out;
 }
 
 void Platform::note_lost(const Event& ev) {

@@ -51,7 +51,6 @@ namespace rill::dsps {
 struct PlatformStats {
   std::uint64_t events_emitted{0};
   std::uint64_t events_lost{0};
-  std::uint64_t replayed_emissions{0};  ///< emissions tainted `replayed`
 };
 
 class RILL_PINNED Platform {
@@ -150,12 +149,27 @@ class RILL_PINNED Platform {
   [[nodiscard]] Executor& executor(InstanceRef ref);
   [[nodiscard]] const Executor& executor(InstanceRef ref) const;
   [[nodiscard]] Spout& spout(TaskId source_task);
-  [[nodiscard]] std::vector<Spout*> spouts();
+  // The lists below are built once, at deploy: the topology is fixed from
+  // then on.  Checkpoint waves fan out in their order.
+  /// Every spout, by source TaskId.
+  [[nodiscard]] const std::vector<Spout*>& spouts() noexcept {
+    return spout_list_;
+  }
   /// All worker + sink instance refs in topology order.
-  [[nodiscard]] std::vector<InstanceRef> worker_and_sink_instances() const;
-  /// Worker instance refs only (the migrating set).
-  [[nodiscard]] std::vector<InstanceRef> worker_instances() const;
-  [[nodiscard]] std::vector<InstanceRef> sink_instances() const;
+  [[nodiscard]] const std::vector<InstanceRef>& worker_and_sink_instances()
+      const noexcept {
+    return worker_and_sink_refs_;
+  }
+  /// Worker instance refs only (the migrating set), in topology order.
+  [[nodiscard]] const std::vector<InstanceRef>& worker_instances()
+      const noexcept {
+    return worker_refs_;
+  }
+  /// Sink instance refs, in Topology::sinks() order.
+  [[nodiscard]] const std::vector<InstanceRef>& sink_instances()
+      const noexcept {
+    return sink_refs_;
+  }
 
   void pause_sources();
   void unpause_sources();
@@ -184,8 +198,11 @@ class RILL_PINNED Platform {
   /// deploy).
   [[nodiscard]] int control_fanin(TaskId task) const;
 
-  /// Entry tasks: workers with at least one Source upstream (per-edge).
-  [[nodiscard]] std::vector<TaskId> entry_tasks() const;
+  /// Entry tasks: workers with at least one Source upstream (per-edge), in
+  /// topology order.
+  [[nodiscard]] const std::vector<TaskId>& entry_tasks() const noexcept {
+    return entry_tasks_;
+  }
 
   /// Report a lost event (dead destination or killed queue).
   void note_lost(const Event& ev);
@@ -279,6 +296,12 @@ class RILL_PINNED Platform {
   std::vector<int> selectivity_permille_;
   /// control_fanin() per task, built at deploy.
   std::vector<int> control_fanin_;
+  /// The instance lists the accessors above return, built at deploy.
+  std::vector<Spout*> spout_list_;
+  std::vector<InstanceRef> worker_and_sink_refs_;
+  std::vector<InstanceRef> worker_refs_;
+  std::vector<InstanceRef> sink_refs_;
+  std::vector<TaskId> entry_tasks_;
 
   PlatformStats stats_;
 };

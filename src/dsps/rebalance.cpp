@@ -69,9 +69,9 @@ void Rebalancer::end_command(const char* key, int value) {
 
 double Rebalancer::draw_command_sec() {
   // Paper: ≈7.26 s mean, near-constant across DAGs and strategies.
-  const PlatformConfig& cfg = platform_.config();
   return std::max(2.0, platform_.rng_rebalance().normal(
-                           cfg.rebalance_mean_sec, cfg.rebalance_stddev_sec));
+                           PlatformConfig::rebalance_mean_sec,
+                           PlatformConfig::rebalance_stddev_sec));
 }
 
 std::vector<SimDuration> Rebalancer::draw_startup_delays(
@@ -89,8 +89,8 @@ std::vector<SimDuration> Rebalancer::draw_startup_delays(
         cfg.worker_startup_per_colocated_sec *
             static_cast<double>(per_vm[cluster.vm_of(slot).value]);
     if (rng.uniform01() < cfg.worker_slow_start_prob) {
-      startup += rng.uniform(cfg.worker_slow_start_min_sec,
-                             cfg.worker_slow_start_max_sec);
+      startup += rng.uniform(PlatformConfig::worker_slow_start_min_sec,
+                             PlatformConfig::worker_slow_start_max_sec);
     }
     delays.push_back(time::sec_f(startup));
   }
@@ -123,7 +123,7 @@ void Rebalancer::kill_and_redeploy(const MigrationPlan& plan,
   const double command_sec = draw_command_sec();
 
   platform_.engine().schedule_detached(
-      platform_.config().kill_delay,
+      PlatformConfig::kill_delay,
       [this, plan, command_sec,
        done = std::move(on_command_complete)]() mutable {
     last_->killed_at = platform_.engine().now();
@@ -175,7 +175,7 @@ void Rebalancer::kill_and_redeploy(const MigrationPlan& plan,
     }
 
     const SimDuration remaining =
-        time::sec_f(command_sec) - platform_.config().kill_delay;
+        time::sec_f(command_sec) - PlatformConfig::kill_delay;
     platform_.engine().schedule_detached(
         std::max<SimDuration>(remaining, 0),
         [this, plan, migrating, old_vms, preserved = std::move(preserved),

@@ -35,7 +35,7 @@ std::uint64_t key_hash(const std::string& key) noexcept {
 }  // namespace
 
 ShardedStore::ShardedStore(sim::Engine& engine, net::Network& network,
-                           std::vector<VmId> hosts, StoreConfig config,
+                           std::vector<VmId> hosts, StoreConfig /*config*/,
                            std::uint64_t rng_seed_base)
     : engine_(engine) {
   assert(!hosts.empty());
@@ -45,8 +45,7 @@ ShardedStore::ShardedStore(sim::Engine& engine, net::Network& network,
     // fork independent jitter streams from the same base.
     const std::uint64_t seed = splitmix64_once(
         rng_seed_base ^ (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i)));
-    auto store = std::make_unique<Store>(engine, network, hosts[i], config,
-                                         Rng(seed));
+    auto store = std::make_unique<Store>(engine, network, hosts[i], Rng(seed));
     store->set_shard(static_cast<int>(i));
     shards_.push_back(std::move(store));
   }
@@ -180,11 +179,6 @@ void ShardedStore::get_batch(VmId client, std::vector<std::string> keys,
   }
 }
 
-void ShardedStore::del(VmId client, std::string key, PutDone done) {
-  shards_[static_cast<std::size_t>(shard_for(key))]->del(
-      client, std::move(key), std::move(done));
-}
-
 void ShardedStore::del_batch(VmId client, std::vector<std::string> keys,
                              PutDone done) {
   if (shards_.size() == 1) {
@@ -232,7 +226,7 @@ void ShardedStore::put_pipelined(VmId client, std::string key, Bytes value,
   pb.dones.push_back(std::move(done));
   if (!pb.armed) {
     pb.armed = true;
-    engine_.schedule_detached(config().pipeline_linger,
+    engine_.schedule_detached(StoreConfig::pipeline_linger,
                      [this, cv = client.value, shard] { flush(cv, shard); });
   }
 }

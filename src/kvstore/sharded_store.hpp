@@ -45,7 +45,8 @@ class RILL_PINNED ShardedStore {
 
   /// One Store per host VM.  `rng_seed_base` seeds shard 0 exactly as the
   /// unsharded store was seeded; further shards derive independent streams
-  /// from it.
+  /// from it.  The StoreConfig argument carries no value: every StoreConfig
+  /// value is a compile-time constant.
   ShardedStore(sim::Engine& engine, net::Network& network,
                std::vector<VmId> hosts, StoreConfig config,
                std::uint64_t rng_seed_base);
@@ -56,14 +57,13 @@ class RILL_PINNED ShardedStore {
                  PutDone done);
   void get(VmId client, std::string key, GetDone done);
   void get_batch(VmId client, std::vector<std::string> keys, MGetDone done);
-  void del(VmId client, std::string key, PutDone done);
   /// Pipelined multi-DELETE: one MDEL per owning shard, verdicts
   /// AND-aggregated like put_batch.  Delta-checkpoint compaction uses this
   /// to drop superseded blobs in one round-trip per shard.
   void del_batch(VmId client, std::vector<std::string> keys, PutDone done);
 
   /// Coalescing PUT for checkpoint COMMIT traffic: lingers for
-  /// `config.pipeline_linger` collecting same-(client,shard) writes, then
+  /// StoreConfig::pipeline_linger collecting same-(client,shard) writes, then
   /// flushes them as one pipelined put_batch.  Every caller's `done`
   /// observes the batch verdict.  With one shard this is a plain put().
   void put_pipelined(VmId client, std::string key, Bytes value, PutDone done);
@@ -87,9 +87,6 @@ class RILL_PINNED ShardedStore {
   }
   /// Shard 0's host — the unsharded store's VM, kept for compatibility.
   [[nodiscard]] VmId host() const noexcept { return shards_.front()->host(); }
-  [[nodiscard]] const StoreConfig& config() const noexcept {
-    return shards_.front()->config();
-  }
 
   /// Ring lookup: which shard owns `key`.  Pure function of the key and the
   /// shard count (no RNG), so placement is reproducible across runs.

@@ -30,9 +30,9 @@ void Store::end_op_span(std::uint64_t span, bool ok) {
 }
 
 SimDuration Store::service_cost(std::size_t items, std::size_t bytes) const {
-  return config_.request_overhead +
-         static_cast<SimDuration>(items) * config_.per_item_cost +
-         static_cast<SimDuration>(config_.ns_per_byte *
+  return StoreConfig::request_overhead +
+         static_cast<SimDuration>(items) * StoreConfig::per_item_cost +
+         static_cast<SimDuration>(StoreConfig::ns_per_byte *
                                   static_cast<double>(bytes) / 1000.0);
 }
 
@@ -42,21 +42,21 @@ SimDuration Store::attempt_timeout(std::size_t items,
   // pipelined batch from exhausting max_attempts on deadlines it could
   // never meet.  In fault-free runs this timer is always cancelled before
   // firing, so the scaling is invisible to the deterministic schedule.
-  return config_.request_timeout +
+  return StoreConfig::request_timeout +
          static_cast<SimDuration>(
-             config_.timeout_cost_factor *
+             StoreConfig::timeout_cost_factor *
              static_cast<double>(service_cost(items, bytes)));
 }
 
 SimDuration Store::backoff_delay(int attempt_no) {
   // base × 2^(attempt-1), capped, with multiplicative jitter so colliding
   // retries from many executors de-synchronise.
-  SimDuration d = config_.backoff_base;
-  for (int i = 1; i < attempt_no && d < config_.backoff_cap; ++i) d *= 2;
-  d = std::min(d, config_.backoff_cap);
+  SimDuration d = StoreConfig::backoff_base;
+  for (int i = 1; i < attempt_no && d < StoreConfig::backoff_cap; ++i) d *= 2;
+  d = std::min(d, StoreConfig::backoff_cap);
   return static_cast<SimDuration>(static_cast<double>(d) *
                                   (1.0 + rng_.uniform01() *
-                                             config_.backoff_jitter));
+                                             StoreConfig::backoff_jitter));
 }
 
 void Store::apply(const Request& req, Reply& reply, std::size_t& reply_bytes) {
@@ -95,11 +95,6 @@ void Store::apply(const Request& req, Reply& reply, std::size_t& reply_bytes) {
       }
       break;
     }
-    case Op::Del: {
-      ++stats_.deletes;
-      data_.erase(req.key);
-      break;
-    }
     case Op::MDel: {
       ++stats_.deletes;
       stats_.batch_items += req.keys.size();
@@ -124,7 +119,6 @@ void Store::attempt(VmId client, std::shared_ptr<const Request> req,
       items = req->keys.size();
       break;
     case Op::Get:
-    case Op::Del:
       request_bytes = req->key.size();
       items = 1;
       break;
@@ -145,7 +139,7 @@ void Store::attempt(VmId client, std::shared_ptr<const Request> req,
           tracer_->instant(shard_track(shard_), "kv", "attempt_timeout",
                            {obs::arg("attempt", attempt_no)});
         }
-        if (attempt_no >= config_.max_attempts) {
+        if (attempt_no >= StoreConfig::max_attempts) {
           ++stats_.failed_requests;
           (*done_sp)(false, Reply{});
           return;
@@ -244,18 +238,6 @@ void Store::get_batch(VmId client, std::vector<std::string> keys,
             end_op_span(span, ok);
             if (!ok) reply.values.assign(n, std::nullopt);
             if (done) done(ok, std::move(reply.values));
-          });
-}
-
-void Store::del(VmId client, std::string key, PutDone done) {
-  auto req = std::make_shared<Request>();
-  req->op = Op::Del;
-  req->key = std::move(key);
-  const std::uint64_t span = begin_op_span("del", 1);
-  attempt(client, std::move(req), 1,
-          [this, span, done = std::move(done)](bool ok, Reply) {
-            end_op_span(span, ok);
-            if (done) done(ok);
           });
 }
 

@@ -41,36 +41,38 @@ class Tracer;
 
 namespace rill::kvstore {
 
+/// The store's calibration table.  No caller varies these values, so each
+/// is a compile-time constant.
 struct StoreConfig {
   /// Base request round-trip on top of network latency.
-  SimDuration request_overhead = time::us(600);
+  static constexpr SimDuration request_overhead = time::us(600);
   /// Per-item service cost inside the store (command parse + hash insert),
   /// applied to each element of a pipelined batch.
-  SimDuration per_item_cost = time::us(45);
+  static constexpr SimDuration per_item_cost = time::us(45);
   /// Store-side processing per byte of value payload.
-  double ns_per_byte = 12.0;
+  static constexpr double ns_per_byte = 12.0;
 
   // ---- client-side fault handling ----
   /// Fixed floor for giving up on one attempt.  The effective per-attempt
   /// timeout scales with the request: floor + timeout_cost_factor × the
   /// expected service cost, so an arbitrarily large pipelined batch is
   /// never doomed to time out on every attempt.
-  SimDuration request_timeout = time::ms(800);
+  static constexpr SimDuration request_timeout = time::ms(800);
   /// Multiple of the expected service cost added to `request_timeout` for
   /// each attempt's deadline.
-  double timeout_cost_factor = 2.0;
+  static constexpr double timeout_cost_factor = 2.0;
   /// Total attempts per operation (1 first try + N-1 retries).
-  int max_attempts = 4;
+  static constexpr int max_attempts = 4;
   /// Exponential backoff between attempts: base × 2^(attempt-1), capped,
   /// with multiplicative jitter in [1, 1 + jitter).
-  SimDuration backoff_base = time::ms(50);
-  SimDuration backoff_cap = time::sec(1);
-  double backoff_jitter = 0.25;
+  static constexpr SimDuration backoff_base = time::ms(50);
+  static constexpr SimDuration backoff_cap = time::sec(1);
+  static constexpr double backoff_jitter = 0.25;
 
   /// How long ShardedStore::put_pipelined lingers collecting single PUTs
   /// before flushing them as one per-shard batch (only applies when the
   /// store is sharded; see sharded_store.hpp).
-  SimDuration pipeline_linger = time::ms(2);
+  static constexpr SimDuration pipeline_linger = time::ms(2);
 };
 
 struct StoreStats {
@@ -117,13 +119,8 @@ class RILL_PINNED Store {
   };
 
   Store(sim::Engine& engine, net::Network& network, VmId host,
-        StoreConfig config = {},
         Rng rng = Rng{0x9e3779b97f4a7c15ull})
-      : engine_(engine),
-        network_(network),
-        host_(host),
-        config_(config),
-        rng_(rng) {}
+      : engine_(engine), network_(network), host_(host), rng_(rng) {}
 
   using PutDone = std::function<void(bool ok)>;
   using GetDone = std::function<void(bool ok, std::optional<Bytes> value)>;
@@ -149,9 +146,6 @@ class RILL_PINNED Store {
   /// cost; absent keys come back as nullopt in their slot.
   void get_batch(VmId client, std::vector<std::string> keys, MGetDone done);
 
-  /// Asynchronous DELETE.
-  void del(VmId client, std::string key, PutDone done);
-
   /// Pipelined multi-DELETE: one round-trip, per-item service cost.  Used
   /// by delta-checkpoint compaction to drop superseded blobs in bulk.
   void del_batch(VmId client, std::vector<std::string> keys, PutDone done);
@@ -173,17 +167,16 @@ class RILL_PINNED Store {
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
   [[nodiscard]] const StoreStats& stats() const noexcept { return stats_; }
   [[nodiscard]] VmId host() const noexcept { return host_; }
-  [[nodiscard]] const StoreConfig& config() const noexcept { return config_; }
 
  private:
   /// Server-side work for one request; returns the reply payload size, or
   /// nullopt when the request is swallowed by an outage.  GETs also return
   /// the value through `value_out`.
-  enum class Op : std::uint8_t { Put, Get, MGet, Del, MDel };
+  enum class Op : std::uint8_t { Put, Get, MGet, MDel };
   struct Request {
     Op op{Op::Put};
     std::vector<std::pair<std::string, Bytes>> kvs;  ///< Put payload
-    std::string key;                                 ///< Get / Del key
+    std::string key;                                 ///< Get key
     std::vector<std::string> keys;                   ///< MGet / MDel keys
   };
   /// What comes back from one applied request.
@@ -211,7 +204,6 @@ class RILL_PINNED Store {
   sim::Engine& engine_;
   net::Network& network_;
   VmId host_;
-  StoreConfig config_;
   Rng rng_;
   int shard_{0};
   FaultHook* fault_hook_{nullptr};

@@ -3,7 +3,19 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/select_ranks.hpp"
+
 namespace rill::metrics {
+
+namespace {
+
+/// percentile_ms's index rule: ⌊q·n⌋, clamped to n − 1 (n > 0).
+std::size_t floor_rank_index(std::size_t n, double q) {
+  const auto rank = static_cast<std::size_t>(q * static_cast<double>(n));
+  return rank >= n ? n - 1 : rank;
+}
+
+}  // namespace
 
 void RateSeries::add(SimTime t) {
   const auto sec = static_cast<std::size_t>(t / 1'000'000ull);
@@ -95,9 +107,8 @@ std::optional<double> LatencySeries::median_ms(SimTime from, SimTime to) const {
   return percentile_ms(0.5, from, to);
 }
 
-std::optional<double> LatencySeries::percentile_ms(double q, SimTime from,
-                                                   SimTime to) const {
-  if (q <= 0.0 || q >= 1.0) return std::nullopt;
+std::vector<SimDuration> LatencySeries::window(SimTime from,
+                                               SimTime to) const {
   std::vector<SimDuration> vals;
   for (const Sample& s : samples_) {
     // Inclusive upper bound: the whole-run window ends exactly at the run
@@ -105,13 +116,31 @@ std::optional<double> LatencySeries::percentile_ms(double q, SimTime from,
     // sample — excluding it reported the previous (stale) window's tail.
     if (s.arrival >= from && s.arrival <= to) vals.push_back(s.latency);
   }
+  return vals;
+}
+
+std::optional<double> LatencySeries::percentile_ms(double q, SimTime from,
+                                                   SimTime to) const {
+  if (q <= 0.0 || q >= 1.0) return std::nullopt;
+  std::vector<SimDuration> vals = window(from, to);
   if (vals.empty()) return std::nullopt;
-  const auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(vals.size()));
-  const std::size_t idx = rank >= vals.size() ? vals.size() - 1 : rank;
+  const std::size_t idx = floor_rank_index(vals.size(), q);
   std::nth_element(vals.begin(), vals.begin() + static_cast<std::ptrdiff_t>(idx),
                    vals.end());
   return time::to_ms(vals[idx]);
+}
+
+LatencySeries::Percentiles LatencySeries::report_percentiles_ms(
+    SimTime from, SimTime to) const {
+  std::vector<SimDuration> vals = window(from, to);
+  if (vals.empty()) return {};
+  const std::size_t n = vals.size();
+  const std::size_t i50 = floor_rank_index(n, 0.50);
+  const std::size_t i95 = floor_rank_index(n, 0.95);
+  const std::size_t i99 = floor_rank_index(n, 0.99);
+  select_ranks(vals, i50, i95, i99);
+  return {time::to_ms(vals[i50]), time::to_ms(vals[i95]),
+          time::to_ms(vals[i99])};
 }
 
 }  // namespace rill::metrics

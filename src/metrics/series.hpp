@@ -79,6 +79,17 @@ class LatencySeries {
   [[nodiscard]] std::optional<double> percentile_ms(double q, SimTime from,
                                                     SimTime to) const;
 
+  /// The report's p50, p95 and p99: equal to percentile_ms(0.50 / 0.95 /
+  /// 0.99, from, to), but from one copy of the window and one selection
+  /// pass (rill::select_ranks).  All nullopt for an empty window.
+  struct Percentiles {
+    std::optional<double> p50;
+    std::optional<double> p95;
+    std::optional<double> p99;
+  };
+  [[nodiscard]] Percentiles report_percentiles_ms(SimTime from,
+                                                  SimTime to) const;
+
   struct Sample {
     SimTime arrival;
     SimDuration latency;
@@ -88,6 +99,10 @@ class LatencySeries {
   }
 
  private:
+  /// Latencies of the samples arriving in [from, to], in arrival order.
+  [[nodiscard]] std::vector<SimDuration> window(SimTime from,
+                                                SimTime to) const;
+
   std::vector<Sample> samples_;  // arrival-ordered (arrivals are monotone)
 };
 

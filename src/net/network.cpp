@@ -40,13 +40,14 @@ SendOutcome Network::transmit(VmId from, VmId to, std::size_t bytes,
   SimDuration latency;
   if (from == to) {
     ++stats_.intra_vm;
-    latency = config_.intra_vm_latency;
+    latency = NetworkConfig::intra_vm_latency;
   } else {
     ++stats_.inter_vm;
     const double jitter =
         rng_.uniform(0.0, config_.jitter_frac) *
-        static_cast<double>(config_.inter_vm_latency);
-    latency = config_.inter_vm_latency + static_cast<SimDuration>(jitter);
+        static_cast<double>(NetworkConfig::inter_vm_latency);
+    latency =
+        NetworkConfig::inter_vm_latency + static_cast<SimDuration>(jitter);
   }
   latency += static_cast<SimDuration>(config_.ns_per_byte *
                                       static_cast<double>(bytes) / 1000.0);

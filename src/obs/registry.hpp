@@ -17,13 +17,14 @@
 // increments with no allocation.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "common/select_ranks.hpp"
 
 namespace rill::obs {
 
@@ -51,9 +52,7 @@ struct NearestRanks {
 };
 
 /// The nearest-rank p50, p95 and p99 of `values`, by selection instead of
-/// a sort: p99 by std::nth_element over the whole sample, then p95 over
-/// the prefix below it (which holds exactly the smaller ranks) and p50
-/// over the prefix below that.  Equal to nearest_rank() of the sorted
+/// a sort (rill::select_ranks).  Equal to nearest_rank() of the sorted
 /// sample; all zero for an empty one.  Reorders `values`.
 [[nodiscard]] inline NearestRanks select_nearest_ranks(
     std::vector<std::uint64_t>& values) {
@@ -62,17 +61,7 @@ struct NearestRanks {
   const std::size_t i99 = nearest_rank_index(n, 0.99);
   const std::size_t i95 = nearest_rank_index(n, 0.95);
   const std::size_t i50 = nearest_rank_index(n, 0.50);
-  const auto first = values.begin();
-  std::nth_element(first, first + static_cast<std::ptrdiff_t>(i99),
-                   values.end());
-  if (i95 < i99) {
-    std::nth_element(first, first + static_cast<std::ptrdiff_t>(i95),
-                     first + static_cast<std::ptrdiff_t>(i99));
-  }
-  if (i50 < i95) {
-    std::nth_element(first, first + static_cast<std::ptrdiff_t>(i50),
-                     first + static_cast<std::ptrdiff_t>(i95));
-  }
+  select_ranks(values, i50, i95, i99);
   return {values[i50], values[i95], values[i99]};
 }
 

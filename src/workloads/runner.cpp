@@ -250,9 +250,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   // End-to-end latency percentiles over the whole run (Fig 9 companion).
   const auto run_end = static_cast<SimTime>(config.run_duration);
-  rep.latency_p50_ms = collector.latency().percentile_ms(0.50, 0, run_end);
-  rep.latency_p95_ms = collector.latency().percentile_ms(0.95, 0, run_end);
-  rep.latency_p99_ms = collector.latency().percentile_ms(0.99, 0, run_end);
+  const metrics::LatencySeries::Percentiles latency =
+      collector.latency().report_percentiles_ms(0, run_end);
+  rep.latency_p50_ms = latency.p50;
+  rep.latency_p95_ms = latency.p95;
+  rep.latency_p99_ms = latency.p99;
 
   rep.migration_attempts = result.recovery.attempts;
   rep.aborted_attempts = result.recovery.aborted_attempts;

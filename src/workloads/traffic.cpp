@@ -94,7 +94,7 @@ std::uint64_t ZipfKeys::hottest_share_per_mille() const {
 TrafficDriver::TrafficDriver(dsps::Platform& platform, TrafficConfig config)
     : platform_(platform),
       schedule_(std::move(config)),
-      timer_(platform.engine(), schedule_.config().update_period,
+      timer_(platform.engine(), TrafficConfig::update_period,
              // lint: lifetime-ok(timer_ is a member; it cancels its pending
              // tick in its own destructor, which runs before apply()'s
              // captured `this` goes stale)
@@ -108,7 +108,7 @@ void TrafficDriver::start() {
     if (cfg.zipf_s > 0.0) {
       // One forked stream per spout so key draws stay deterministic no
       // matter how the spouts interleave.
-      std::vector<dsps::Spout*> spouts = platform_.spouts();
+      const std::vector<dsps::Spout*>& spouts = platform_.spouts();
       pickers_.reserve(spouts.size());
       Rng parent(platform_.config().seed ^ 0x5a1f5a1f5a1f5a1full);
       for (std::size_t i = 0; i < spouts.size(); ++i) {

@@ -60,7 +60,7 @@ struct TrafficConfig {
   /// Zipf skew exponent s for key popularity; 0 keeps round-robin keys.
   double zipf_s{0.0};
   /// How often the driver re-applies the schedule to the spouts.
-  SimDuration update_period{time::sec(1)};
+  static constexpr SimDuration update_period = time::sec(1);
 };
 
 /// Pure, deterministic rate shape: rate_at(t) = base · diurnal(t) · Π crowds.

@@ -115,6 +115,32 @@ TEST(Checkpoint, BarrierAlignmentInMultiInputTask) {
   }
 }
 
+TEST(Checkpoint, InitCopiesOfOneWaveRootAreForwardedOnce) {
+  // Each D replica gets an INIT copy from B and one from C.  It forwards
+  // the first and only acks the second, so the sink receives one copy per
+  // D replica.  No instance was killed, so every copy counts as a
+  // duplicate INIT: each instance's count is its barrier fan-in.
+  Harness h(testutil::mini_diamond());
+  h.p().start();
+  h.run_for(time::sec(10));
+  h.p().pause_sources();
+  bool committed = false;
+  h.p().coordinator().run_checkpoint(CheckpointMode::Wave,
+                                     [&](bool ok) { committed = ok; });
+  h.run_for(time::sec(5));
+  ASSERT_TRUE(committed);
+  bool restored = false;
+  h.p().coordinator().run_init(1, CheckpointMode::Wave, /*resend_period=*/0,
+                               [&](bool ok) { restored = ok; });
+  h.run_for(time::sec(5));
+  ASSERT_TRUE(restored);
+  for (const InstanceRef& ref : h.p().worker_and_sink_instances()) {
+    EXPECT_EQ(h.p().executor(ref).stats().duplicate_inits,
+              static_cast<std::uint64_t>(h.p().control_fanin(ref.task)))
+        << h.p().topology().task(ref.task).name << "[" << ref.replica << "]";
+  }
+}
+
 TEST(Checkpoint, PeriodicWavesAdvanceCommittedId) {
   Harness h(testutil::mini_chain());
   h.p().set_user_acking(true);

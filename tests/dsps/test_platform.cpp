@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "test_util.hpp"
 
@@ -105,6 +108,87 @@ TEST(Platform, EntryTasksAreSourceFed) {
   const auto entries = h.p().entry_tasks();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(h.p().topology().task(entries[0]).name, "A");
+}
+
+/// The instance lists Platform builds at deploy, recomputed by walking the
+/// topology the way the accessors document.
+struct TopologyWalk {
+  std::vector<InstanceRef> worker_and_sink;
+  std::vector<InstanceRef> workers;
+  std::vector<InstanceRef> sinks;
+  std::vector<TaskId> entries;
+};
+
+TopologyWalk walk(const Topology& t) {
+  TopologyWalk w;
+  for (TaskId id : t.topo_order()) {
+    const TaskDef& def = t.task(id);
+    if (def.kind == TaskKind::Source) continue;
+    for (int r = 0; r < def.parallelism; ++r) {
+      w.worker_and_sink.push_back(InstanceRef{id, r});
+      if (def.kind == TaskKind::Worker) w.workers.push_back(InstanceRef{id, r});
+    }
+    const std::vector<TaskId> ups = t.upstream(id);
+    if (std::any_of(ups.begin(), ups.end(), [&](TaskId up) {
+          return t.task(up).kind == TaskKind::Source;
+        })) {
+      w.entries.push_back(id);
+    }
+  }
+  for (TaskId id : t.sinks()) {
+    for (int r = 0; r < t.task(id).parallelism; ++r) {
+      w.sinks.push_back(InstanceRef{id, r});
+    }
+  }
+  return w;
+}
+
+void expect_lists_match_walk(Topology topo, const std::string& name) {
+  SCOPED_TRACE(name);
+  Harness h(std::move(topo));
+  Platform& p = h.p();
+  const TopologyWalk w = walk(p.topology());
+  EXPECT_EQ(p.worker_and_sink_instances(), w.worker_and_sink);
+  EXPECT_EQ(p.worker_instances(), w.workers);
+  EXPECT_EQ(p.sink_instances(), w.sinks);
+  EXPECT_EQ(p.entry_tasks(), w.entries);
+  std::vector<TaskId> sources = p.topology().sources();
+  std::sort(sources.begin(), sources.end());
+  std::vector<Spout*> spouts;
+  for (TaskId src : sources) spouts.push_back(&p.spout(src));
+  EXPECT_EQ(p.spouts(), spouts);
+  // Built once: every call returns the same list.
+  EXPECT_EQ(&p.worker_instances(), &p.worker_instances());
+  EXPECT_EQ(&p.spouts(), &p.spouts());
+}
+
+TEST(Platform, InstanceListsMatchTheTopologyWalk) {
+  for (const workloads::DagKind kind :
+       {workloads::DagKind::Linear, workloads::DagKind::Diamond,
+        workloads::DagKind::Star, workloads::DagKind::Traffic,
+        workloads::DagKind::Grid, workloads::DagKind::Keyed}) {
+    expect_lists_match_walk(workloads::build_dag(kind),
+                            std::string(workloads::to_string(kind)));
+  }
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    expect_lists_match_walk(workloads::build_random_dag(seed),
+                            "random dag seed " + std::to_string(seed));
+  }
+  // Two sources and two sinks, the sinks added out of topology order.
+  Topology t("two-by-two");
+  const TaskId s1 = t.add_source("s1");
+  const TaskId k2 = t.add_sink("k2");
+  const TaskId a = t.add_worker("A", 2);
+  const TaskId s2 = t.add_source("s2");
+  const TaskId b = t.add_worker("B", 3);
+  const TaskId k1 = t.add_sink("k1");
+  t.add_edge(s1, a);
+  t.add_edge(s2, b);
+  t.add_edge(a, b);
+  t.add_edge(a, k1);
+  t.add_edge(b, k2);
+  t.validate();
+  expect_lists_match_walk(std::move(t), "two-by-two");
 }
 
 TEST(Platform, FractionalSelectivityEmitsDeterministically) {

@@ -65,7 +65,7 @@ TEST_F(StoreFixture, DeleteRemovesKey) {
   store->put(client_vm, "k", bytes_of("v"), [](bool) {});
   engine.run();
   bool done = false;
-  store->del(client_vm, "k", [&](bool ok) { done = ok; });
+  store->del_batch(client_vm, {"k"}, [&](bool ok) { done = ok; });
   engine.run();
   EXPECT_TRUE(done);
   EXPECT_FALSE(store->peek("k").has_value());

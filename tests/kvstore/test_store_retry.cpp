@@ -46,8 +46,7 @@ TEST_F(RetryFixture, OutageExhaustsAttemptsAndFails) {
   EXPECT_TRUE(done);
   EXPECT_FALSE(ok);
   const StoreStats& st = store->stats();
-  const auto attempts =
-      static_cast<std::uint64_t>(store->config().max_attempts);
+  const auto attempts = static_cast<std::uint64_t>(StoreConfig::max_attempts);
   EXPECT_EQ(st.timeouts, attempts);
   EXPECT_EQ(st.retries, attempts - 1);
   EXPECT_EQ(st.failed_requests, 1u);

@@ -26,4 +26,15 @@ struct Loose {
   static void consume(TimerId id);
 };
 
+struct StoreClient {
+  Store& store_;
+  void fetch(VmId vm, std::vector<std::string> keys) {
+    store_.get_batch(vm, keys, [this](bool ok, Values v) { use(ok, v); });
+  }
+  void drop(VmId vm, std::vector<std::string> keys, int& done) {
+    store_.del_batch(vm, keys, [&done](bool ok) { done += ok; });
+  }
+  void use(bool ok, Values v);
+};
+
 }  // namespace fx

@@ -182,7 +182,9 @@ TEST(RillLint, R6LifetimeFixture) {
   EXPECT_TRUE(has(fs, "R6/callback-lifetime", 18)) << "handle held in a local";
   EXPECT_TRUE(has(fs, "R6/callback-lifetime", 22)) << "&counter";
   EXPECT_TRUE(has(fs, "R6/callback-lifetime", 23)) << "[&]";
-  EXPECT_EQ(fs.size(), 4u);
+  EXPECT_TRUE(has(fs, "R6/callback-lifetime", 32)) << "get_batch, this";
+  EXPECT_TRUE(has(fs, "R6/callback-lifetime", 35)) << "del_batch, &done";
+  EXPECT_EQ(fs.size(), 6u);
 }
 
 TEST(RillLint, R6CleanFixtureIsClean) {

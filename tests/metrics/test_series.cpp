@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "common/rng.hpp"
 #include "metrics/series.hpp"
 
 namespace rill::metrics {
@@ -171,6 +174,42 @@ TEST(LatencySeries, PercentilesNearestRank) {
   tail.add(at(99), time::sec(30));
   EXPECT_DOUBLE_EQ(*tail.median_ms(at(0), at(200)), 100.0);
   EXPECT_GT(*tail.percentile_ms(0.995, at(0), at(200)), 1000.0);
+}
+
+TEST(LatencySeries, ReportPercentilesEqualThreeSeparateCalls) {
+  // Seeded windows of 1..300 samples drawn from 8 latency values, so most
+  // hold ties.  Arrivals sit one second apart and the window [from, to]
+  // ends exactly on an arrival, which counts; one sample on each side of
+  // the window, with an outlying latency, must not.
+  Rng rng(21);
+  for (int n = 1; n <= 300; ++n) {
+    LatencySeries l;
+    l.add(at(0), time::sec(100));
+    for (int i = 1; i <= n; ++i) {
+      l.add(at(i), time::ms(static_cast<std::int64_t>(rng.uniform_int(1, 8))));
+    }
+    l.add(at(n + 1), time::sec(100));
+    const SimTime from = at(1);
+    const SimTime to = at(n);
+    const LatencySeries::Percentiles p = l.report_percentiles_ms(from, to);
+    EXPECT_EQ(p.p50, l.percentile_ms(0.50, from, to)) << "n=" << n;
+    EXPECT_EQ(p.p95, l.percentile_ms(0.95, from, to)) << "n=" << n;
+    EXPECT_EQ(p.p99, l.percentile_ms(0.99, from, to)) << "n=" << n;
+    ASSERT_TRUE(p.p99.has_value());
+    EXPECT_LE(*p.p99, 8.0) << "n=" << n;
+  }
+  // n = 1, the one sample exactly at `to`.
+  LatencySeries one;
+  one.add(at(5), time::ms(7));
+  const LatencySeries::Percentiles p = one.report_percentiles_ms(at(1), at(5));
+  EXPECT_EQ(p.p50, 7.0);
+  EXPECT_EQ(p.p95, 7.0);
+  EXPECT_EQ(p.p99, 7.0);
+  const LatencySeries::Percentiles none =
+      one.report_percentiles_ms(at(6), at(9));
+  EXPECT_FALSE(none.p50.has_value());
+  EXPECT_FALSE(none.p95.has_value());
+  EXPECT_FALSE(none.p99.has_value());
 }
 
 TEST(LatencySeries, EmptyBehaviour) {

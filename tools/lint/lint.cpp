@@ -978,8 +978,8 @@ void check_r6(const std::string& path, const FileInfo& info,
   // completion-callback APIs.
   static const std::unordered_set<std::string> kCallbackApis = {
       "schedule", "schedule_at", "schedule_detached", "schedule_at_detached",
-      "send", "send_between_slots", "put", "get", "del", "put_batch", "mget",
-      "mdel", "put_pipelined"};
+      "send", "send_between_slots", "put", "get", "put_batch", "get_batch",
+      "del_batch", "put_pipelined"};
   const std::vector<Token>& t = info.lexed.tokens;
 
   for (std::size_t i = 1; i + 1 < t.size(); ++i) {
