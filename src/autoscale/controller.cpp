@@ -5,6 +5,7 @@
 
 #include "dsps/platform.hpp"
 #include "dsps/spout.hpp"
+#include "metrics/collector.hpp"
 #include "obs/names.hpp"
 #include "obs/registry.hpp"
 
@@ -68,7 +69,7 @@ Decision decide(const Signals& s, const AutoscaleConfig& cfg) {
 
   // Guards, in order: serialization first (a busy migration makes any
   // signal unreliable), then the cooldown.
-  if (s.migrations_busy >= cfg.max_parallel_migrations) {
+  if (s.migrating) {
     d.reason = "busy";
     return d;
   }
@@ -82,10 +83,12 @@ Decision decide(const Signals& s, const AutoscaleConfig& cfg) {
 
 AutoscaleController::AutoscaleController(dsps::Platform& platform,
                                          core::MigrationController& migrations,
+                                         metrics::Collector& collector,
                                          workloads::VmPlan plan,
                                          AutoscaleConfig config)
     : platform_(platform),
       migrations_(migrations),
+      collector_(collector),
       plan_(plan),
       config_(config),
       slo_(obs::SloConfig{config.target_p99_us,
@@ -95,12 +98,6 @@ AutoscaleController::AutoscaleController(dsps::Platform& platform,
              // the pending tick before `this` goes stale)
              [this] { tick(); }) {}
 
-void AutoscaleController::attach() {
-  if (!config_.enabled) return;
-  downstream_ = &platform_.listener();
-  platform_.set_listener(this);
-}
-
 void AutoscaleController::start() {
   if (!config_.enabled) return;
   for (const dsps::TaskDef& def : platform_.topology().tasks()) {
@@ -109,23 +106,18 @@ void AutoscaleController::start() {
   timer_.start();
 }
 
-void AutoscaleController::stop() { timer_.stop(); }
-
-void AutoscaleController::on_source_emit(const dsps::Event& ev, bool replay) {
-  downstream_->on_source_emit(ev, replay);
+void AutoscaleController::stop() {
+  timer_.stop();
+  if (config_.enabled) feed();
 }
 
-void AutoscaleController::on_emit(const dsps::Event& ev) {
-  downstream_->on_emit(ev);
-}
-
-void AutoscaleController::on_sink_arrival(const dsps::Event& ev, SimTime now) {
-  downstream_->on_sink_arrival(ev, now);
-  slo_.record(now, now - ev.born_at);
-}
-
-void AutoscaleController::on_lost(const dsps::Event& ev, SimTime now) {
-  downstream_->on_lost(ev, now);
+void AutoscaleController::feed() {
+  const std::vector<metrics::LatencySeries::Sample>& arrivals =
+      collector_.latency().samples();
+  for (; fed_ < arrivals.size(); ++fed_) {
+    slo_.record(arrivals[fed_].arrival,
+                static_cast<std::uint64_t>(arrivals[fed_].latency));
+  }
 }
 
 Signals AutoscaleController::gather() {
@@ -154,14 +146,14 @@ Signals AutoscaleController::gather() {
   }
   s.keyed = keyed_;
   s.tier = tier_;
-  s.migrations_busy =
-      (migrations_.in_flight() ? 1u : 0u) + migrations_.queued();
+  s.migrating = migrations_.in_flight();
   s.cooling_down = platform_.engine().now() < cooldown_until_;
   return s;
 }
 
 void AutoscaleController::tick() {
   const SimTime now = platform_.engine().now();
+  feed();
   slo_.advance_to(now);
   ++stats_.decisions;
   const Decision d = decide(gather(), config_);
@@ -177,12 +169,10 @@ void AutoscaleController::tick() {
 }
 
 void AutoscaleController::enact(const Decision& d, SimTime now) {
-  if (!triggered_once_) {
-    triggered_once_ = true;
-    if (on_first_trigger_) on_first_trigger_(now);
-  }
+  // The first trigger is the run's migration request: old events are
+  // those born before it.
+  if (stats_.events.empty()) collector_.set_request_time(now);
 
-  ++trigger_seq_;
   cluster::VmType type{};
   int count = 0;
   switch (d.target) {
@@ -200,7 +190,7 @@ void AutoscaleController::enact(const Decision& d, SimTime now) {
       break;
   }
   const std::vector<VmId> target = platform_.cluster().provision_n(
-      type, count, "as" + std::to_string(trigger_seq_));
+      type, count, "as" + std::to_string(stats_.events.size() + 1));
 
   dsps::MigrationPlan mplan;
   mplan.target_vms = target;

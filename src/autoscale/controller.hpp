@@ -1,10 +1,10 @@
 // Closed-loop SLO-driven autoscaling (ROADMAP item 2).
 //
-// The AutoscaleController closes the loop the paper leaves open: it
-// subscribes to the live sink-arrival stream (through a tee on the
-// platform's EventListener), folds it into an OnlineSloMonitor, samples
-// queue depths and source backlogs, and once per decision period decides
-// whether to move the worker pool between three VM tiers —
+// The AutoscaleController closes the loop the paper leaves open: once per
+// decision period it folds the sink arrivals the run's metrics::Collector
+// logged since the last tick into an OnlineSloMonitor, samples queue
+// depths and source backlogs, and decides whether to move the worker pool
+// between three VM tiers —
 //
 //   Packed (D3, ⌈slots/4⌉ VMs)  ←  Default (D2, ⌈slots/2⌉)  →  Wide (D1, slots)
 //
@@ -25,8 +25,8 @@
 //   * if the chosen strategy exhausts its attempts, the underlying
 //     MigrationController degrades to DSM — the fallback of last resort.
 //
-// Guards, in evaluation order: an in-flight/queued migration beyond
-// max_parallel_migrations suppresses the trigger (counted), then a
+// Guards, in evaluation order: a migration in flight suppresses the
+// trigger (counted; the MigrationController runs one at a time), then a
 // cooldown window after every trigger absorbs the decision noise while
 // the dataflow stabilises.  Hysteresis is asymmetric: scale-out needs
 // `scale_out_windows` consecutive violated windows OR a queue-depth
@@ -38,7 +38,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -47,11 +46,14 @@
 #include "common/time.hpp"
 #include "core/controller.hpp"
 #include "core/strategy.hpp"
-#include "dsps/listener.hpp"
 #include "dsps/scheduler.hpp"
 #include "obs/slo.hpp"
 #include "sim/engine.hpp"
 #include "workloads/scenario.hpp"
+
+namespace rill::metrics {
+class Collector;
+}
 
 namespace rill::obs {
 class MetricsRegistry;
@@ -85,9 +87,6 @@ struct AutoscaleConfig {
   /// scale-in additionally requires the max depth at or below `queue_low`.
   std::uint64_t queue_high{40};
   std::uint64_t queue_low{4};
-  /// Concurrent migrations allowed (in flight + queued).  1 = strictly
-  /// serial triggers.
-  std::size_t max_parallel_migrations{1};
   /// Pin every trigger to one strategy (per-strategy experiment rows);
   /// nullopt = pick per situation (FGM/CCR/DCR table above).
   std::optional<core::StrategyKind> force_strategy;
@@ -105,7 +104,7 @@ struct Signals {
   std::uint64_t backlog{0};         ///< total source backlog
   bool keyed{false};                ///< dataflow holds fields-grouped state
   PoolTier tier{PoolTier::Default};
-  std::size_t migrations_busy{0};   ///< in flight + queued at the controller
+  bool migrating{false};            ///< a migration is in flight
   bool cooling_down{false};
 };
 
@@ -143,51 +142,39 @@ struct AutoscaleStats {
   std::vector<AutoscaleEvent> events;
 };
 
-/// The closed-loop controller.  Sits between the platform and the real
-/// listener (tee): call attach() AFTER the runner installs its collector,
-/// then start() after Platform::start().
-class RILL_PINNED AutoscaleController final
-    : public dsps::EventListener {
+/// The closed-loop controller.  Reads the sink-arrival log of the run's
+/// collector (which must outlive it); call start() after Platform::start().
+class RILL_PINNED AutoscaleController {
  public:
   AutoscaleController(dsps::Platform& platform,
                       core::MigrationController& migrations,
-                      workloads::VmPlan plan, AutoscaleConfig config);
+                      metrics::Collector& collector, workloads::VmPlan plan,
+                      AutoscaleConfig config);
 
-  /// Interpose on the platform's listener chain (keeps the current
-  /// listener as the downstream tee target).
-  void attach();
   void start();
+  /// Stops the ticks and folds the arrivals logged since the last one.
   void stop();
 
-  /// Fires at the FIRST trigger only (the collector's epoch stamp).
-  void set_on_first_trigger(std::function<void(SimTime)> cb) {
-    on_first_trigger_ = std::move(cb);
-  }
-
   [[nodiscard]] const AutoscaleStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] PoolTier tier() const noexcept { return tier_; }
   [[nodiscard]] obs::OnlineSloMonitor& slo() noexcept { return slo_; }
 
   /// Export autoscale.* counters into the registry (post-run).
   void export_to(obs::MetricsRegistry& reg) const;
 
-  // ---- EventListener (tee) ----
-  void on_source_emit(const dsps::Event& ev, bool replay) override;
-  void on_emit(const dsps::Event& ev) override;
-  void on_sink_arrival(const dsps::Event& ev, SimTime now) override;
-  void on_lost(const dsps::Event& ev, SimTime now) override;
-
  private:
+  /// Record the collector's sink arrivals from index `fed_` on.
+  void feed();
   void tick();
   [[nodiscard]] Signals gather();
   void enact(const Decision& d, SimTime now);
 
   dsps::Platform& platform_;
   core::MigrationController& migrations_;
+  metrics::Collector& collector_;
   workloads::VmPlan plan_;
   AutoscaleConfig config_;
   obs::OnlineSloMonitor slo_;
-  dsps::EventListener* downstream_{nullptr};
+  std::size_t fed_{0};  ///< collector latency samples already recorded
   dsps::RoundRobinScheduler scheduler_;  ///< outlives every enacted plan
   sim::PeriodicTimer timer_;
   PoolTier tier_{PoolTier::Default};
@@ -199,9 +186,6 @@ class RILL_PINNED AutoscaleController final
   /// the violated streak that triggers a spurious scale-out (thrash).
   SimTime settled_at_{0};
   bool keyed_{false};
-  bool triggered_once_{false};
-  int trigger_seq_{0};  ///< unique VM label suffix per trigger
-  std::function<void(SimTime)> on_first_trigger_;
   AutoscaleStats stats_;
 };
 

@@ -19,59 +19,46 @@ void controller_instant(dsps::Platform& platform, const char* name,
 
 void MigrationController::request(dsps::MigrationPlan plan,
                                   std::function<void(bool)> on_done) {
-  enqueue_or_begin(
-      PendingRequest{std::move(plan), std::nullopt, std::move(on_done)});
+  begin(std::move(plan), std::nullopt, std::move(on_done));
 }
 
 void MigrationController::request(dsps::MigrationPlan plan, StrategyKind kind,
                                   std::function<void(bool)> on_done) {
-  enqueue_or_begin(PendingRequest{std::move(plan), kind, std::move(on_done)});
+  begin(std::move(plan), kind, std::move(on_done));
 }
 
-void MigrationController::enqueue_or_begin(PendingRequest req) {
+void MigrationController::begin(dsps::MigrationPlan plan,
+                                std::optional<StrategyKind> kind,
+                                std::function<void(bool)> on_done) {
   if (in_flight_) {
-    // Overlapping request: the in-flight migration (possibly mid
-    // abort→re-pin→retry) must not be double-triggered.  Park the request
-    // FIFO, or reject it deterministically once the queue is full.
-    if (pending_.size() < config_.max_queued) {
-      ++queue_stats_.queued;
-      controller_instant(platform_, "queued",
-                         {obs::arg("depth", pending_.size() + 1)});
-      pending_.push_back(std::move(req));
-    } else {
-      ++queue_stats_.rejected;
-      controller_instant(platform_, "rejected");
-      if (req.on_done) req.on_done(false);
-    }
+    // The in-flight migration (possibly mid abort→re-pin→retry) must not
+    // be double-triggered: refuse the overlapping request synchronously.
+    controller_instant(platform_, "rejected");
+    if (on_done) on_done(false);
     return;
   }
-  begin(std::move(req));
-}
-
-void MigrationController::begin(PendingRequest req) {
   in_flight_ = true;
-  completed_ = false;
   success_ = false;
   recovery_ = RecoveryStats{};
-  if (req.kind.has_value() && *req.kind != strategy_->kind()) {
-    auto& slot = owned_[*req.kind];
-    if (!slot) slot = make_strategy(*req.kind);
+  if (kind.has_value() && *kind != strategy_->kind()) {
+    auto& slot = owned_[*kind];
+    if (!slot) slot = make_strategy(*kind);
     active_ = slot.get();
   } else {
     active_ = strategy_;
   }
-  if (req.kind.has_value()) {
+  if (kind.has_value()) {
     // Explicit-strategy requests re-assert the session knobs: an earlier
     // request of a different kind may have flipped acking / checkpoint
     // wiring / periodic waves.  (The bound-strategy path keeps the
     // historical contract — the caller configures once at startup.)
     active_->configure(platform_);
   }
-  plan_ = std::move(req.plan);
+  plan_ = std::move(plan);
   controller_instant(
       platform_, "request",
       {obs::arg("strategy", std::string(to_string(active_->kind())))});
-  start_attempt(std::move(req.on_done));
+  start_attempt(std::move(on_done));
 }
 
 void MigrationController::start_attempt(std::function<void(bool)> on_done) {
@@ -132,19 +119,9 @@ void MigrationController::fall_back(std::function<void(bool)> on_done) {
 
 void MigrationController::finish(bool ok, std::function<void(bool)>& on_done) {
   in_flight_ = false;
-  completed_ = true;
   success_ = ok;
   controller_instant(platform_, "done", {obs::arg("ok", ok)});
   if (on_done) on_done(ok);
-  // Drain one parked request — unless the completion callback already
-  // started a new migration (then the parked ones stay parked behind it).
-  if (!in_flight_ && !pending_.empty()) {
-    PendingRequest next = std::move(pending_.front());
-    pending_.pop_front();
-    ++queue_stats_.dequeued;
-    controller_instant(platform_, "dequeue");
-    begin(std::move(next));
-  }
 }
 
 }  // namespace rill::core

@@ -10,15 +10,13 @@
 // plus periodic checkpoints — so the migration still completes, trading
 // the paper's zero-loss guarantee for at-least-once progress.
 //
-// Requests arriving while one is in flight (the autoscale controller fires
-// them from a timer, so overlap with a retry/backoff window is routine) are
-// queued FIFO up to `max_queued` and enacted in arrival order when the
-// current one finishes; beyond the cap they are rejected immediately with
-// on_done(false).  Both outcomes are deterministic — nothing about the
-// in-flight migration is perturbed.
+// One migration runs at a time.  A request arriving while one is in flight
+// (retries and backoff included) is rejected at once with on_done(false);
+// nothing about the in-flight migration is perturbed.  The autoscale
+// controller never gets there: its busy guard holds every trigger while a
+// migration is in flight.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -38,16 +36,6 @@ struct ControllerConfig {
   SimDuration retry_backoff{time::sec(5)};
   /// Degrade to DSM after the attempts are exhausted instead of failing.
   bool fallback_to_dsm{true};
-  /// Requests arriving while one is in flight wait here (FIFO) instead of
-  /// throwing; beyond this cap they are rejected with on_done(false).
-  std::size_t max_queued{1};
-};
-
-/// Overlapping-request accounting (all deterministic).
-struct RequestQueueStats {
-  std::uint64_t queued{0};     ///< requests parked behind an in-flight one
-  std::uint64_t dequeued{0};   ///< parked requests later enacted
-  std::uint64_t rejected{0};   ///< requests refused at the queue cap
 };
 
 struct RecoveryStats {
@@ -71,7 +59,8 @@ class RILL_PINNED MigrationController {
   /// Enact the plan with the strategy bound at construction.  `on_done`
   /// (optional) fires when the migration finally completes — after retries
   /// and, if enabled, the DSM fallback.  If a migration is already in
-  /// flight the request queues (or is rejected at the cap) — see above.
+  /// flight the request is rejected: on_done(false) fires before this
+  /// returns.
   void request(dsps::MigrationPlan plan,
                std::function<void(bool)> on_done = {});
 
@@ -84,10 +73,7 @@ class RILL_PINNED MigrationController {
                std::function<void(bool)> on_done = {});
 
   [[nodiscard]] bool in_flight() const noexcept { return in_flight_; }
-  [[nodiscard]] bool completed() const noexcept { return completed_; }
-  [[nodiscard]] bool succeeded() const noexcept {
-    return completed_ && success_;
-  }
+  [[nodiscard]] bool succeeded() const noexcept { return success_; }
   /// Phases of the strategy that ran last (the fallback's once degraded).
   [[nodiscard]] const PhaseTimes& phases() const noexcept {
     return active_->phases();
@@ -95,23 +81,11 @@ class RILL_PINNED MigrationController {
   [[nodiscard]] const RecoveryStats& recovery() const noexcept {
     return recovery_;
   }
-  [[nodiscard]] const ControllerConfig& config() const noexcept {
-    return config_;
-  }
-  [[nodiscard]] const RequestQueueStats& queue_stats() const noexcept {
-    return queue_stats_;
-  }
-  [[nodiscard]] std::size_t queued() const noexcept { return pending_.size(); }
 
  private:
-  struct PendingRequest {
-    dsps::MigrationPlan plan;
-    std::optional<StrategyKind> kind;  ///< nullopt = the bound strategy
-    std::function<void(bool)> on_done;
-  };
-
-  void begin(PendingRequest req);
-  void enqueue_or_begin(PendingRequest req);
+  /// `kind` nullopt = the bound strategy.
+  void begin(dsps::MigrationPlan plan, std::optional<StrategyKind> kind,
+             std::function<void(bool)> on_done);
   void start_attempt(std::function<void(bool)> on_done);
   void on_attempt_done(bool ok, std::function<void(bool)> on_done);
   void fall_back(std::function<void(bool)> on_done);
@@ -126,12 +100,9 @@ class RILL_PINNED MigrationController {
   std::map<StrategyKind, std::unique_ptr<MigrationStrategy>> owned_;
   ControllerConfig config_;
   dsps::MigrationPlan plan_;  ///< kept for retries / fallback
-  std::deque<PendingRequest> pending_;  ///< overlapping requests, FIFO
-  RequestQueueStats queue_stats_;
   RecoveryStats recovery_;
   bool in_flight_{false};
-  bool completed_{false};
-  bool success_{false};
+  bool success_{false};  ///< the last migration completed and succeeded
 };
 
 }  // namespace rill::core

@@ -85,10 +85,6 @@ void ShardedStore::put(VmId client, std::string key, Bytes value,
 void ShardedStore::put_batch(VmId client,
                              std::vector<std::pair<std::string, Bytes>> kvs,
                              PutDone done) {
-  if (shards_.size() == 1) {
-    shards_[0]->put_batch(client, std::move(kvs), std::move(done));
-    return;
-  }
   std::vector<std::vector<std::pair<std::string, Bytes>>> groups(
       shards_.size());
   for (auto& kv : kvs) {
@@ -181,10 +177,6 @@ void ShardedStore::get_batch(VmId client, std::vector<std::string> keys,
 
 void ShardedStore::del_batch(VmId client, std::vector<std::string> keys,
                              PutDone done) {
-  if (shards_.size() == 1) {
-    shards_[0]->del_batch(client, std::move(keys), std::move(done));
-    return;
-  }
   std::vector<std::vector<std::string>> groups(shards_.size());
   for (auto& k : keys) {
     groups[static_cast<std::size_t>(shard_for(k))].push_back(std::move(k));

@@ -9,7 +9,7 @@
 // violated when a target is set: a migration that silences the sinks for
 // 30 s is an SLO breach even though no sample exceeded the target.
 //
-// The autoscale controller folds its sink feed into this monitor live and
+// The autoscale controller feeds it the collector's log at each tick and
 // decides on the closed windows.  After a run, the runner exports the same
 // series into --task-metrics JSON (slo.* instruments); rill_trace and
 // bench_autoscale rebuild it offline from a trace or an arrival log.

@@ -56,14 +56,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   core::MigrationController controller(platform, *strategy,
                                        config.controller);
 
-  // Closed-loop elasticity: the autoscaler tees the listener chain (sink
-  // arrivals feed its online SLO monitor on the way to the collector) and
-  // owns every migration trigger when enabled.
-  autoscale::AutoscaleController autoscaler(platform, controller, plan,
-                                            config.autoscale);
-  autoscaler.attach();
-  autoscaler.set_on_first_trigger(
-      [&collector](SimTime at) { collector.set_request_time(at); });
+  // Closed-loop elasticity: when enabled, the autoscaler reads the
+  // collector's sink-arrival log into its online SLO monitor at each
+  // decision tick and owns every migration trigger.
+  autoscale::AutoscaleController autoscaler(platform, controller, collector,
+                                            plan, config.autoscale);
 
   // Time-varying traffic: re-rates the spouts (phase-continuously) once a
   // second and installs the Zipf key pickers.
@@ -176,7 +173,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     if (in != out) ++result.accounting_violations;
   }
   result.billed_cents = platform.cluster().billed_cents();
-  result.request_queue = controller.queue_stats();
 
   if (config.autoscale.enabled) {
     // Close out the controller's live SLO series: close the windows that
@@ -298,7 +294,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
 
   // Windowed SLO series over the sink-arrival log, exported as slo.*
-  // instruments (the autoscaler's live feed when enabled).
+  // instruments (the same log the autoscaler reads when enabled).
   if (config.metrics != nullptr) {
     obs::OnlineSloMonitor slo(config.slo);
     const auto& samples = collector.latency().samples();

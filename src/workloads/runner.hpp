@@ -156,8 +156,6 @@ struct ExperimentResult {
   std::uint64_t slo_burn_per_mille{0};
   /// One char per closed window, in order: '.' healthy, 'X' violated.
   std::string slo_strip;
-  /// Overlapping-request bookkeeping at the migration controller.
-  core::RequestQueueStats request_queue;
 };
 
 /// Run one experiment.  Deterministic for a fixed config (seed included).

@@ -13,7 +13,6 @@ AutoscaleConfig config() {
   cfg.scale_in_windows = 6;
   cfg.queue_high = 40;
   cfg.queue_low = 4;
-  cfg.max_parallel_migrations = 1;
   return cfg;
 }
 
@@ -123,7 +122,7 @@ TEST(Decide, BusyMigrationSuppressesButRecordsTheIntent) {
   Signals s = steady();
   s.violated_streak = 2;
   s.ok_streak = 0;
-  s.migrations_busy = 1;
+  s.migrating = true;
   const Decision d = decide(s, config());
   EXPECT_EQ(d.action, Action::None);
   EXPECT_EQ(d.desired, Action::ScaleOut);
@@ -141,7 +140,7 @@ TEST(Decide, CooldownSuppressesAfterTheBusyGuard) {
   EXPECT_EQ(d.reason, "cooldown");
 
   // Busy wins over cooldown when both hold (it is evaluated first).
-  s.migrations_busy = 2;
+  s.migrating = true;
   EXPECT_EQ(decide(s, config()).reason, "busy");
 }
 
@@ -153,18 +152,6 @@ TEST(Decide, ForcedStrategyOverridesTheTable) {
   s.ok_streak = 0;
   s.keyed = true;
   EXPECT_EQ(decide(s, cfg).strategy, core::StrategyKind::DSM);
-}
-
-TEST(Decide, RaisedParallelismAdmitsConcurrentTriggers) {
-  AutoscaleConfig cfg = config();
-  cfg.max_parallel_migrations = 2;
-  Signals s = steady();
-  s.violated_streak = 2;
-  s.ok_streak = 0;
-  s.migrations_busy = 1;
-  EXPECT_EQ(decide(s, cfg).action, Action::ScaleOut);
-  s.migrations_busy = 2;
-  EXPECT_EQ(decide(s, cfg).action, Action::None);
 }
 
 }  // namespace

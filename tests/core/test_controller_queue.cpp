@@ -1,15 +1,15 @@
-// MigrationController overlapping-request guard (ISSUE 10 satellite).
-//
-// The controller used to assume a single hand-invoked migration and threw
-// on overlap.  The autoscale controller fires requests from a timer, so a
-// request arriving while one is in flight (or mid abort→re-pin→retry) is
-// routine: it must be queued FIFO — or rejected once the queue is full —
-// deterministically, never double-triggered.
+// MigrationController runs one migration at a time.  A request arriving
+// while one is in flight (or mid abort→re-pin→retry) is rejected at once
+// with on_done(false), and the in-flight migration runs on untouched: it
+// is never double-triggered and completes exactly once.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string_view>
 #include <vector>
 
 #include "core/controller.hpp"
+#include "obs/trace.hpp"
 #include "test_util.hpp"
 
 namespace rill::core {
@@ -19,14 +19,18 @@ using testutil::Harness;
 
 struct ControllerRig {
   Harness h;
+  obs::Tracer tracer;
   std::unique_ptr<MigrationStrategy> strategy;
   std::unique_ptr<MigrationController> controller;
   std::vector<VmId> target_a;
   std::vector<VmId> target_b;
+  /// Completions in order: +id on success, -id on failure.
+  std::vector<int> done;
 
   explicit ControllerRig(StrategyKind kind = StrategyKind::CCR,
                          ControllerConfig cc = {})
       : h(testutil::mini_chain()) {
+    h.p().set_tracer(&tracer);
     strategy = make_strategy(kind);
     strategy->configure(h.p());
     controller =
@@ -43,59 +47,50 @@ struct ControllerRig {
     plan.scheduler = &h.scheduler;
     return plan;
   }
+
+  void request(const std::vector<VmId>& vms, int id) {
+    controller->request(plan_to(vms),
+                        [this, id](bool ok) { done.push_back(ok ? id : -id); });
+  }
+
+  /// The controller's own instants named `name` (strategies write to the
+  /// same track under another category).
+  [[nodiscard]] int instants(std::string_view name) const {
+    int n = 0;
+    for (const obs::Tracer::Record& r : tracer.records()) {
+      if (r.track == obs::kTrackController &&
+          std::string_view(r.cat) == "controller" && r.name == name) {
+        ++n;
+      }
+    }
+    return n;
+  }
 };
 
-TEST(ControllerQueue, OverlappingRequestQueuesAndRunsAfter) {
+TEST(ControllerQueue, RequestWhileInFlightIsRejectedSynchronously) {
   ControllerRig rig;
   rig.h.p().start();
   rig.h.run_for(time::sec(30));
-
-  std::vector<int> done_order;
-  rig.controller->request(rig.plan_to(rig.target_a),
-                          [&](bool ok) { done_order.push_back(ok ? 1 : -1); });
+  rig.request(rig.target_a, 1);
   ASSERT_TRUE(rig.controller->in_flight());
 
-  // Fire the second request 1 s later, squarely inside the first
-  // migration (CCR takes tens of seconds): it must queue, not throw and
-  // not double-trigger.
+  // A second request 1 s later, squarely inside the first migration (CCR
+  // takes tens of seconds): refused before request() returns.
   rig.h.run_for(time::sec(1));
+  rig.request(rig.target_b, 2);
+  ASSERT_EQ(rig.done, std::vector<int>{-2});
   EXPECT_TRUE(rig.controller->in_flight());
-  rig.controller->request(rig.plan_to(rig.target_b),
-                          [&](bool ok) { done_order.push_back(ok ? 2 : -2); });
-  EXPECT_EQ(rig.controller->queued(), 1u);
-  EXPECT_EQ(rig.controller->queue_stats().queued, 1u);
 
+  // The first migration completes exactly once; the second never started.
   rig.h.run_for(time::sec(360));
   EXPECT_FALSE(rig.controller->in_flight());
-  EXPECT_EQ(rig.controller->queued(), 0u);
-  EXPECT_EQ(rig.controller->queue_stats().dequeued, 1u);
-  // Both completed, in arrival order, exactly once each.
-  ASSERT_EQ(done_order.size(), 2u);
-  EXPECT_EQ(done_order[0], 1);
-  EXPECT_EQ(done_order[1], 2);
+  EXPECT_EQ(rig.done, (std::vector<int>{-2, 1}));
+  EXPECT_EQ(rig.instants("request"), 1);
+  EXPECT_EQ(rig.instants("rejected"), 1);
+  EXPECT_EQ(rig.instants("done"), 1);
 }
 
-TEST(ControllerQueue, RequestBeyondQueueCapIsRejected) {
-  ControllerConfig cc;
-  cc.max_queued = 1;
-  ControllerRig rig(StrategyKind::CCR, cc);
-  rig.h.p().start();
-  rig.h.run_for(time::sec(30));
-
-  int rejections = 0;
-  rig.controller->request(rig.plan_to(rig.target_a));
-  rig.h.run_for(time::sec(1));
-  rig.controller->request(rig.plan_to(rig.target_b));  // queued
-  // Third overlapping request: the queue is full → rejected immediately,
-  // synchronously, with on_done(false).
-  rig.controller->request(rig.plan_to(rig.target_b),
-                          [&](bool ok) { rejections += ok ? 0 : 1; });
-  EXPECT_EQ(rejections, 1);
-  EXPECT_EQ(rig.controller->queue_stats().rejected, 1u);
-  EXPECT_EQ(rig.controller->queued(), 1u);
-}
-
-TEST(ControllerQueue, OverlapDuringRetryBackoffIsQueuedNotDoubleTriggered) {
+TEST(ControllerQueue, RequestDuringRetryBackoffIsRejectedSynchronously) {
   // Make the first attempt abort: an init deadline far shorter than the
   // worker start-up window guarantees the restore misses it and the
   // attempt rolls back, putting the controller into its backoff window.
@@ -106,29 +101,32 @@ TEST(ControllerQueue, OverlapDuringRetryBackoffIsQueuedNotDoubleTriggered) {
   rig.h.p().config_mut().init_deadline = time::sec(5);
   rig.h.p().start();
   rig.h.run_for(time::sec(30));
-
-  std::vector<int> done_order;
-  rig.controller->request(rig.plan_to(rig.target_a),
-                          [&](bool ok) { done_order.push_back(ok ? 1 : -1); });
+  rig.request(rig.target_a, 1);
   // Run until the first attempt has aborted (drain+ckpt+rebalance+deadline
   // is well under 60 s) — the controller is between attempts, but the
   // request is still in flight.
   rig.h.run_for(time::sec(60));
   ASSERT_TRUE(rig.controller->in_flight());
   ASSERT_GT(rig.controller->recovery().aborted_attempts, 0);
+  const int attempts = rig.controller->recovery().attempts;
 
-  rig.controller->request(rig.plan_to(rig.target_b),
-                          [&](bool ok) { done_order.push_back(ok ? 2 : -2); });
-  EXPECT_EQ(rig.controller->queued(), 1u);
+  // Refused at once, without starting an attempt or resetting the
+  // recovery bookkeeping of the migration in flight.
+  rig.request(rig.target_b, 2);
+  ASSERT_EQ(rig.done, std::vector<int>{-2});
+  EXPECT_TRUE(rig.controller->in_flight());
+  EXPECT_EQ(rig.controller->recovery().attempts, attempts);
+  EXPECT_GT(rig.controller->recovery().aborted_attempts, 0);
 
-  // Let the retries (and, if needed, the DSM fallback) run to completion,
-  // then the queued request.
+  // The retries (and, if needed, the DSM fallback) run to completion: the
+  // first migration finishes exactly once.
   rig.h.run_for(time::sec(600));
   EXPECT_FALSE(rig.controller->in_flight());
-  ASSERT_EQ(done_order.size(), 2u);
-  EXPECT_EQ(std::abs(done_order[0]), 1);
-  EXPECT_EQ(std::abs(done_order[1]), 2);
-  EXPECT_EQ(rig.controller->queue_stats().dequeued, 1u);
+  ASSERT_EQ(rig.done.size(), 2u);
+  EXPECT_EQ(std::abs(rig.done[1]), 1);
+  EXPECT_EQ(rig.instants("request"), 1);
+  EXPECT_EQ(rig.instants("rejected"), 1);
+  EXPECT_EQ(rig.instants("done"), 1);
 }
 
 TEST(ControllerQueue, ExplicitStrategyKindOverridesBoundStrategy) {

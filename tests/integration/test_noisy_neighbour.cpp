@@ -18,6 +18,7 @@
 #include "core/controller.hpp"
 #include "core/strategy.hpp"
 #include "dsps/platform.hpp"
+#include "metrics/collector.hpp"
 #include "workloads/dags.hpp"
 #include "workloads/scenario.hpp"
 #include "workloads/traffic.hpp"
@@ -74,17 +75,20 @@ TEST(NoisyNeighbour, CountMatchesScanEveryEvent) {
                                                  plan.default_d2_vms, "d2"),
                   scheduler);
 
-  // The runner's closed loop: the autoscaler owns every migration and
-  // picks FGM for the keyed dataflow.  The bound strategy is DSM only
-  // because it runs the periodic checkpoint waves.
+  // The runner's closed loop: the autoscaler reads the collector's
+  // sink-arrival log, owns every migration and picks FGM for the keyed
+  // dataflow.  The bound strategy is DSM only because it runs the periodic
+  // checkpoint waves.
+  metrics::Collector collector;
+  platform.set_listener(&collector);
   auto strategy = core::make_strategy(core::StrategyKind::DSM);
   strategy->configure(platform);
   core::MigrationController migrations(platform, *strategy);
   autoscale::AutoscaleConfig acfg;
   acfg.enabled = true;
   acfg.target_p99_us = 1'500'000;
-  autoscale::AutoscaleController autoscaler(platform, migrations, plan, acfg);
-  autoscaler.attach();
+  autoscale::AutoscaleController autoscaler(platform, migrations, collector,
+                                            plan, acfg);
 
   workloads::TrafficConfig tcfg;
   tcfg.enabled = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -343,6 +344,96 @@ TEST(OnlineSloMonitor, FinalizedSeriesMatchesBatchMonitor) {
   // The streams exercised the two edges the equivalence hinges on.
   EXPECT_GT(boundary_samples, 100u);
   EXPECT_GT(gap_windows, 100u);
+}
+
+// Everything the autoscale controller and the report read from a monitor.
+auto observed(const OnlineSloMonitor& m) {
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                         std::uint64_t, std::uint64_t, bool>>
+      windows;
+  for (const SloWindow& w : m.windows()) {
+    windows.emplace_back(w.start_sec, w.count, w.p50_us, w.p95_us, w.p99_us,
+                         w.violated);
+  }
+  return std::tuple(windows, m.violated_streak(), m.ok_streak(),
+                    m.burn_per_mille());
+}
+
+TEST(OnlineSloMonitor, TickBatchedFeedMatchesPerArrivalFeed) {
+  // The autoscale controller records the arrivals logged since its last
+  // tick right before each advance_to(tick), not one at a time as they
+  // happen.  Both feeds must agree at every tick and after finalize().  An
+  // arrival on a tick instant may come before or after the tick in event
+  // order; after it, the batched feed holds it back to the next tick.
+  constexpr SimTime kTick = 5 * kSec;  // the controller's decision period
+  std::uint64_t on_tick = 0;
+  std::uint64_t after_tick = 0;
+  std::uint64_t on_edge = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const SloConfig cfg{/*target_p99_us=*/rng.uniform_int(0, 1) * 300,
+                        /*window_sec=*/rng.uniform_int(1, 12)};
+    const std::uint64_t width = cfg.window_sec * kSec;
+    struct Arrival {
+      SimTime at;
+      std::uint64_t latency_us;
+      bool after_tick;
+    };
+    std::vector<Arrival> arrivals;
+    SimTime t = rng.uniform_int(0, 40) * kSec;
+    const std::uint64_t n = rng.uniform_int(1, 150);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t pick = rng.uniform_int(0, 99);
+      if (pick < 5) {
+        t += rng.uniform_int(2, 4) * width;  // interior gap
+      } else if (pick < 20) {
+        t = (t / width + 1) * width;  // exactly on the next window edge
+      } else if (pick < 35) {
+        t = (t / kTick + 1) * kTick;  // exactly on the next tick
+      } else if (pick >= 45) {
+        t += rng.uniform_int(0, 3 * kSec);
+      }  // else (10 %): a tie with the previous arrival
+      const bool late = t % kTick == 0 && rng.uniform_int(0, 1) == 1;
+      on_tick += t % kTick == 0 ? 1 : 0;
+      after_tick += late ? 1 : 0;
+      on_edge += t % width == 0 ? 1 : 0;
+      arrivals.push_back(Arrival{t, rng.uniform_int(1, 600), late});
+    }
+
+    OnlineSloMonitor per_arrival(cfg);
+    OnlineSloMonitor batched(cfg);
+    std::size_t happened = 0;
+    std::size_t fed = 0;
+    const auto happen_until = [&](SimTime tick) {
+      for (; happened < arrivals.size(); ++happened) {
+        const Arrival& a = arrivals[happened];
+        if (a.at > tick || (a.at == tick && a.after_tick)) break;
+        per_arrival.record(a.at, a.latency_us);
+      }
+    };
+    const auto feed = [&] {
+      for (; fed < happened; ++fed) {
+        batched.record(arrivals[fed].at, arrivals[fed].latency_us);
+      }
+    };
+    for (SimTime tick = kTick; tick <= t + kTick; tick += kTick) {
+      happen_until(tick);
+      feed();
+      batched.advance_to(tick);
+      per_arrival.advance_to(tick);
+      ASSERT_EQ(observed(per_arrival), observed(batched))
+          << "seed " << seed << ", tick at " << tick / kSec << " s";
+    }
+    happen_until(t + kTick);
+    feed();
+    finish(per_arrival, t);
+    finish(batched, t);
+    ASSERT_EQ(observed(per_arrival), observed(batched)) << "seed " << seed;
+  }
+  // The streams exercised the instants the equivalence hinges on.
+  EXPECT_GT(on_tick, 100u);
+  EXPECT_GT(after_tick, 50u);
+  EXPECT_GT(on_edge, 100u);
 }
 
 // Boundary pins for the windowed-percentile fix: the report's whole-run

@@ -202,7 +202,7 @@ if [ "$run_asan" = 1 ]; then
   # outer buffer), so an off-by-one there is an ASan report, not a misread.
   # The control-plane suites (rebalance, abort re-pin, restore and commit
   # outages, DSM-T, logic updates, shard outages, cluster release, DSM
-  # fallback, controller queue) drive the worker start-up callbacks that
+  # fallback, controller overlap) drive the worker start-up callbacks that
   # capture an executor by reference, the re-pin path and the INIT-session
   # teardown.  The engine suites (Engine, the EngineReference differential
   # test, PeriodicTimer) check that callbacks running in place in their
@@ -216,6 +216,8 @@ if [ "$run_asan" = 1 ]; then
   # entries that own heap values) and the executor's ring queues (indices
   # wrap at both ends); Acker, Spout and Collector drive them through the
   # acker's callbacks, the spout's replay cache and the root ledger.
+  # AutoscaleSweep runs the runner's closed loop, whose controller reads
+  # the run's collector by reference from its first tick to stop().
   echo "==> asan: configure + build + fast chaos/FGM/codec/control/engine subset"
   cmake --preset asan
   cmake --build --preset asan -j "$jobs"
@@ -224,7 +226,8 @@ if [ "$run_asan" = 1 ]; then
   asan_subset+='|RebalanceFixture|ScopedRepin|RestoreOutage|CommitOutage'
   asan_subset+='|DsmTimeout|LogicUpdate|ShardOutage|ClusterFixture|DsmFallback'
   asan_subset+='|ControllerQueue|^Engine|EngineReference|PeriodicTimer'
-  asan_subset+='|NoisyNeighbour|RootTable|RingQueue|Acker|Spout|Collector'
+  asan_subset+='|NoisyNeighbour|AutoscaleSweep|RootTable|RingQueue|Acker'
+  asan_subset+='|Spout|Collector'
   ctest --preset asan -j "$jobs" -R "$asan_subset"
 fi
 

@@ -2,6 +2,7 @@
 //
 // Run `rill_run --help` for the full flag reference.  Unknown flags and
 // malformed values exit 2; a failed migration exits 1.
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -63,14 +64,13 @@ void print_help(std::FILE* out, const char* argv0) {
                "\n"
                "closed-loop autoscaling:\n"
                "  --autoscale 0|1       enable the SLO-driven controller; it\n"
-               "                        owns every migration (--migrate-at,\n"
-               "                        --strategy and --scale are ignored)\n"
+               "                        owns every migration, one at a time\n"
+               "                        (--migrate-at, --strategy and --scale\n"
+               "                        are ignored)\n"
                "  --autoscale-slo-p99-ms N  per-window p99 target, ms\n"
                "                        (default 1500)\n"
                "  --autoscale-cooldown-s S  minimum gap between triggers\n"
                "                        (default 60)\n"
-               "  --autoscale-max-tasks N   concurrent migrations allowed\n"
-               "                        (in flight + queued, default 1)\n"
                "  --autoscale-force NAME    pin every trigger to one\n"
                "                        strategy (per-strategy experiment\n"
                "                        rows; default: pick per situation)\n"
@@ -202,11 +202,14 @@ int csv_index(const char* argv0, const std::string& flag, double v) {
   return static_cast<int>(v);
 }
 
+/// Digits only: unlike strtoull, from_chars takes no sign or space and
+/// reports overflow instead of wrapping.
 std::uint64_t parse_u64(const char* argv0, const std::string& flag,
                         const std::string& s) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') {
+  std::uint64_t v = 0;
+  const char* last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(s.data(), last, v);
+  if (ec != std::errc{} || end != last) {
     die(argv0, "bad value for " + flag + ": '" + s + "'");
   }
   return v;
@@ -370,10 +373,6 @@ int main(int argc, char** argv) {
       const int v = parse_int(argv[0], arg, next());
       if (v < 0) die(argv[0], "--autoscale-cooldown-s must be >= 0");
       cfg.autoscale.cooldown = time::sec(v);
-    } else if (arg == "--autoscale-max-tasks") {
-      const int v = parse_int(argv[0], arg, next());
-      if (v < 1) die(argv[0], "--autoscale-max-tasks must be >= 1");
-      cfg.autoscale.max_parallel_migrations = static_cast<std::size_t>(v);
     } else if (arg == "--autoscale-force") {
       core::StrategyKind k{};
       if (!parse_strategy(next(), k)) die(argv[0], "unknown strategy");
