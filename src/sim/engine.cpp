@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <utility>
 
 namespace rill::sim {
@@ -20,19 +21,59 @@ std::uint32_t Engine::fresh_slot() {
   return used_slots_;
 }
 
-void Engine::heap_push(SimTime when, std::uint64_t seq, std::uint32_t index,
-                       std::uint32_t gen) {
-  const Entry e{when, seq, index, gen};
-  const Key k = key(e);
-  std::size_t i = heap_.size();
-  heap_.push_back(e);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (key(heap_[parent]) < k) break;
-    heap_[i] = heap_[parent];
-    i = parent;
+void Engine::insert(SimTime when, std::uint32_t index, std::uint32_t gen) {
+  // Most inserts land a few places from the head, so the search gallops
+  // from there, then bisects the last stride with selects, not branches,
+  // for the first entry later than `when`: ties go after their equals.
+  Entry* q = queue_.data();
+  std::size_t from = lo_, to = lo_;
+  for (std::size_t stride = 1; to < hi_ && q[to].when <= when; stride *= 2) {
+    from = to + 1;
+    to += stride;
   }
-  heap_[i] = e;
+  const Entry* base = q + from;
+  std::size_t n = std::min(to, hi_) - from;
+  for (; n > 1; n -= n / 2) {
+    base = base[n / 2].when <= when ? base + n / 2 : base;
+  }
+  std::size_t at =
+      static_cast<std::size_t>(base - q) + (n == 1 && base->when <= when);
+  const bool left = at - lo_ <= hi_ - at;
+  if (left ? lo_ == 0 : hi_ == queue_.size()) {
+    const std::size_t old_lo = lo_;
+    recentre();
+    at = at - old_lo + lo_;
+    q = queue_.data();
+  }
+  if (left) {
+    std::memmove(q + lo_ - 1, q + lo_, (at - lo_) * sizeof(Entry));
+    --lo_;
+    --at;
+  } else {
+    std::memmove(q + at + 1, q + at, (hi_ - at) * sizeof(Entry));
+    ++hi_;
+  }
+  q[at] = Entry{when, index, gen};
+}
+
+void Engine::recentre() {
+  const std::size_t n = hi_ - lo_;
+  const std::size_t size = 2 * n < queue_.size()
+                               ? queue_.size()
+                               : std::max<std::size_t>(2 * queue_.size(), 64);
+  const std::size_t new_lo = (size - n) / 2;
+  if (size == queue_.size()) {
+    std::memmove(queue_.data() + new_lo, queue_.data() + lo_,
+                 n * sizeof(Entry));
+  } else {
+    std::vector<Entry> grown(size);
+    std::copy(queue_.begin() + static_cast<std::ptrdiff_t>(lo_),
+              queue_.begin() + static_cast<std::ptrdiff_t>(hi_),
+              grown.begin() + static_cast<std::ptrdiff_t>(new_lo));
+    queue_.swap(grown);
+  }
+  lo_ = new_lo;
+  hi_ = new_lo + n;
 }
 
 TimerId Engine::enqueue(SimTime when, std::uint32_t index) {
@@ -44,7 +85,7 @@ TimerId Engine::enqueue(SimTime when, std::uint32_t index) {
   if (when < now_) when = now_;
   const std::uint32_t gen = ++gens_[index];  // odd: waiting
   ++active_count_;
-  heap_push(when, next_seq_++, index, gen);
+  insert(when, index, gen);
   return TimerId{(static_cast<std::uint64_t>(gen) << 32) | index};
 }
 
@@ -66,8 +107,7 @@ bool Engine::cancel(TimerId id) {
 }
 
 void Engine::fire() {
-  const Entry e = heap_.front();
-  heap_pop();
+  const Entry e = queue_[lo_++];
   // Dead before the call: the callback's own TimerId no longer cancels.
   ++gens_[e.index];
   --active_count_;
@@ -88,21 +128,20 @@ void Engine::fire() {
 }
 
 bool Engine::step() {
-  while (!heap_.empty()) {
-    if (live(heap_.front())) {
+  for (; lo_ != hi_; ++lo_) {  // cancelled entries are lazily swept
+    if (live(queue_[lo_])) {
       fire();
       return true;
     }
-    heap_pop();  // cancelled; lazily swept
   }
   return false;
 }
 
 void Engine::run_until(SimTime limit) {
-  while (!heap_.empty()) {
-    const Entry& head = heap_.front();
+  while (lo_ != hi_) {
+    const Entry& head = queue_[lo_];
     if (!live(head)) {
-      heap_pop();  // cancelled; lazily swept
+      ++lo_;  // cancelled; lazily swept
     } else if (head.when > limit) {
       now_ = limit;
       return;
@@ -116,48 +155,6 @@ void Engine::run_until(SimTime limit) {
 void Engine::run() {
   while (step()) {
   }
-}
-
-void Engine::heap_pop() {
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return;
-  const Key k = key(last);
-  Entry* h = heap_.data();
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t first = 4 * i + 1;
-    std::size_t m;
-    Key km;
-    if (first + 3 < n) {
-      // All four children exist.  Which one is smallest is a coin toss,
-      // so it is picked with selects and masks, not branches.
-      const Key k0 = key(h[first]), k1 = key(h[first + 1]);
-      const Key k2 = key(h[first + 2]), k3 = key(h[first + 3]);
-      const bool b01 = k1 < k0, b23 = k3 < k2;
-      const std::size_t a = first + b01, b = first + 2 + b23;
-      const std::size_t right = (b23 ? k3 : k2) < (b01 ? k1 : k0);
-      m = a ^ ((a ^ b) & (0 - right));
-      km = key(h[m]);
-    } else if (first < n) {
-      m = first;
-      km = key(h[first]);
-      for (std::size_t c = first + 1; c < n; ++c) {
-        const Key kc = key(h[c]);
-        if (kc < km) {
-          m = c;
-          km = kc;
-        }
-      }
-    } else {
-      break;
-    }
-    if (k < km) break;
-    h[i] = h[m];
-    i = m;
-  }
-  h[i] = last;
 }
 
 PeriodicTimer::PeriodicTimer(Engine& engine, SimDuration period,

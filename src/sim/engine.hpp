@@ -2,9 +2,9 @@
 //
 // Everything in Rill — network delivery, task service times, checkpoint
 // waves, worker start-up, ack timeouts — is a callback scheduled on this
-// engine.  Events fire in (time, sequence) order, so two events at the same
-// instant fire in the order they were scheduled, which makes every run with
-// the same seed bit-for-bit reproducible.
+// engine.  Events fire in time order, and two events at the same instant
+// fire in the order they were scheduled, which makes every run with the
+// same seed bit-for-bit reproducible.
 #pragma once
 
 #include <cstdint>
@@ -108,20 +108,16 @@ class Engine {
   static constexpr std::uint32_t kChunkBits = 5;
   static constexpr std::uint32_t kChunkSlots = 1u << kChunkBits;
 
-  // A 24-byte queue entry.  The queue is a 4-ary min-heap on (when, seq).
+  // A 16-byte queue entry.  The queue is one array sorted by `when`: the
+  // live entries are queue_[lo_, hi_), with room on both sides of them.
+  // An entry goes after every entry with the same `when`, so position
+  // alone keeps same-instant events in schedule order.
   struct Entry {
     SimTime when;
-    std::uint64_t seq;
     std::uint32_t index;
     std::uint32_t gen;
   };
-  static_assert(sizeof(Entry) == 24);
-
-  /// (when, seq) as one unsigned 128-bit value: the firing order.
-  using Key = unsigned __int128;
-  [[nodiscard]] static Key key(const Entry& e) noexcept {
-    return (static_cast<Key>(e.when) << 64) | e.seq;
-  }
+  static_assert(sizeof(Entry) == 16);
 
   [[nodiscard]] bool live(const Entry& e) const noexcept {
     return gens_[e.index] == e.gen;
@@ -154,18 +150,21 @@ class Engine {
   // Destroys slot `index`'s callable `cb` and puts the slot on the free list.
   void free_slot(Callback& cb, std::uint32_t index) noexcept;
 
-  // Sifts a new entry up from the bottom.  It takes the fields rather than
-  // an Entry so they arrive in registers, not through a stack copy.
-  void heap_push(SimTime when, std::uint64_t seq, std::uint32_t index,
-                 std::uint32_t gen);
-  // Removes the head: the last entry sifts down from the root.
-  void heap_pop();
+  // Puts an entry after every entry at or before `when`, moving whichever
+  // side of that place is shorter one step outward; if that side has no
+  // room, recentre() makes some first.
+  void insert(SimTime when, std::uint32_t index, std::uint32_t gen);
+  // Moves the live range to the middle of the buffer.  The buffer doubles
+  // first if the range fills half of it, so each move leaves a quarter of
+  // the buffer free on both sides and is paid for by that many inserts.
+  void recentre();
 
   SimTime now_{0};
-  std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};
   std::size_t active_count_{0};
-  std::vector<Entry> heap_;
+  std::vector<Entry> queue_;
+  std::size_t lo_{0};
+  std::size_t hi_{0};
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   // One generation per slot, at least for every chunk; even (free) until
   // the slot's first use.

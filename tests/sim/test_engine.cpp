@@ -239,7 +239,7 @@ TEST(Engine, CaptureLargerThanInlineStorageStillRuns) {
 
 TEST(Engine, CancelDestroysCapturedStateImmediately) {
   // Inline and heap-stored captures alike are released by cancel(), not
-  // when the stale heap entry is swept or the engine is destroyed.
+  // when the stale queue entry is swept or the engine is destroyed.
   Engine e;
   auto token = std::make_shared<int>(0);
   std::array<char, 2 * Callback::kInlineBytes> pad{};

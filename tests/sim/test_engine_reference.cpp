@@ -7,10 +7,13 @@
 // executed() and every cancel() result.  Callbacks follow a script drawn
 // from (round seed, label) alone, so both sides run the same nested
 // schedules and cancels: at `now`, at ties, cancelling other timers and
-// their own id.
+// their own id.  Besides random rounds, shaped rounds drive the engine's
+// sorted-array queue to its edges: inserts at either end, ties across a
+// re-centre or a growth of its buffer, and a queue drained to empty.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -235,102 +238,147 @@ struct Compared {
   std::size_t cancels{0};
 };
 
-// Compares the two sides; on a mismatch reports where and returns false.
-bool same(const EngineSide& e, const ModelSide& m, Compared& done,
-          std::uint64_t seed, int op, const char* what) {
-  const std::string where = "seed " + std::to_string(seed) + ", op " +
-                            std::to_string(op) + " (" + what + ")";
-  if (!same_log(e.obs.fired, m.obs.fired, done.fired)) {
-    ADD_FAILURE() << "fired labels differ at " << where;
-    return false;
+// The engine and the model driven in lockstep: each operation goes to
+// both sides, and they are compared after it.  The first mismatch is
+// reported with the operation's number; from then on ok() is false and
+// every operation is a no-op.
+class Lockstep {
+ public:
+  Lockstep(std::uint64_t seed, int label_cap)
+      : engine_(seed, label_cap), model_(seed, label_cap), seed_(seed) {}
+
+  void schedule(SimDuration delay) {
+    if (!ok_) return;
+    engine_.schedule(delay);
+    model_.schedule(delay);
+    compare("schedule");
   }
-  if (!same_log(e.obs.returned, m.obs.returned, done.returned)) {
-    ADD_FAILURE() << "labels read at return differ at " << where;
-    return false;
+  void schedule_at(SimTime when) {
+    if (!ok_) return;
+    engine_.schedule_at(when);
+    model_.schedule_at(when);
+    compare("schedule_at");
   }
-  if (!same_log(e.obs.cancels, m.obs.cancels, done.cancels)) {
-    ADD_FAILURE() << "cancel() results differ at " << where;
-    return false;
+  void cancel(int label) {
+    if (!ok_) return;
+    engine_.cancel(label);
+    model_.cancel(label);
+    compare("cancel");
   }
-  if (e.now() != m.now() || e.pending() != m.pending() ||
-      e.executed() != m.executed()) {
-    ADD_FAILURE() << "now/pending/executed " << e.now() << "/" << e.pending()
-                  << "/" << e.executed() << " vs model " << m.now() << "/"
-                  << m.pending() << "/" << m.executed() << " at " << where;
-    return false;
+  void cancel_default() {
+    if (!ok_) return;
+    engine_.cancel_default();
+    model_.cancel_default();
+    compare("cancel TimerId{}");
   }
-  return true;
-}
+  void step() {
+    if (!ok_) return;
+    const bool e = engine_.step();
+    const bool m = model_.step();
+    if (e != m) {
+      ADD_FAILURE() << "step() returned " << e << " vs model " << m << " at "
+                    << where("step");
+      ok_ = false;
+      return;
+    }
+    compare("step");
+  }
+  void run_until(SimTime limit) {
+    if (!ok_) return;
+    engine_.run_until(limit);
+    model_.run_until(limit);
+    compare("run_until");
+  }
+  void run() {
+    if (!ok_) return;
+    engine_.run();
+    model_.run();
+    compare("run");
+    EXPECT_EQ(engine_.pending(), 0u);
+  }
+
+  [[nodiscard]] bool ok() const { return ok_; }
+  [[nodiscard]] const ModelSide& model() const { return model_; }
+
+ private:
+  [[nodiscard]] std::string where(const char* what) const {
+    return "seed " + std::to_string(seed_) + ", op " + std::to_string(op_) +
+           " (" + what + ")";
+  }
+
+  void compare(const char* what) {
+    ++op_;
+    const EngineSide& e = engine_;
+    const ModelSide& m = model_;
+    if (!same_log(e.obs.fired, m.obs.fired, done_.fired)) {
+      ADD_FAILURE() << "fired labels differ at " << where(what);
+    } else if (!same_log(e.obs.returned, m.obs.returned, done_.returned)) {
+      ADD_FAILURE() << "labels read at return differ at " << where(what);
+    } else if (!same_log(e.obs.cancels, m.obs.cancels, done_.cancels)) {
+      ADD_FAILURE() << "cancel() results differ at " << where(what);
+    } else if (e.now() != m.now() || e.pending() != m.pending() ||
+               e.executed() != m.executed()) {
+      ADD_FAILURE() << "now/pending/executed " << e.now() << "/"
+                    << e.pending() << "/" << e.executed() << " vs model "
+                    << m.now() << "/" << m.pending() << "/" << m.executed()
+                    << " at " << where(what);
+    } else {
+      return;
+    }
+    ok_ = false;
+  }
+
+  EngineSide engine_;
+  ModelSide model_;
+  std::uint64_t seed_;
+  int op_{0};
+  Compared done_;
+  bool ok_{true};
+};
 
 // One seeded round of `ops` random operations; returns the most timers
 // that were pending at once.  `burst` > 0 adds an operation, run at least
 // once, that schedules that many timers together.
 std::size_t run_round(std::uint64_t seed, int ops, int burst, int label_cap) {
-  EngineSide engine(seed, label_cap);
-  ModelSide model(seed, label_cap);
+  Lockstep s(seed, label_cap);
   Rng rng(seed);
-  Compared done;
   int last_cancelled = -1;
   std::size_t max_pending = 0;
-  for (int op = 0; op < ops; ++op) {
-    const char* what = "";
+  for (int op = 0; op < ops && s.ok(); ++op) {
+    const ModelSide& model = s.model();
     const std::uint64_t kind = rng.uniform_int(0, 99);
     const int labels = model.labels();
     if (burst > 0 && (op == 10 || kind >= 99)) {
-      what = "burst";
       for (int i = 0; i < burst; ++i) {
-        const SimDuration d = rng.uniform01() < 0.5
-                                  ? draw_delay(rng)
-                                  : static_cast<SimDuration>(
-                                        rng.uniform_int(0, time::sec(30)));
-        engine.schedule(d);
-        model.schedule(d);
+        s.schedule(rng.uniform01() < 0.5
+                       ? draw_delay(rng)
+                       : static_cast<SimDuration>(
+                             rng.uniform_int(0, time::sec(30))));
       }
     } else if (kind < 30 && labels < label_cap) {
-      what = "schedule";
-      const SimDuration d = draw_delay(rng);
-      engine.schedule(d);
-      model.schedule(d);
+      s.schedule(draw_delay(rng));
     } else if (kind < 38 && labels < label_cap) {
-      what = "schedule_at";
       // Mostly in the past or at now, clamped; sometimes ahead.
       const SimTime back = rng.uniform_int(0, time::ms(10));
-      const SimTime at = rng.uniform01() < 0.7
-                             ? (model.now() > back ? model.now() - back : 0)
-                             : model.now() + back;
-      engine.schedule_at(at);
-      model.schedule_at(at);
+      s.schedule_at(rng.uniform01() < 0.7
+                        ? (model.now() > back ? model.now() - back : 0)
+                        : model.now() + back);
     } else if (kind < 58 && labels > 0) {
       // Recent labels are mostly live; older ones have fired, were
       // cancelled, or name a slot that was since reused.
-      what = "cancel";
       const int recent = std::min(labels, 16);
-      const int label =
+      last_cancelled =
           rng.uniform01() < 0.6
               ? labels - 1 - static_cast<int>(rng.uniform_int(0, recent - 1))
               : static_cast<int>(rng.uniform_int(0, labels - 1));
-      engine.cancel(label);
-      model.cancel(label);
-      last_cancelled = label;
+      s.cancel(last_cancelled);
     } else if (kind < 62 && last_cancelled >= 0) {
-      what = "cancel again";
-      engine.cancel(last_cancelled);
-      model.cancel(last_cancelled);
+      s.cancel(last_cancelled);  // again
     } else if (kind < 64) {
-      what = "cancel TimerId{}";
-      engine.cancel_default();
-      model.cancel_default();
+      s.cancel_default();
     } else if (kind < 84) {
-      what = "step";
-      const bool e = engine.step();
-      const bool m = model.step();
-      if (e != m) {
-        ADD_FAILURE() << "step() returned " << e << " vs model " << m
-                      << " at seed " << seed << ", op " << op;
-        return max_pending;
-      }
+      s.step();
     } else if (kind < 92) {
-      what = "run_until";
       // Half the time the limit is the instant of a cancelled entry, so
       // the queue head can be a cancelled entry sitting right at the limit.
       const std::vector<SimTime>& dead = model.cancelled_at();
@@ -339,18 +387,13 @@ std::size_t run_round(std::uint64_t seed, int ops, int burst, int label_cap) {
         const SimTime at = dead[rng.uniform_int(0, dead.size() - 1)];
         if (at >= model.now()) limit = at;
       }
-      engine.run_until(limit);
-      model.run_until(limit);
+      s.run_until(limit);
     } else {
       continue;
     }
-    if (!same(engine, model, done, seed, op, what)) return max_pending;
     max_pending = std::max(max_pending, model.pending());
   }
-  engine.run();
-  model.run();
-  same(engine, model, done, seed, ops, "final run");
-  EXPECT_EQ(engine.pending(), 0u);
+  s.run();
   return max_pending;
 }
 
@@ -362,13 +405,121 @@ TEST(EngineReference, RandomOperationsMatchTheModel) {
 }
 
 TEST(EngineReference, DeepQueuesMatchTheModel) {
-  // Bursts of 5 000+ timers: the heap runs seven levels deep and the slot
-  // store spans over 150 chunks.
+  // Bursts of 5 000+ timers: the queue's buffer doubles many times and
+  // the slot store spans over 150 chunks.
   for (std::uint64_t seed = 1001; seed <= 1012; ++seed) {
     const std::size_t deepest =
         run_round(seed, 200, 5000 + static_cast<int>(seed % 7) * 100, 15000);
     if (::testing::Test::HasFailure()) return;
     EXPECT_GE(deepest, 5000u) << "seed " << seed;
+  }
+}
+
+TEST(EngineReference, FarFutureTimersThenNearHeadOnesMatchTheModel) {
+  // BM_EngineCancelHeavy's shape: monotone far-future timers, each one
+  // landing at the tail, most of them cancelled, then near-head schedules
+  // between steps.
+  constexpr int kTimers = 20000;
+  Lockstep s(7, 2 * kTimers);
+  for (int i = 0; i < kTimers; ++i) s.schedule(time::sec(30) + time::us(i));
+  for (int i = 0; i < kTimers; ++i) {
+    if (i % 16 != 0) s.cancel(i);
+  }
+  Rng rng(7);
+  for (int i = 0; i < kTimers; ++i) {
+    s.schedule(draw_delay(rng));
+    if (i % 2 == 1) s.step();
+  }
+  s.run();
+
+  // The same shape on the engine alone, ten times deeper.  An insert
+  // moves the shorter side of its place, which here is nothing; moving
+  // the longer side instead would move every pending entry each time,
+  // 2 * 10^10 entry moves in all, about ten seconds.
+  constexpr int kDeep = 10 * kTimers;
+  const auto start = std::chrono::steady_clock::now();
+  Engine engine;
+  std::vector<TimerId> ids;
+  for (int i = 0; i < kDeep; ++i) {
+    ids.push_back(engine.schedule(time::sec(30) + time::us(i), [] {}));
+  }
+  for (int i = 0; i < kDeep; ++i) {
+    if (i % 16 != 0) engine.cancel(ids[static_cast<std::size_t>(i)]);
+  }
+  engine.run();
+  EXPECT_EQ(engine.executed(), static_cast<std::uint64_t>(kDeep / 16));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+}
+
+TEST(EngineReference, TiedBurstsAcrossRecentreAndGrowthMatchTheModel) {
+  // Bursts tied on one instant, at the head, inside the queue or past its
+  // tail, with steps between them.  Each burst's inserts take room from
+  // one side until the live range moves back to the middle of its buffer
+  // or the buffer doubles, with the tie group on both sides of the entry
+  // that forces the move.
+  constexpr SimDuration kTies[] = {0, time::us(1), time::us(150),
+                                   time::ms(5), time::sec(30)};
+  for (std::uint64_t seed = 2001; seed <= 2030; ++seed) {
+    Lockstep s(seed, 20000);
+    Rng rng(seed);
+    for (int burst = 0; burst < 30 && s.ok(); ++burst) {
+      const SimTime at =
+          s.model().now() + static_cast<SimTime>(
+                                kTies[rng.uniform_int(0, std::size(kTies) - 1)]);
+      const auto n = static_cast<int>(rng.uniform_int(1, 300));
+      for (int i = 0; i < n; ++i) s.schedule_at(at);
+      const auto steps = static_cast<int>(rng.uniform_int(0, n));
+      for (int i = 0; i < steps; ++i) s.step();
+    }
+    s.run();
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(EngineReference, DrainedAndRefilledQueueMatchesTheModel) {
+  // Every round drains the queue to empty, wherever in its buffer the
+  // live range ended up, and fills it again.
+  for (std::uint64_t seed = 3001; seed <= 3020; ++seed) {
+    Lockstep s(seed, 20000);
+    Rng rng(seed);
+    for (int round = 0; round < 25 && s.ok(); ++round) {
+      const auto n = static_cast<int>(rng.uniform_int(1, 200));
+      for (int i = 0; i < n; ++i) s.schedule(draw_delay(rng));
+      s.run();
+    }
+    s.run();
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(EngineReference, SchedulesAtNowAfterRunUntilStopsShortMatchTheModel) {
+  // run_until stops before a future head and leaves the clock at its
+  // limit; what is then scheduled at now() goes in ahead of that head,
+  // in schedule order.
+  for (std::uint64_t seed = 4001; seed <= 4040; ++seed) {
+    Lockstep s(seed, 20000);
+    Rng rng(seed);
+    for (int round = 0; round < 60 && s.ok(); ++round) {
+      const auto ahead = static_cast<int>(rng.uniform_int(1, 8));
+      for (int i = 0; i < ahead; ++i) {
+        s.schedule(time::ms(1) +
+                   static_cast<SimDuration>(rng.uniform_int(0, time::ms(4))));
+      }
+      s.run_until(s.model().now() +
+                  static_cast<SimTime>(rng.uniform_int(0, time::us(999))));
+      const auto at_now = static_cast<int>(rng.uniform_int(1, 6));
+      for (int i = 0; i < at_now; ++i) {
+        if (i % 2 == 0) {
+          s.schedule(0);
+        } else {
+          s.schedule_at(s.model().now());
+        }
+      }
+      const auto steps = static_cast<int>(rng.uniform_int(0, at_now + ahead));
+      for (int i = 0; i < steps; ++i) s.step();
+    }
+    s.run();
+    if (::testing::Test::HasFailure()) return;
   }
 }
 

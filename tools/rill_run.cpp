@@ -261,6 +261,8 @@ int main(int argc, char** argv) {
   std::string trace_jsonl;
   std::string task_metrics_out;
   std::uint64_t attr_sample = 0;
+  // Built after the loop, so it is sized for --rate wherever that stands.
+  std::optional<int> linear_n;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -303,8 +305,8 @@ int main(int argc, char** argv) {
       if (v <= 0) die(argv[0], "--duration must be > 0");
       cfg.run_duration = time::sec_f(check_sec(argv[0], arg, v));
     } else if (arg == "--linear-n") {
-      cfg.custom_topology = workloads::build_linear_n(
-          parse_int(argv[0], arg, next()), cfg.platform.source_rate);
+      linear_n = parse_int(argv[0], arg, next());
+      if (*linear_n < 1) die(argv[0], "--linear-n must be >= 1");
     } else if (arg == "--attempts") {
       cfg.controller.max_attempts = parse_int(argv[0], arg, next());
       if (cfg.controller.max_attempts < 1) {
@@ -463,6 +465,10 @@ int main(int argc, char** argv) {
   if (want_help) {
     print_help(stdout, argv[0]);
     return 0;
+  }
+  if (linear_n) {
+    cfg.custom_topology =
+        workloads::build_linear_n(*linear_n, cfg.platform.source_rate);
   }
 
   // The flight recorder is only attached when an output was requested.
