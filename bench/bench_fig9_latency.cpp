@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
     }
 
     for (const auto& [win_start, avg_ms] :
-         r.collector.latency().windowed_avg_ms(10)) {
+         r.collector.latency().windowed_avg_ms()) {
       const double t = static_cast<double>(win_start) - req;
       if (t < -30.0 || t > 360.0) continue;
       std::printf("  t=%5.0f s  %8.0f ms  |", t, avg_ms);

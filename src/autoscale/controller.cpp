@@ -31,10 +31,12 @@ std::string_view to_string(Action a) noexcept {
 
 Decision decide(const Signals& s, const AutoscaleConfig& cfg) {
   Decision d;
-  const bool slo_burning = s.violated_streak >= cfg.scale_out_windows;
-  const bool queue_spiking = s.queue_depth_max >= cfg.queue_high;
-  const bool quiet = s.ok_streak >= cfg.scale_in_windows &&
-                     s.queue_depth_max <= cfg.queue_low && s.backlog == 0;
+  const bool slo_burning =
+      s.violated_streak >= AutoscaleConfig::scale_out_windows;
+  const bool queue_spiking = s.queue_depth_max >= AutoscaleConfig::queue_high;
+  const bool quiet = s.ok_streak >= AutoscaleConfig::scale_in_windows &&
+                     s.queue_depth_max <= AutoscaleConfig::queue_low &&
+                     s.backlog == 0;
 
   if ((slo_burning || queue_spiking) && s.tier != PoolTier::Wide) {
     d.desired = Action::ScaleOut;

@@ -79,14 +79,14 @@ struct AutoscaleConfig {
   /// Minimum gap after a trigger before the next one.
   SimDuration cooldown{time::sec(60)};
   /// Scale-out hysteresis: consecutive violated windows required.
-  int scale_out_windows{2};
+  static constexpr int scale_out_windows = 2;
   /// Scale-in hysteresis: consecutive healthy windows required.
-  int scale_in_windows{9};
+  static constexpr int scale_in_windows = 9;
   /// Queue-depth watermarks (max over worker executors): at or above
   /// `queue_high` the controller scales out even before the SLO burns;
   /// scale-in additionally requires the max depth at or below `queue_low`.
-  std::uint64_t queue_high{40};
-  std::uint64_t queue_low{4};
+  static constexpr std::uint64_t queue_high = 40;
+  static constexpr std::uint64_t queue_low = 4;
   /// Pin every trigger to one strategy (per-strategy experiment rows);
   /// nullopt = pick per situation (FGM/CCR/DCR table above).
   std::optional<core::StrategyKind> force_strategy;

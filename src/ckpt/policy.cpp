@@ -30,7 +30,7 @@ PolicyDecision solve(const PolicyInputs& in, const PolicyConfig& cfg) {
   // the staleness of the checkpoint it rolls back to (≤ τ when waves land
   // on schedule), so τ must leave that much slack under the objective.
   double tau_us = static_cast<double>(cfg.rto) -
-                  cfg.mttr_safety * static_cast<double>(*in.mttr);
+                  PolicyConfig::mttr_safety * static_cast<double>(*in.mttr);
 
   // Young/Daly efficiency optimum, adapted to stream replay: checkpoint
   // overhead C/τ balances expected re-work τ/(2·MTTF) weighted by the
@@ -44,15 +44,17 @@ PolicyDecision solve(const PolicyInputs& in, const PolicyConfig& cfg) {
     tau_us = std::min(tau_us, daly_us);
   }
 
-  tau_us = std::clamp(tau_us, static_cast<double>(cfg.min_interval),
-                      static_cast<double>(cfg.max_interval));
+  tau_us = std::clamp(tau_us,
+                      static_cast<double>(PolicyConfig::min_interval),
+                      static_cast<double>(PolicyConfig::max_interval));
   SimDuration tau = static_cast<SimDuration>(std::llround(tau_us));
   tau = std::max<SimDuration>(kQuantum, (tau / kQuantum) * kQuantum);
 
   // Hysteresis: ignore moves within ±hysteresis of the current interval.
   const auto cur = static_cast<double>(in.current_interval);
   if (in.current_interval > 0 &&
-      std::abs(static_cast<double>(tau) - cur) <= cfg.hysteresis * cur) {
+      std::abs(static_cast<double>(tau) - cur) <=
+          PolicyConfig::hysteresis * cur) {
     tau = in.current_interval;
   }
   d.interval = tau;

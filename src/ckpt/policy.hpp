@@ -54,11 +54,12 @@ struct PolicyConfig {
   SimDuration rto{time::sec(60)};
   /// How often the controller re-solves and pushes decisions.
   SimDuration retune_epoch{time::sec(30)};
-  SimDuration min_interval{time::sec(5)};
-  SimDuration max_interval{time::sec(300)};
+  /// Bounds on the interval the solve picks.
+  static constexpr SimDuration min_interval = time::sec(5);
+  static constexpr SimDuration max_interval = time::sec(300);
   /// Headroom multiplier on MTTR̂ in the RTO bound (estimates smooth, the
   /// next recovery may run longer than the average).
-  double mttr_safety{1.2};
+  static constexpr double mttr_safety = 1.2;
   /// EWMA smoothing for both estimators.
   static constexpr double estimator_alpha = 0.3;
   /// Bounds on the compaction cadence the solve picks.
@@ -66,7 +67,7 @@ struct PolicyConfig {
   static constexpr int max_full_every = 16;
   /// Interval moves smaller than this fraction of the current value are
   /// suppressed — hysteresis against re-arm churn on every epoch.
-  double hysteresis{0.10};
+  static constexpr double hysteresis = 0.10;
 };
 
 /// Everything one solve consumes, bundled so the math is a pure function

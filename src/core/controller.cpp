@@ -47,13 +47,10 @@ void MigrationController::begin(dsps::MigrationPlan plan,
   } else {
     active_ = strategy_;
   }
-  if (kind.has_value()) {
-    // Explicit-strategy requests re-assert the session knobs: an earlier
-    // request of a different kind may have flipped acking / checkpoint
-    // wiring / periodic waves.  (The bound-strategy path keeps the
-    // historical contract — the caller configures once at startup.)
-    active_->configure(platform_);
-  }
+  // Every request re-asserts its strategy's session knobs: an earlier
+  // request of another kind, or a DSM fallback, may have flipped acking,
+  // checkpoint wiring or periodic waves.  configure() is idempotent.
+  active_->configure(platform_);
   plan_ = std::move(plan);
   controller_instant(
       platform_, "request",

@@ -60,15 +60,15 @@ class RILL_PINNED MigrationController {
   /// (optional) fires when the migration finally completes — after retries
   /// and, if enabled, the DSM fallback.  If a migration is already in
   /// flight the request is rejected: on_done(false) fires before this
-  /// returns.
+  /// returns.  Like every request, it runs the strategy's configure()
+  /// first, so the platform's session knobs (acking, checkpoint wiring,
+  /// periodic waves) match the strategy whatever ran before.
   void request(dsps::MigrationPlan plan,
                std::function<void(bool)> on_done = {});
 
   /// Enact the plan with an explicit strategy for this request — the
   /// autoscale controller picks FGM/CCR/DCR per situation.  The strategy
-  /// instance is created once per kind and cached; its configure() runs
-  /// before every enactment so the platform's session knobs (acking,
-  /// checkpoint wiring, periodic waves) match the chosen strategy.
+  /// instance is created once per kind and cached.
   void request(dsps::MigrationPlan plan, StrategyKind kind,
                std::function<void(bool)> on_done = {});
 

@@ -34,7 +34,6 @@ void DsmStrategy::migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
             [this, &platform, done = std::move(done)](bool ok) {
               phases_.init_complete = platform.engine().now();
               strategy_instant(platform, "init_complete");
-              phases_.migration_done = platform.engine().now();
               if (done) done(ok);
             });
       });

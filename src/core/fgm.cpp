@@ -37,7 +37,6 @@ void FgmStrategy::migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
   // nothing is killed, so the drain window (request → invoke) is zero.
   phases_.rebalance_invoked = platform.engine().now();
   if (ctx->remaining == 0) {
-    phases_.migration_done = platform.engine().now();
     if (ctx->done) ctx->done(true);
     return;
   }
@@ -79,7 +78,6 @@ void FgmStrategy::finish_attempt(dsps::Platform& platform,
     strategy_instant(platform, "abort");
     platform.rebalancer().abort_fluid();
     phases_.sources_unpaused = now;
-    phases_.migration_done = now;
     if (ctx->done) ctx->done(false);
     return;
   }
@@ -88,7 +86,6 @@ void FgmStrategy::finish_attempt(dsps::Platform& platform,
   phases_.init_complete = now;
   strategy_instant(platform, "fgm_all_moved");
   platform.rebalancer().finalize_fluid(ctx->plan);
-  phases_.migration_done = platform.engine().now();
   if (ctx->done) ctx->done(true);
 }
 

@@ -81,7 +81,6 @@ void CheckpointedStrategy::migrate(dsps::Platform& platform,
           strategy_instant(platform, "abort");
           platform.unpause_sources();
           phases_.sources_unpaused = platform.engine().now();
-          phases_.migration_done = platform.engine().now();
           if (done) done(false);
           return;
         }
@@ -132,7 +131,6 @@ void CheckpointedStrategy::migrate(dsps::Platform& platform,
                     platform.unpause_sources();
                     phases_.sources_unpaused = platform.engine().now();
                     strategy_instant(platform, "unpause");
-                    phases_.migration_done = platform.engine().now();
                     if (done) done(true);
                   },
                   platform.config().init_deadline);
@@ -187,7 +185,6 @@ void CheckpointedStrategy::abort_and_repin(dsps::Platform& platform,
             [this, &platform, done = std::move(done)](bool) mutable {
               platform.unpause_sources();
               phases_.sources_unpaused = platform.engine().now();
-              phases_.migration_done = platform.engine().now();
               if (done) done(false);
             });
       });

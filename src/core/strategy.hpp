@@ -47,7 +47,6 @@ struct PhaseTimes {
   std::optional<SimTime> rebalance_completed;
   std::optional<SimTime> init_complete;
   std::optional<SimTime> sources_unpaused;
-  std::optional<SimTime> migration_done;
 
   /// Transactional abort bookkeeping: the attempt was rolled back either
   /// before anything moved (checkpoint failed) or after the rebalance
@@ -82,7 +81,9 @@ class MigrationStrategy {
   }
 
   /// Configure platform-session knobs (acking scope, checkpoint mode,
-  /// periodic checkpointing).  Call once after deploy, before start.
+  /// periodic checkpointing).  Call once after deploy, before start;
+  /// MigrationController calls it again before every request, so it must
+  /// be idempotent.
   virtual void configure(dsps::Platform& platform) = 0;
 
   /// Enact a migration.  `done(success)` fires when the strategy considers

@@ -8,11 +8,10 @@
 
 namespace rill::dsps {
 
-AckerService::AckerService(sim::Engine& engine, SimDuration ack_timeout,
-                           SimDuration scan_period)
+AckerService::AckerService(sim::Engine& engine, SimDuration ack_timeout)
     : engine_(engine),
       ack_timeout_(ack_timeout),
-      scanner_(engine, scan_period, [this] { scan(); }) {}
+      scanner_(engine, kScanPeriod, [this] { scan(); }) {}
 
 void AckerService::start() { scanner_.start(); }
 void AckerService::stop() { scanner_.stop(); }

@@ -39,8 +39,10 @@ class AckerService {
   using OnComplete = std::function<void(RootId)>;
   using OnFail = std::function<void(RootId)>;
 
-  AckerService(sim::Engine& engine, SimDuration ack_timeout,
-               SimDuration scan_period = time::sec(1));
+  /// How often the scanner looks for roots past the ack timeout.
+  static constexpr SimDuration kScanPeriod = time::sec(1);
+
+  AckerService(sim::Engine& engine, SimDuration ack_timeout);
 
   /// Start / stop the timeout scanner.  The scanner is idempotent to start.
   void start();

@@ -5,8 +5,9 @@
 // Values follow DESIGN.md §6 — paper-specified values where the paper
 // gives them (100 ms service time, 8 ev/s sources, 30 s ack timeout and
 // checkpoint interval, 1 s DCR/CCR INIT re-send, ≈7.26 s rebalance command)
-// and fitted values for the JVM-worker start-up model.  A value some test,
-// bench or tool sets is a field; a calibration value no caller varies is a
+// and fitted values for the JVM-worker start-up model.  A value some
+// workload, bench or tool sets, or one a test needs to reach a case no other
+// value reaches, is a field; every other calibration value is a
 // `static constexpr` member, so the compiler rejects an assignment to it.
 #pragma once
 
@@ -108,15 +109,15 @@ struct PlatformConfig {
   /// compete for the host) — this is what makes scale-in (4 workers per
   /// D3) start up slower than scale-out (1 worker per D1), echoing the
   /// paper's Grid restore gap (92 s in vs 70 s out).
-  double worker_startup_min_sec = 28.0;
-  double worker_startup_max_sec = 34.0;
-  double worker_startup_per_colocated_sec = 2.0;
+  static constexpr double worker_startup_min_sec = 28.0;
+  static constexpr double worker_startup_max_sec = 34.0;
+  static constexpr double worker_startup_per_colocated_sec = 2.0;
   /// Slow-start tail: each worker independently suffers an extra
   /// U(slow_min, slow_max) with this probability (JVM + code-distribution
   /// stragglers).  Larger migrations are more likely to contain a
   /// straggler and hence to miss a whole 30 s INIT wave under DSM —
   /// the paper's DAG-size-dependent restore jumps.
-  double worker_slow_start_prob = 0.05;
+  static constexpr double worker_slow_start_prob = 0.05;
   static constexpr double worker_slow_start_min_sec = 4.0;
   static constexpr double worker_slow_start_max_sec = 10.0;
 
@@ -130,7 +131,7 @@ struct PlatformConfig {
   /// Max events the paused external stream buffers before dropping (a
   /// sensor feed does not buffer unboundedly); bounds the post-unpause
   /// refill surge for DCR/CCR.
-  std::size_t max_source_backlog = 200;
+  static constexpr std::size_t max_source_backlog = 200;
 
   /// Distinct partition keys the synthetic sources cycle through (e.g.
   /// sensor ids); fields-grouped edges route by hash of these.

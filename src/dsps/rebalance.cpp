@@ -76,7 +76,6 @@ double Rebalancer::draw_command_sec() {
 
 std::vector<SimDuration> Rebalancer::draw_startup_delays(
     const Placement& placement) {
-  const PlatformConfig& cfg = platform_.config();
   const cluster::Cluster& cluster = platform_.cluster();
   Rng& rng = platform_.rng_rebalance();
   std::unordered_map<std::uint32_t, int> per_vm;
@@ -85,10 +84,11 @@ std::vector<SimDuration> Rebalancer::draw_startup_delays(
   delays.reserve(placement.size());
   for (const auto& [ref, slot] : placement) {
     double startup =
-        rng.uniform(cfg.worker_startup_min_sec, cfg.worker_startup_max_sec) +
-        cfg.worker_startup_per_colocated_sec *
+        rng.uniform(PlatformConfig::worker_startup_min_sec,
+                    PlatformConfig::worker_startup_max_sec) +
+        PlatformConfig::worker_startup_per_colocated_sec *
             static_cast<double>(per_vm[cluster.vm_of(slot).value]);
-    if (rng.uniform01() < cfg.worker_slow_start_prob) {
+    if (rng.uniform01() < PlatformConfig::worker_slow_start_prob) {
       startup += rng.uniform(PlatformConfig::worker_slow_start_min_sec,
                              PlatformConfig::worker_slow_start_max_sec);
     }

@@ -131,7 +131,7 @@ void Spout::tick() {
   const bool cap_hit = platform_.user_acking() &&
                        cache_.size() >= platform_.config().max_spout_pending;
   if (paused_ || cap_hit || !backlog_.empty()) {
-    if (backlog_.size() >= platform_.config().max_source_backlog) {
+    if (backlog_.size() >= PlatformConfig::max_source_backlog) {
       ++stats_.backlog_dropped;  // the external feed does not buffer forever
       return;
     }

@@ -103,8 +103,7 @@ std::string to_json(const MigrationReport& r, int indent) {
   return os.str();
 }
 
-std::string series_json(const Collector& collector,
-                        std::size_t latency_window_sec) {
+std::string series_json(const Collector& collector) {
   std::ostringstream os;
   os << "{\n  \"input_per_sec\": [";
   const auto& in = collector.input().buckets();
@@ -117,7 +116,7 @@ std::string series_json(const Collector& collector,
     os << (i ? "," : "") << out[i];
   }
   os << "],\n  \"latency_windows\": [";
-  const auto rows = collector.latency().windowed_avg_ms(latency_window_sec);
+  const auto rows = collector.latency().windowed_avg_ms();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     os << (i ? "," : "") << "[" << rows[i].first << ","
        << fmt(rows[i].second, 1) << "]";

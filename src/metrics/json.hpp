@@ -13,10 +13,10 @@ namespace rill::metrics {
 [[nodiscard]] std::string to_json(const MigrationReport& report,
                                   int indent = 2);
 
-/// JSON rendering of the per-second input/output series and the windowed
-/// latency rows, suitable for plotting Fig 7/9-style timelines.
-[[nodiscard]] std::string series_json(const Collector& collector,
-                                      std::size_t latency_window_sec = 10);
+/// JSON rendering of the per-second input/output series and the 10 s
+/// windowed latency rows (LatencySeries::windowed_avg_ms), suitable for
+/// plotting Fig 7/9-style timelines.
+[[nodiscard]] std::string series_json(const Collector& collector);
 
 /// Escape a string for embedding in JSON.
 [[nodiscard]] std::string json_escape(const std::string& s);

@@ -43,23 +43,22 @@ double RateSeries::smoothed_rate(std::size_t sec, std::size_t window) const {
 
 std::optional<std::size_t> find_stabilization(const RateSeries& series,
                                               double expected,
-                                              std::size_t from_sec,
-                                              std::size_t window_sec,
-                                              double tolerance,
-                                              std::size_t smooth) {
+                                              std::size_t from_sec) {
   if (expected <= 0.0) return std::nullopt;
   const std::size_t end = series.seconds();
-  if (end < window_sec) return std::nullopt;
+  if (end < kStabilizationWindowSec) return std::nullopt;
 
   auto stable_at = [&](std::size_t s) {
-    const double r = series.smoothed_rate(s, smooth);
-    return std::abs(r - expected) <= tolerance * expected;
+    const double r = series.smoothed_rate(s, kStabilizationSmoothSec);
+    return std::abs(r - expected) <= kStabilizationTolerance * expected;
   };
 
   std::size_t run = 0;
   for (std::size_t s = from_sec; s < end; ++s) {
     run = stable_at(s) ? run + 1 : 0;
-    if (run >= window_sec) return s + 1 - window_sec;
+    if (run >= kStabilizationWindowSec) {
+      return s + 1 - kStabilizationWindowSec;
+    }
   }
   return std::nullopt;
 }
@@ -68,10 +67,10 @@ void LatencySeries::add(SimTime arrival, SimDuration latency) {
   samples_.push_back(Sample{arrival, latency});
 }
 
-std::vector<std::pair<std::size_t, double>> LatencySeries::windowed_avg_ms(
-    std::size_t window_sec) const {
+std::vector<std::pair<std::size_t, double>> LatencySeries::windowed_avg_ms()
+    const {
   std::vector<std::pair<std::size_t, double>> out;
-  if (samples_.empty() || window_sec == 0) return out;
+  if (samples_.empty()) return out;
 
   std::size_t window_start = 0;
   // Accumulate in integer microseconds (R3): latencies are integral and
@@ -88,8 +87,8 @@ std::vector<std::pair<std::size_t, double>> LatencySeries::windowed_avg_ms(
   };
   for (const Sample& s : samples_) {
     const std::size_t w =
-        static_cast<std::size_t>(s.arrival / 1'000'000ull) / window_sec *
-        window_sec;
+        static_cast<std::size_t>(s.arrival / 1'000'000ull) / kWindowSec *
+        kWindowSec;
     if (w != window_start) {
       flush();
       window_start = w;

@@ -42,29 +42,35 @@ class RateSeries {
   std::uint64_t total_{0};
 };
 
-/// Earliest second >= `from_sec` at which the smoothed rate stays within
-/// `tolerance` (fraction) of `expected` for `window_sec` consecutive
-/// seconds, with the window fully inside the series.  This is the paper's
-/// rate-stabilization criterion (±20 % sustained for 60 s).  Returns the
-/// start of the stable window, or nullopt if never stable.
+/// The paper's rate-stabilization criterion: the rate, smoothed over a
+/// trailing kStabilizationSmoothSec seconds, stays within
+/// kStabilizationTolerance (a fraction, ±20 %) of the expected rate for
+/// kStabilizationWindowSec (60) consecutive seconds.
+inline constexpr std::size_t kStabilizationWindowSec = 60;
+inline constexpr double kStabilizationTolerance = 0.2;
+inline constexpr std::size_t kStabilizationSmoothSec = 5;
+
+/// Earliest second >= `from_sec` at which the stabilization criterion above
+/// holds around `expected`, with the window fully inside the series.
+/// Returns the start of the stable window, or nullopt if never stable.
 std::optional<std::size_t> find_stabilization(const RateSeries& series,
                                               double expected,
-                                              std::size_t from_sec,
-                                              std::size_t window_sec = 60,
-                                              double tolerance = 0.2,
-                                              std::size_t smooth = 5);
+                                              std::size_t from_sec);
 
 /// End-to-end latency samples with windowed aggregation.
 class LatencySeries {
  public:
+  /// Width of the windows windowed_avg_ms() averages over (Fig 9), seconds.
+  static constexpr std::size_t kWindowSec = 10;
+
   void add(SimTime arrival, SimDuration latency);
 
   [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
 
-  /// Average latency (ms) per `window_sec` window: one (window start sec,
+  /// Average latency (ms) per kWindowSec window: one (window start sec,
   /// avg ms) row per non-empty window.
-  [[nodiscard]] std::vector<std::pair<std::size_t, double>> windowed_avg_ms(
-      std::size_t window_sec = 10) const;
+  [[nodiscard]] std::vector<std::pair<std::size_t, double>> windowed_avg_ms()
+      const;
 
   /// Median latency (ms) of samples arriving in [from, to].
   [[nodiscard]] std::optional<double> median_ms(SimTime from, SimTime to) const;

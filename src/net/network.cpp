@@ -49,7 +49,7 @@ SendOutcome Network::transmit(VmId from, VmId to, std::size_t bytes,
     latency =
         NetworkConfig::inter_vm_latency + static_cast<SimDuration>(jitter);
   }
-  latency += static_cast<SimDuration>(config_.ns_per_byte *
+  latency += static_cast<SimDuration>(NetworkConfig::ns_per_byte *
                                       static_cast<double>(bytes) / 1000.0);
 
   if (fault_hook_ != nullptr) {

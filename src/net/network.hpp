@@ -26,14 +26,14 @@ namespace rill::net {
 /// events, and key-value store request/reply traffic.
 enum class MsgClass : std::uint8_t { Data, Control, Store };
 
-/// Link model.  The base latencies are calibration constants (no caller
-/// varies them); the byte cost and jitter are settable.
+/// Link model.  The base latencies and the byte cost are calibration
+/// constants (no caller varies them); the jitter is settable.
 struct NetworkConfig {
   static constexpr SimDuration intra_vm_latency = time::us(150);
   static constexpr SimDuration inter_vm_latency = time::us(1200);
   /// Per-byte serialisation + wire time.  1 Gbps ≈ 8 ns/byte; we use a
   /// slightly conservative figure to account for framing and kernel copies.
-  double ns_per_byte = 10.0;
+  static constexpr double ns_per_byte = 10.0;
   /// Uniform jitter added to inter-VM messages, as a fraction of base
   /// latency.
   double jitter_frac = 0.25;

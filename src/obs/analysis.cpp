@@ -334,7 +334,7 @@ std::vector<const HopView*> hops_of(const Analysis& a, std::uint64_t root) {
   return out;
 }
 
-CheckResult check(const Analysis& a, double tolerance) {
+CheckResult check(const Analysis& a) {
   CheckResult res;
   // 1. Components telescope: sum(cause_us) == latency within tolerance.
   for (const TupleView& t : a.tuples) {
@@ -343,7 +343,7 @@ CheckResult check(const Analysis& a, double tolerance) {
     const std::uint64_t diff =
         sum > t.latency_us ? sum - t.latency_us : t.latency_us - sum;
     const auto allowed = static_cast<std::uint64_t>(
-        tolerance * static_cast<double>(t.latency_us));
+        kCheckTolerance * static_cast<double>(t.latency_us));
     if (diff > allowed && diff > 1) {
       res.ok = false;
       res.failures.push_back(

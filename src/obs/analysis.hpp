@@ -119,12 +119,16 @@ struct CheckResult {
   std::vector<std::string> failures;
 };
 
+/// How far, as a fraction of the end-to-end latency, check() lets a
+/// tuple's per-cause components sum away from it.
+inline constexpr double kCheckTolerance = 0.01;
+
 /// CI assertions over an analyzed trace:
 ///   1. every tuple's per-cause components sum to its end-to-end latency
-///      within `tolerance` (fraction; default 1%);
+///      within kCheckTolerance (1 %);
 ///   2. when a migration request is present and tuples completed after it,
 ///      the aggregate slow-tail (top 1%, at least 10 tuples) attribution
 ///      is dominated by Pause — migration stall, not queueing noise.
-[[nodiscard]] CheckResult check(const Analysis& a, double tolerance = 0.01);
+[[nodiscard]] CheckResult check(const Analysis& a);
 
 }  // namespace rill::obs::analysis

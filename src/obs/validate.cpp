@@ -85,7 +85,7 @@ std::vector<double> TraceValidator::recovery_spans_sec() const {
 }
 
 std::vector<std::string> TraceValidator::check(
-    const metrics::MigrationReport& report, double tolerance_sec) const {
+    const metrics::MigrationReport& report) const {
   const ReconstructedTimes t = reconstruct();
   std::vector<std::string> diverged;
 
@@ -100,7 +100,7 @@ std::vector<std::string> TraceValidator::check(
       return;
     }
     if (trace_v.has_value() &&
-        std::fabs(*trace_v - *report_v) > tolerance_sec) {
+        std::fabs(*trace_v - *report_v) > kToleranceSec) {
       diverged.push_back(line(metric, *trace_v, *report_v));
     }
   };

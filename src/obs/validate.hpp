@@ -42,17 +42,20 @@ struct ReconstructedTimes {
 
 class TraceValidator {
  public:
+  /// Largest gap, seconds, check() lets a duration differ between the
+  /// trace and the report.
+  static constexpr double kToleranceSec = 0.5;
+
   explicit TraceValidator(const Tracer& tracer) : tracer_(tracer) {}
 
   [[nodiscard]] ReconstructedTimes reconstruct() const;
 
   /// Compare against a Collector-derived report.  Returns one human-readable
-  /// line per divergence beyond `tolerance_sec` (empty == consistent).
+  /// line per divergence beyond kToleranceSec (empty == consistent).
   /// A duration present on one side but missing on the other is a
   /// divergence too.
   [[nodiscard]] std::vector<std::string> check(
-      const metrics::MigrationReport& report,
-      double tolerance_sec = 0.5) const;
+      const metrics::MigrationReport& report) const;
 
   /// Durations (seconds, record order) of the closed kill→restore
   /// "recovery" spans the RecoveryTracker emits on the checkpoint lane.

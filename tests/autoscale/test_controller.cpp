@@ -9,12 +9,14 @@ namespace {
 AutoscaleConfig config() {
   AutoscaleConfig cfg;
   cfg.enabled = true;
-  cfg.scale_out_windows = 2;
-  cfg.scale_in_windows = 6;
-  cfg.queue_high = 40;
-  cfg.queue_low = 4;
   return cfg;
 }
+
+// The streaks and watermarks below are the calibrated thresholds.
+static_assert(AutoscaleConfig::scale_out_windows == 2);
+static_assert(AutoscaleConfig::scale_in_windows == 9);
+static_assert(AutoscaleConfig::queue_high == 40);
+static_assert(AutoscaleConfig::queue_low == 4);
 
 Signals steady() {
   Signals s;
@@ -77,7 +79,7 @@ TEST(Decide, AlreadyWideNeverScalesOutAgain) {
 
 TEST(Decide, QuietStreakScalesInOneTierAtATime) {
   Signals s;
-  s.ok_streak = 6;
+  s.ok_streak = 9;
   s.tier = PoolTier::Wide;
   const Decision d = decide(s, config());
   EXPECT_EQ(d.action, Action::ScaleIn);
@@ -97,7 +99,7 @@ TEST(Decide, KeyedScaleInRefusesToStopTheWorld) {
   // still silences the sink for the whole restore.  Keyed scale-in must go
   // fluid (FGM), never drain-based.
   Signals s;
-  s.ok_streak = 6;
+  s.ok_streak = 9;
   s.tier = PoolTier::Wide;
   s.keyed = true;
   const Decision d = decide(s, config());
@@ -107,7 +109,7 @@ TEST(Decide, KeyedScaleInRefusesToStopTheWorld) {
 
 TEST(Decide, ScaleInRequiresDrainedQueuesAndEmptyBacklog) {
   Signals s;
-  s.ok_streak = 6;
+  s.ok_streak = 9;
   s.tier = PoolTier::Default;
   s.queue_depth_max = 5;  // above queue_low
   EXPECT_EQ(decide(s, config()).action, Action::None);

@@ -20,9 +20,10 @@ constexpr int kShards = 4;
 /// Roots born before this have settled by the end of the 420 s run.
 constexpr auto kSettle = static_cast<SimTime>(time::sec(300));
 
-/// 4-shard CCR scale-in with a tight INIT deadline and instant-on workers
-/// (mirrors the shard-outage chaos configs): the restore phase, not worker
-/// startup, is what the fault hits.
+/// 4-shard CCR scale-in with a 60 s INIT deadline (mirrors the
+/// shard-outage chaos configs): long enough that every worker of the
+/// calibrated start-up model comes up inside it, so the restore phase, not
+/// worker startup, is what the fault hits.
 workloads::ExperimentConfig repin_cfg() {
   workloads::ExperimentConfig cfg;
   cfg.dag = DagKind::Linear;
@@ -31,11 +32,7 @@ workloads::ExperimentConfig repin_cfg() {
   cfg.platform.seed = 42;
   cfg.platform.kv_shards = kShards;
   cfg.platform.ack_timeout = time::sec(5);
-  cfg.platform.init_deadline = time::sec(15);
-  cfg.platform.worker_startup_min_sec = 2.0;
-  cfg.platform.worker_startup_max_sec = 4.0;
-  cfg.platform.worker_startup_per_colocated_sec = 0.25;
-  cfg.platform.worker_slow_start_prob = 0.0;
+  cfg.platform.init_deadline = time::sec(60);
   cfg.run_duration = time::sec(420);
   cfg.migrate_at = time::sec(60);
   cfg.controller.max_attempts = 1;
@@ -52,8 +49,8 @@ TEST(ScopedRepin, RepinCoversOnlyTheFailedSubset) {
   for (int victim = 0; victim < kShards && !found_partial; ++victim) {
     workloads::ExperimentConfig cfg = repin_cfg();
     // COMMIT lands by ~63 s; the outage opens right after and outlives the
-    // 15 s INIT deadline, so restores against the victim shard must fail.
-    cfg.chaos.kv_outage(time::sec(64), time::sec(24), victim);
+    // 60 s INIT deadline, so restores against the victim shard must fail.
+    cfg.chaos.kv_outage(time::sec(64), time::sec(80), victim);
     const auto r = workloads::run_experiment(cfg);
     if (r.chaos.kv_outage_hits == 0) continue;  // victim owns no live blob
     if (r.checkpoint.init_sessions_failed == 0) continue;
@@ -94,7 +91,7 @@ TEST(ScopedRepin, RepinCoversOnlyTheFailedSubset) {
 // never under-repins.
 TEST(ScopedRepin, FullOutageStillRepinsEverything) {
   workloads::ExperimentConfig cfg = repin_cfg();
-  cfg.chaos.kv_outage(time::sec(64), time::sec(24), -1);
+  cfg.chaos.kv_outage(time::sec(64), time::sec(80), -1);
   const auto r = workloads::run_experiment(cfg);
 
   ASSERT_GT(r.chaos.kv_outage_hits, 0u);

@@ -138,7 +138,6 @@ TEST(ShardOutage, FullShardOutageRollsBackWithoutTouchingOthers) {
 // exactly-once intact.
 TEST(ShardOutage, AbortedInitInvalidatesPrefetchAndRetrySucceeds) {
   workloads::ExperimentConfig cfg = sharded_cfg(StrategyKind::CCR);
-  cfg.platform.init_deadline = time::sec(15);
   cfg.controller.max_attempts = 2;
   cfg.controller.fallback_to_dsm = false;
   // Long enough for the recovery unpause to drain its replay backlog before
@@ -146,16 +145,11 @@ TEST(ShardOutage, AbortedInitInvalidatesPrefetchAndRetrySucceeds) {
   // queued user events, so retrying into a still-full queue (~35 s of
   // backlog at the slowest task) times out every wave before it is served.
   cfg.controller.retry_backoff = time::sec(50);
-  // Instant-on workers: the default 28–34 s JVM-startup draw would eat the
-  // whole 15 s INIT deadline by itself, and this test is about the *store*
-  // being dark during INIT — not about startup stragglers.
-  cfg.platform.worker_startup_min_sec = 2.0;
-  cfg.platform.worker_startup_max_sec = 4.0;
-  cfg.platform.worker_startup_per_colocated_sec = 0.25;
-  cfg.platform.worker_slow_start_prob = 0.0;
   // COMMIT lands by ~63 s; the outage opens right after and outlives the
-  // 15 s INIT deadline, so the first session must fail and abort.
-  cfg.chaos.kv_outage(time::sec(64), time::sec(24), -1);
+  // 60 s INIT deadline, which every worker start-up fits inside, so the
+  // first session fails because the *store* is dark, not because a worker
+  // came up late.
+  cfg.chaos.kv_outage(time::sec(64), time::sec(80), -1);
   const auto r = workloads::run_experiment(cfg);
 
   ASSERT_GT(r.chaos.kv_outage_hits, 0u);

@@ -143,7 +143,7 @@ TEST(PolicySolve, HoldsConfiguredStaticsUntilBothEstimatesExist) {
 TEST(PolicySolve, RtoBoundBindsWhenFailuresAreRare) {
   PolicyConfig cfg;
   cfg.rto = time::sec(60);
-  cfg.mttr_safety = 1.2;
+  static_assert(PolicyConfig::mttr_safety == 1.2);
   const PolicyInputs in = measured_inputs();
   const PolicyDecision d = ckpt::solve(in, cfg);
   // τ_rto = 60 − 1.2·10 = 48 s; τ_daly ≈ 190 s, so the RTO binds.
@@ -171,16 +171,16 @@ TEST(PolicySolve, DalyBoundBindsUnderFrequentFailures) {
 TEST(PolicySolve, ClampsToIntervalBounds) {
   PolicyConfig cfg;
   cfg.rto = time::sec(60);
-  cfg.min_interval = time::sec(5);
-  cfg.max_interval = time::sec(300);
+  static_assert(PolicyConfig::min_interval == time::sec(5));
+  static_assert(PolicyConfig::max_interval == time::sec(300));
 
   // Failures every 2 s: the Daly optimum collapses below the floor.
   PolicyInputs in = measured_inputs();
   in.mttf = time::sec(2);
   in.wave_cost = time::ms(100);
   PolicyDecision d = ckpt::solve(in, cfg);
-  EXPECT_EQ(d.interval, cfg.min_interval);
-  EXPECT_EQ(d.full_every, cfg.min_full_every);  // MTTF/τ < 1 clamps up to 2
+  EXPECT_EQ(d.interval, PolicyConfig::min_interval);
+  EXPECT_EQ(d.full_every, PolicyConfig::min_full_every);  // MTTF/τ < 1 clamps up to 2
   EXPECT_DOUBLE_EQ(d.delta_max_ratio, 0.35);
 
   // A huge RTO with very rare failures stretches past the ceiling
@@ -189,13 +189,13 @@ TEST(PolicySolve, ClampsToIntervalBounds) {
   in.mttf = time::sec(36'000);
   cfg.rto = time::sec(3600);
   d = ckpt::solve(in, cfg);
-  EXPECT_EQ(d.interval, cfg.max_interval);
+  EXPECT_EQ(d.interval, PolicyConfig::max_interval);
 }
 
 TEST(PolicySolve, HysteresisSuppressesSmallMoves) {
   PolicyConfig cfg;
   cfg.rto = time::sec(60);
-  cfg.hysteresis = 0.10;
+  static_assert(PolicyConfig::hysteresis == 0.10);
   PolicyInputs in = measured_inputs();  // solves to 48 s
   in.current_interval = time::sec(46);  // |48−46| = 2 ≤ 4.6 → held
   PolicyDecision d = ckpt::solve(in, cfg);

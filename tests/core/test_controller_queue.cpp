@@ -53,6 +53,14 @@ struct ControllerRig {
                         [this, id](bool ok) { done.push_back(ok ? id : -id); });
   }
 
+  /// The platform carries CCR's session knobs: user acking off, the
+  /// capture wiring, no periodic waves.
+  void expect_ccr_knobs() {
+    EXPECT_FALSE(h.p().user_acking());
+    EXPECT_EQ(h.p().checkpoint_mode(), dsps::CheckpointMode::Capture);
+    EXPECT_FALSE(h.p().coordinator().periodic_running());
+  }
+
   /// The controller's own instants named `name` (strategies write to the
   /// same track under another category).
   [[nodiscard]] int instants(std::string_view name) const {
@@ -144,6 +152,54 @@ TEST(ControllerQueue, ExplicitStrategyKindOverridesBoundStrategy) {
   rig.h.run_for(time::sec(300));
   EXPECT_TRUE(done);
   EXPECT_TRUE(rig.controller->succeeded());
+}
+
+TEST(ControllerQueue, BoundRequestAfterExplicitKindReassertsItsKnobs) {
+  // An explicit DSM request turns acking, wave wiring and periodic waves
+  // on.  The next request with the bound CCR strategy must turn them back
+  // off: a CCR migration under DSM's knobs is neither.
+  ControllerRig rig(StrategyKind::CCR);
+  rig.h.p().start();
+  rig.h.run_for(time::sec(30));
+  rig.controller->request(rig.plan_to(rig.target_a), StrategyKind::DSM,
+                          [&rig](bool ok) { rig.done.push_back(ok ? 1 : -1); });
+  // DSM's periodic waves run every 30 s from 30 s; request between two, so
+  // no wave is in flight to refuse CCR's checkpoint.
+  rig.h.run_for(time::sec(305));
+  ASSERT_EQ(rig.done, std::vector<int>{1});
+  ASSERT_TRUE(rig.h.p().user_acking());
+
+  rig.request(rig.target_b, 2);
+  rig.expect_ccr_knobs();
+  rig.h.run_for(time::sec(300));
+  EXPECT_EQ(rig.done, (std::vector<int>{1, 2}));
+  // CCR ran: only a checkpointed strategy pauses and unpauses the sources.
+  EXPECT_TRUE(rig.controller->phases().sources_unpaused.has_value());
+}
+
+TEST(ControllerQueue, BoundRequestAfterFallbackReassertsItsKnobs) {
+  // The first CCR attempt misses its INIT deadline and the controller
+  // degrades to DSM, which leaves DSM's knobs on the platform.  The next
+  // request with the bound CCR strategy must re-assert CCR's.
+  ControllerConfig cc;
+  cc.max_attempts = 1;
+  ControllerRig rig(StrategyKind::CCR, cc);
+  rig.h.p().config_mut().init_deadline = time::sec(5);
+  rig.h.p().start();
+  rig.h.run_for(time::sec(30));
+  rig.request(rig.target_a, 1);
+  rig.h.run_for(time::sec(600));
+  ASSERT_EQ(rig.done.size(), 1u);
+  ASSERT_TRUE(rig.controller->recovery().fell_back);
+  ASSERT_TRUE(rig.h.p().user_acking());
+
+  rig.h.p().config_mut().init_deadline = time::sec(120);
+  rig.request(rig.target_b, 2);
+  rig.expect_ccr_knobs();
+  rig.h.run_for(time::sec(300));
+  ASSERT_EQ(rig.done.size(), 2u);
+  EXPECT_EQ(rig.done[1], 2);
+  EXPECT_FALSE(rig.controller->recovery().fell_back);
 }
 
 }  // namespace

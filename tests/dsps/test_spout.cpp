@@ -48,15 +48,14 @@ TEST(Spout, UnpauseDrainsBacklogAtPumpRate) {
 }
 
 TEST(Spout, BacklogCapDropsExcess) {
-  PlatformConfig cfg;
-  cfg.max_source_backlog = 50;
-  Harness h(testutil::mini_chain(), cfg);
+  Harness h(testutil::mini_chain());
   h.p().start();
   Spout& s = h.p().spout(h.p().topology().sources()[0]);
   s.pause();
-  h.run_for(time::sec(30));  // generates 240, cap 50
-  EXPECT_EQ(s.backlog(), 50u);
-  EXPECT_NEAR(static_cast<double>(s.stats().backlog_dropped), 190.0, 3.0);
+  h.run_for(time::sec(30));  // generates 240, cap 200
+  static_assert(PlatformConfig::max_source_backlog == 200);
+  EXPECT_EQ(s.backlog(), 200u);
+  EXPECT_NEAR(static_cast<double>(s.stats().backlog_dropped), 40.0, 3.0);
 }
 
 TEST(Spout, AckingCachesUntilComplete) {

@@ -65,6 +65,12 @@ TEST(RateSeries, SmoothedRatePastEndCountsZeros) {
   EXPECT_DOUBLE_EQ(s.smoothed_rate(2, 3), 2.0);
 }
 
+// The cases below read the paper's criterion: ±20 % for 60 s, on the rate
+// smoothed over the trailing 5 s.
+static_assert(kStabilizationWindowSec == 60);
+static_assert(kStabilizationTolerance == 0.2);
+static_assert(kStabilizationSmoothSec == 5);
+
 TEST(FindStabilization, DetectsWindowStart) {
   RateSeries s;
   // 0–9 s: noisy (rate 20); 10–99 s: steady 32/s.
@@ -74,9 +80,11 @@ TEST(FindStabilization, DetectsWindowStart) {
   for (int sec = 10; sec < 100; ++sec) {
     for (int k = 0; k < 32; ++k) s.add(at(sec + 0.5));
   }
-  const auto stab = find_stabilization(s, 32.0, 0, 60, 0.2, 1);
+  // The 5 s average climbs 22.4, 24.8, then 27.2 at 12 s: the first second
+  // inside 32 ± 6.4.
+  const auto stab = find_stabilization(s, 32.0, 0);
   ASSERT_TRUE(stab.has_value());
-  EXPECT_EQ(*stab, 10u);
+  EXPECT_EQ(*stab, 12u);
 }
 
 TEST(FindStabilization, RespectsFromSec) {
@@ -84,7 +92,7 @@ TEST(FindStabilization, RespectsFromSec) {
   for (int sec = 0; sec < 100; ++sec) {
     for (int k = 0; k < 32; ++k) s.add(at(sec + 0.5));
   }
-  const auto stab = find_stabilization(s, 32.0, 25, 60, 0.2, 1);
+  const auto stab = find_stabilization(s, 32.0, 25);
   ASSERT_TRUE(stab.has_value());
   EXPECT_EQ(*stab, 25u);
 }
@@ -95,7 +103,8 @@ TEST(FindStabilization, NeverStableReturnsNullopt) {
     const int rate = sec % 2 == 0 ? 10 : 60;  // oscillating far off 32
     for (int k = 0; k < rate; ++k) s.add(at(sec + 0.5));
   }
-  EXPECT_FALSE(find_stabilization(s, 32.0, 0, 60, 0.2, 1).has_value());
+  // Every other 5 s average is 40, above 38.4: no run reaches 60 s.
+  EXPECT_FALSE(find_stabilization(s, 32.0, 0).has_value());
 }
 
 TEST(FindStabilization, ShortSeriesReturnsNullopt) {
@@ -103,7 +112,7 @@ TEST(FindStabilization, ShortSeriesReturnsNullopt) {
   for (int sec = 0; sec < 30; ++sec) {
     for (int k = 0; k < 32; ++k) s.add(at(sec + 0.5));
   }
-  EXPECT_FALSE(find_stabilization(s, 32.0, 0, 60).has_value());
+  EXPECT_FALSE(find_stabilization(s, 32.0, 0).has_value());
 }
 
 TEST(FindStabilization, ZeroExpectedIsInvalid) {
@@ -125,14 +134,13 @@ TEST(FindStabilization, FromSecPastEndReturnsNullopt) {
     for (int k = 0; k < 32; ++k) s.add(at(sec + 0.5));
   }
   // Scanning starts beyond the last bucket: no window can ever fill.
-  EXPECT_FALSE(find_stabilization(s, 32.0, 100, 60, 0.2, 1).has_value());
-  EXPECT_FALSE(find_stabilization(s, 32.0, 5000, 60, 0.2, 1).has_value());
+  EXPECT_FALSE(find_stabilization(s, 32.0, 100).has_value());
+  EXPECT_FALSE(find_stabilization(s, 32.0, 5000).has_value());
 }
 
 TEST(FindStabilization, EmptySeriesReturnsNullopt) {
   RateSeries s;
   EXPECT_FALSE(find_stabilization(s, 32.0, 0).has_value());
-  EXPECT_FALSE(find_stabilization(s, 32.0, 0, 1, 0.2, 1).has_value());
 }
 
 TEST(LatencySeries, WindowedAverage) {
@@ -140,7 +148,7 @@ TEST(LatencySeries, WindowedAverage) {
   l.add(at(1), time::ms(100));
   l.add(at(5), time::ms(300));
   l.add(at(12), time::ms(500));
-  const auto rows = l.windowed_avg_ms(10);
+  const auto rows = l.windowed_avg_ms();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].first, 0u);
   EXPECT_DOUBLE_EQ(rows[0].second, 200.0);
@@ -214,7 +222,7 @@ TEST(LatencySeries, ReportPercentilesEqualThreeSeparateCalls) {
 
 TEST(LatencySeries, EmptyBehaviour) {
   LatencySeries l;
-  EXPECT_TRUE(l.windowed_avg_ms(10).empty());
+  EXPECT_TRUE(l.windowed_avg_ms().empty());
   EXPECT_FALSE(l.median_ms(0, at(100)).has_value());
 }
 

@@ -21,7 +21,8 @@ struct NetFixture : ::testing::Test {
     vm2 = clu.provision(cluster::VmType::D2, "vm2");
   }
 
-  Network make(NetworkConfig cfg = {}) {
+  Network make() {
+    NetworkConfig cfg;
     cfg.jitter_frac = 0.0;  // deterministic latency for exact assertions
     return Network(engine, clu, cfg, Rng(1));
   }
@@ -39,23 +40,18 @@ TEST_F(NetFixture, IntraVmIsFasterThanInterVm) {
 }
 
 TEST_F(NetFixture, BytesAddWireTime) {
-  NetworkConfig cfg;
-  cfg.jitter_frac = 0.0;
-  cfg.ns_per_byte = 1000.0;  // 1 us per byte for easy math
-  Network net(engine, clu, cfg, Rng(1));
+  static_assert(NetworkConfig::ns_per_byte == 10.0);
+  Network net = make();
   SimTime t = 0;
-  net.send(vm1, vm1, 100, [&] { t = engine.now(); });
+  net.send(vm1, vm1, 10000, [&] { t = engine.now(); });
   engine.run();
-  EXPECT_EQ(t, static_cast<SimTime>(time::us(250)));  // 150 + 100
+  EXPECT_EQ(t, static_cast<SimTime>(time::us(250)));  // 150 + 10000 × 10 ns
 }
 
 TEST_F(NetFixture, FifoPerVmPair) {
   // Even with per-message size differences, a (from, to) channel must
   // deliver in send order — the checkpoint sweep correctness depends on it.
-  NetworkConfig cfg;
-  cfg.ns_per_byte = 1000.0;
-  cfg.jitter_frac = 0.0;
-  Network net(engine, clu, cfg, Rng(1));
+  Network net = make();
   std::vector<int> order;
   net.send(vm1, vm2, 10000, [&] { order.push_back(1); });  // slow big message
   net.send(vm1, vm2, 0, [&] { order.push_back(2); });      // fast small one
@@ -67,10 +63,7 @@ TEST_F(NetFixture, FifoHoldsAcrossVmsProvisionedAfterEarlierSends) {
   // The FIFO clock is a dense VM x VM table.  A send naming a VM
   // provisioned after the last growth grows it, and no channel may lose its
   // last arrival time in the process.
-  NetworkConfig cfg;
-  cfg.ns_per_byte = 1000.0;
-  cfg.jitter_frac = 0.0;
-  Network net(engine, clu, cfg, Rng(1));
+  Network net = make();
   std::vector<int> order;
   net.send(vm1, vm2, 10000, [&] { order.push_back(1); });  // holds vm1→vm2
   const std::vector<VmId> late =
@@ -82,10 +75,7 @@ TEST_F(NetFixture, FifoHoldsAcrossVmsProvisionedAfterEarlierSends) {
 }
 
 TEST_F(NetFixture, IndependentPairsDoNotBlock) {
-  NetworkConfig cfg;
-  cfg.ns_per_byte = 1000.0;
-  cfg.jitter_frac = 0.0;
-  Network net(engine, clu, cfg, Rng(1));
+  Network net = make();
   std::vector<int> order;
   net.send(vm1, vm2, 100000, [&] { order.push_back(1); });
   net.send(vm2, vm1, 0, [&] { order.push_back(2); });  // different channel
@@ -96,7 +86,6 @@ TEST_F(NetFixture, IndependentPairsDoNotBlock) {
 TEST_F(NetFixture, JitterStaysWithinBound) {
   NetworkConfig cfg;
   cfg.jitter_frac = 0.25;
-  cfg.ns_per_byte = 0.0;
   Network net(engine, clu, cfg, Rng(7));
   for (int i = 0; i < 200; ++i) {
     const SimTime sent = engine.now();

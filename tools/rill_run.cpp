@@ -45,7 +45,8 @@ void print_help(std::FILE* out, const char* argv0) {
                "  --key-cardinality N   distinct partition keys the sources\n"
                "                        cycle through (default 64)\n"
                "  --fgm-batch-keys N    FGM only: key-range partitions moved\n"
-               "                        one batch at a time (default 8)\n"
+               "                        one batch at a time, at most the key\n"
+               "                        cardinality (default 8)\n"
                "  --interference-permille N  noisy-neighbour CPU steal: each\n"
                "                        busy colocated executor dilates service\n"
                "                        time by N per mille (default 0)\n"
@@ -461,6 +462,15 @@ int main(int argc, char** argv) {
     } else {
       die(argv[0], "unknown flag: " + arg);
     }
+  }
+  // Checked against the final --key-cardinality, wherever either flag
+  // stands: a partition past the key space is an empty batch that still
+  // costs a store round trip, and every migrating executor sizes a bitmap
+  // by the partition count.
+  if (static_cast<std::uint64_t>(cfg.platform.fgm_batch_keys) >
+      cfg.platform.key_cardinality) {
+    die(argv[0], "--fgm-batch-keys must be <= --key-cardinality (" +
+                     std::to_string(cfg.platform.key_cardinality) + ")");
   }
   if (want_help) {
     print_help(stdout, argv[0]);
