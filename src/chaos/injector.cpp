@@ -222,10 +222,10 @@ bool ChaosInjector::crash_instance(int worker_index, bool respawn,
     // session it resumes with fresh state (the at-least-once reality of a
     // crash — no checkpoint scheme can save unacked in-flight tuples).
     // With config.respawn_restore on, a lone respawn instead starts its
-    // own recovery INIT session from the last committed checkpoint —
-    // Storm's StatefulBoltExecutor behaviour — provided no wave, session
-    // or rebalance is already in flight (those paths restore it anyway or
-    // are about to re-kill it).
+    // own recovery INIT session from the last committed checkpoint, wired
+    // as that checkpoint was — Storm's StatefulBoltExecutor behaviour —
+    // provided no wave, session or rebalance is already in flight (those
+    // paths restore it anyway or are about to re-kill it).
     dsps::CheckpointCoordinator& coord = platform_->coordinator();
     const bool stateful = platform_->topology().task(ref.task).stateful;
     bool await = stateful && coord.init_in_progress();
@@ -243,7 +243,7 @@ bool ChaosInjector::crash_instance(int worker_index, bool respawn,
                         static_cast<std::uint64_t>(ex2.id().value))});
     if (recovery_init) {
       trace_hit("respawn_restore", {obs::arg("cid", coord.last_committed())});
-      coord.run_init(coord.last_committed(), platform_->checkpoint_mode(),
+      coord.run_init(coord.last_committed(), coord.last_committed_wiring(),
                      platform_->config().init_resend_period, [](bool) {});
     }
   });

@@ -40,22 +40,23 @@ void MigrationController::begin(dsps::MigrationPlan plan,
   in_flight_ = true;
   success_ = false;
   recovery_ = RecoveryStats{};
-  if (kind.has_value() && *kind != strategy_->kind()) {
-    auto& slot = owned_[*kind];
-    if (!slot) slot = make_strategy(*kind);
-    active_ = slot.get();
-  } else {
-    active_ = strategy_;
-  }
+  active_ = &strategy_for(kind.value_or(strategy_->kind()));
   // Every request re-asserts its strategy's session knobs: an earlier
-  // request of another kind, or a DSM fallback, may have flipped acking,
-  // checkpoint wiring or periodic waves.  configure() is idempotent.
+  // request of another kind, or a DSM fallback, may have flipped acking or
+  // periodic waves.  configure() is idempotent.
   active_->configure(platform_);
   plan_ = std::move(plan);
   controller_instant(
       platform_, "request",
       {obs::arg("strategy", std::string(to_string(active_->kind())))});
   start_attempt(std::move(on_done));
+}
+
+MigrationStrategy& MigrationController::strategy_for(StrategyKind kind) {
+  if (kind == strategy_->kind()) return *strategy_;
+  auto& slot = owned_[kind];
+  if (!slot) slot = make_strategy(kind);
+  return *slot;
 }
 
 void MigrationController::start_attempt(std::function<void(bool)> on_done) {
@@ -70,7 +71,7 @@ void MigrationController::start_attempt(std::function<void(bool)> on_done) {
 
 void MigrationController::on_attempt_done(bool ok,
                                           std::function<void(bool)> on_done) {
-  if (ok || active_ == fallback_.get()) {
+  if (ok || recovery_.fell_back) {
     // Success, or the DSM fallback finished (its verdict is final either
     // way — there is nothing further to degrade to).
     finish(ok, on_done);
@@ -87,7 +88,8 @@ void MigrationController::on_attempt_done(bool ok,
   if (recovery_.attempts < config_.max_attempts) {
     controller_instant(platform_, "retry");
     platform_.engine().schedule_detached(
-        config_.retry_backoff, [this, on_done = std::move(on_done)]() mutable {
+        ControllerConfig::retry_backoff,
+        [this, on_done = std::move(on_done)]() mutable {
           start_attempt(std::move(on_done));
         });
     return;
@@ -108,9 +110,8 @@ void MigrationController::fall_back(std::function<void(bool)> on_done) {
   // acking + periodic checkpoints, then rebalance immediately.  The acker
   // replays whatever the kill loses; state restores from the last
   // committed checkpoint (possibly the aborted attempts' JIT one).
-  fallback_ = make_strategy(StrategyKind::DSM);
-  fallback_->configure(platform_);
-  active_ = fallback_.get();
+  active_ = &strategy_for(StrategyKind::DSM);
+  active_->configure(platform_);
   start_attempt(std::move(on_done));
 }
 

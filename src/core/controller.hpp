@@ -33,7 +33,7 @@ struct ControllerConfig {
   /// requested strategy.
   int max_attempts{3};
   /// Pause between a rolled-back attempt and the next one.
-  SimDuration retry_backoff{time::sec(5)};
+  static constexpr SimDuration retry_backoff = time::sec(5);
   /// Degrade to DSM after the attempts are exhausted instead of failing.
   bool fallback_to_dsm{true};
 };
@@ -61,14 +61,13 @@ class RILL_PINNED MigrationController {
   /// and, if enabled, the DSM fallback.  If a migration is already in
   /// flight the request is rejected: on_done(false) fires before this
   /// returns.  Like every request, it runs the strategy's configure()
-  /// first, so the platform's session knobs (acking, checkpoint wiring,
-  /// periodic waves) match the strategy whatever ran before.
+  /// first, so the platform's session knobs (acking, periodic waves) match
+  /// the strategy whatever ran before.
   void request(dsps::MigrationPlan plan,
                std::function<void(bool)> on_done = {});
 
   /// Enact the plan with an explicit strategy for this request — the
-  /// autoscale controller picks FGM/CCR/DCR per situation.  The strategy
-  /// instance is created once per kind and cached.
+  /// autoscale controller picks FGM/CCR/DCR per situation.
   void request(dsps::MigrationPlan plan, StrategyKind kind,
                std::function<void(bool)> on_done = {});
 
@@ -86,6 +85,9 @@ class RILL_PINNED MigrationController {
   /// `kind` nullopt = the bound strategy.
   void begin(dsps::MigrationPlan plan, std::optional<StrategyKind> kind,
              std::function<void(bool)> on_done);
+  /// The strategy every request, retry and fallback of `kind` runs: the
+  /// bound one when its kind matches, else one made on first use.
+  MigrationStrategy& strategy_for(StrategyKind kind);
   void start_attempt(std::function<void(bool)> on_done);
   void on_attempt_done(bool ok, std::function<void(bool)> on_done);
   void fall_back(std::function<void(bool)> on_done);
@@ -94,9 +96,8 @@ class RILL_PINNED MigrationController {
   dsps::Platform& platform_;
   MigrationStrategy* strategy_;          ///< bound default strategy (borrowed)
   MigrationStrategy* active_{nullptr};   ///< strategy currently migrating
-  std::unique_ptr<MigrationStrategy> fallback_;  ///< owned DSM, if degraded
-  /// Per-kind strategy cache for explicit-strategy requests (ordered map:
-  /// iteration never happens on a hot path, but determinism is free).
+  /// The other kinds' strategies, made on first use (ordered map: iteration
+  /// never happens on a hot path, but determinism is free).
   std::map<StrategyKind, std::unique_ptr<MigrationStrategy>> owned_;
   ControllerConfig config_;
   dsps::MigrationPlan plan_;  ///< kept for retries / fallback

@@ -2,14 +2,6 @@
 
 namespace rill::core {
 
-void DsmStrategy::configure(dsps::Platform& platform) {
-  // Reliability is always-on: ack every user event, checkpoint
-  // periodically (paper default: 30 s) into the store.
-  platform.set_user_acking(true);
-  platform.set_checkpoint_mode(dsps::CheckpointMode::Wave);
-  platform.coordinator().start_periodic();
-}
-
 void DsmStrategy::migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
                           std::function<void(bool)> done) {
   begin_phases(platform);

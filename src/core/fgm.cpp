@@ -15,15 +15,6 @@ struct FgmStrategy::FluidCtx {
   bool failed{false};
 };
 
-void FgmStrategy::configure(dsps::Platform& platform) {
-  // Same session profile as DCR: reliability only for checkpoint events,
-  // no periodic checkpoints — state moves through the store per key-batch
-  // at migration time instead of via a JIT wave.
-  platform.set_user_acking(false);
-  platform.set_checkpoint_mode(dsps::CheckpointMode::Wave);
-  platform.coordinator().stop_periodic();
-}
-
 void FgmStrategy::migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
                           std::function<void(bool)> done) {
   begin_phases(platform);

@@ -29,7 +29,6 @@ class DsmStrategy final : public MigrationStrategy {
   DsmStrategy(StrategyKind kind, SimDuration timeout)
       : kind_(kind), timeout_(timeout) {}
   [[nodiscard]] StrategyKind kind() const noexcept override { return kind_; }
-  void configure(dsps::Platform& platform) override;
   void migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
                std::function<void(bool)> done) override;
 
@@ -51,7 +50,6 @@ class CheckpointedStrategy final : public MigrationStrategy {
   /// `kind` is DCR or CCR.
   explicit CheckpointedStrategy(StrategyKind kind) : kind_(kind) {}
   [[nodiscard]] StrategyKind kind() const noexcept override { return kind_; }
-  void configure(dsps::Platform& platform) override;
   void migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
                std::function<void(bool)> done) override;
 
@@ -80,7 +78,6 @@ class FgmStrategy final : public MigrationStrategy {
   [[nodiscard]] StrategyKind kind() const noexcept override {
     return StrategyKind::FGM;
   }
-  void configure(dsps::Platform& platform) override;
   void migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
                std::function<void(bool)> done) override;
 

@@ -42,20 +42,22 @@ std::unique_ptr<MigrationStrategy> make_dsm_timeout_strategy(
   return std::make_unique<DsmStrategy>(StrategyKind::DSM_T, timeout);
 }
 
+void MigrationStrategy::configure(dsps::Platform& platform) const {
+  // DCR and CCR checkpoint just in time at migration instead, and FGM moves
+  // state per key batch through the store.
+  const bool dsm = kind() == StrategyKind::DSM || kind() == StrategyKind::DSM_T;
+  platform.set_user_acking(dsm);
+  if (dsm) {
+    platform.coordinator().start_periodic();
+  } else {
+    platform.coordinator().stop_periodic();
+  }
+}
+
 void MigrationStrategy::begin_phases(dsps::Platform& platform) {
   phases_ = PhaseTimes{};
   phases_.request_at = platform.engine().now();
   strategy_instant(platform, "request");
-}
-
-void CheckpointedStrategy::configure(dsps::Platform& platform) {
-  // Reliability only for checkpoint events: user acking off, no periodic
-  // checkpoints — a just-in-time wave runs at migration time instead.  CCR
-  // also turns on the broadcast wiring (coordinator → every task) and the
-  // capture flag.
-  platform.set_user_acking(false);
-  platform.set_checkpoint_mode(mode());
-  platform.coordinator().stop_periodic();
 }
 
 void CheckpointedStrategy::migrate(dsps::Platform& platform,

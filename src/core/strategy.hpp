@@ -1,8 +1,8 @@
 // Migration strategies — the paper's primary contribution.
 //
 // A MigrationStrategy configures the platform's reliability machinery for
-// normal operation (acking scope, checkpoint wiring/periodicity) and then
-// enacts a user migration request end to end:
+// normal operation (acking scope, periodic checkpoints) and then enacts a
+// user migration request end to end:
 //
 //   DSM  (baseline) : rebalance immediately; acking + periodic checkpoints
 //                     repair losses afterwards (§2).
@@ -80,11 +80,11 @@ class MigrationStrategy {
     return to_string(kind());
   }
 
-  /// Configure platform-session knobs (acking scope, checkpoint mode,
-  /// periodic checkpointing).  Call once after deploy, before start;
-  /// MigrationController calls it again before every request, so it must
-  /// be idempotent.
-  virtual void configure(dsps::Platform& platform) = 0;
+  /// Set the platform's session knobs: DSM and DSM-T ack every user event
+  /// and run periodic checkpoints, the others do neither.  Call once after
+  /// deploy, before start; MigrationController calls it again before every
+  /// request, so it is idempotent.
+  void configure(dsps::Platform& platform) const;
 
   /// Enact a migration.  `done(success)` fires when the strategy considers
   /// the migration complete (all tasks initialised and, for DCR/CCR,

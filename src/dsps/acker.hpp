@@ -68,11 +68,7 @@ class AckerService {
   /// superseded checkpoint wave).
   void forget(RootId root);
 
-  /// Number of roots currently tracked.
-  [[nodiscard]] std::size_t inflight() const noexcept { return pending_.size(); }
   [[nodiscard]] const AckerStats& stats() const noexcept { return stats_; }
-
-  [[nodiscard]] SimDuration timeout() const noexcept { return ack_timeout_; }
 
   /// Flight recorder: timeout scans that expire roots emit an instant.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }

@@ -82,12 +82,12 @@ void CheckpointCoordinator::on_periodic_tick() {
       return;
     }
   }
-  run_checkpoint(platform_.checkpoint_mode(), [](bool) {});
+  run_checkpoint(CheckpointMode::Wave, [](bool) {});
 }
 
 RootId CheckpointCoordinator::send_wave(ControlKind kind,
                                         std::uint64_t checkpoint_id,
-                                        bool broadcast,
+                                        CheckpointMode wiring,
                                         AckerOnDone on_complete,
                                         AckerOnDone on_fail) {
   const RootId root = platform_.fresh_event_id();
@@ -98,6 +98,7 @@ RootId CheckpointCoordinator::send_wave(ControlKind kind,
   base.root = root;
   base.control = kind;
   base.checkpoint_id = checkpoint_id;
+  base.wiring = wiring;
   base.born_at = platform_.engine().now();
   base.payload_size = 32;
 
@@ -109,8 +110,13 @@ RootId CheckpointCoordinator::send_wave(ControlKind kind,
     platform_.send_control_from_coordinator(dst, copy);
   };
 
+  // COMMIT sweeps in either wiring, so it lands behind every in-flight user
+  // event; ROLLBACK must reach every instance, wherever its wave stopped.
+  const bool broadcast =
+      kind == ControlKind::Rollback ||
+      (kind != ControlKind::Commit && wiring == CheckpointMode::Capture);
   if (broadcast) {
-    // CCR hub-and-spoke: straight into every task instance's input queue.
+    // Hub-and-spoke: straight into every task instance's input queue.
     for (const InstanceRef& ref : platform_.worker_and_sink_instances()) {
       send_copy(ref);
     }
@@ -138,7 +144,13 @@ RootId CheckpointCoordinator::send_wave(ControlKind kind,
 
 void CheckpointCoordinator::run_checkpoint(CheckpointMode mode, Done done) {
   if (checkpoint_active_) {
-    if (done) done(false);
+    // A request made during a wave (a migration asking on a periodic tick)
+    // waits for it instead of failing.  Only one request waits.
+    if (!waiting_.has_value()) {
+      waiting_ = Waiting{mode, std::move(done)};
+    } else if (done) {
+      done(false);
+    }
     return;
   }
   checkpoint_active_ = true;
@@ -171,17 +183,24 @@ void CheckpointCoordinator::on_worker_down() {
   platform_.acker().fail(wave_root_);
 }
 
-void CheckpointCoordinator::abort_wave(std::uint64_t cid,
-                                       std::shared_ptr<Done> done) {
-  ++stats_.waves_rolled_back;
+void CheckpointCoordinator::end_checkpoint(std::uint64_t cid, bool committed,
+                                           const std::shared_ptr<Done>& done) {
   checkpoint_active_ = false;
   wave_doomed_ = false;
   wave_root_ = 0;
   if (auto* tr = platform_.tracer()) {
-    tr->end(ckpt_span_, {obs::arg("committed", false)});
+    tr->end(ckpt_span_, {obs::arg("committed", committed)});
   }
-  broadcast_rollback(cid);
-  if (*done) (*done)(false);
+  if (!committed) {
+    ++stats_.waves_rolled_back;
+    broadcast_rollback(cid);
+  }
+  // The waiting request starts before the ended one's done fires, so a
+  // request made from that done waits behind it.
+  if (auto next = std::exchange(waiting_, std::nullopt)) {
+    run_checkpoint(next->mode, std::move(next->done));
+  }
+  if (*done) (*done)(committed);
 }
 
 void CheckpointCoordinator::note_commit_blob(bool delta, std::size_t bytes,
@@ -205,18 +224,12 @@ void CheckpointCoordinator::note_commit_blob(bool delta, std::size_t bytes,
 void CheckpointCoordinator::broadcast_rollback(std::uint64_t checkpoint_id) {
   // Best-effort rollback broadcast; completion is not tracked.
   ++stats_.rollbacks_broadcast;
-  // A rollback invalidates whatever placement the current INIT prefetch was
-  // fetched for: an aborted migration re-pins and retries against the same
-  // checkpoint id, and serving it blobs cached for the aborted attempt
-  // would bypass the store (and its fault model).  Drop the cache and bump
-  // the generation so in-flight MGET replies are discarded too.
-  ++init_generation_;
-  clear_init_prefetch();
   if (auto* tr = platform_.tracer()) {
     tr->instant(obs::kTrackCoordinator, "checkpoint", "rollback_broadcast",
                 {obs::arg("cid", checkpoint_id)});
   }
-  send_wave(ControlKind::Rollback, checkpoint_id, /*broadcast=*/true,
+  // ROLLBACK broadcasts in either wiring, and its handler reads none.
+  send_wave(ControlKind::Rollback, checkpoint_id, CheckpointMode::Wave,
             [](RootId) {}, [](RootId) {});
 }
 
@@ -230,10 +243,8 @@ void CheckpointCoordinator::start_phase(ControlKind kind, CheckpointMode mode,
                           prepare ? "prepare" : "commit",
                           {obs::arg("cid", cid), obs::arg("attempt", attempt)});
   }
-  // PREPARE follows the mode's wiring; COMMIT always sweeps the dataflow
-  // wiring so it lands behind every in-flight user event.
   wave_root_ = send_wave(
-      kind, cid, prepare && mode == CheckpointMode::Capture,
+      kind, cid, mode,
       [this, prepare, mode, cid, done, wave_span](RootId) {
         if (auto* tr = platform_.tracer()) {
           tr->end(wave_span, {obs::arg("ok", true)});
@@ -244,9 +255,8 @@ void CheckpointCoordinator::start_phase(ControlKind kind, CheckpointMode mode,
           return;
         }
         last_committed_ = cid;
+        last_committed_wiring_ = mode;
         last_committed_at_ = platform_.engine().now();
-        checkpoint_active_ = false;
-        wave_root_ = 0;
         ++stats_.waves_committed;
         // Measured wave cost (PREPARE start → COMMIT cleared): the C term
         // of the adaptive policy's Young/Daly solve.
@@ -255,10 +265,7 @@ void CheckpointCoordinator::start_phase(ControlKind kind, CheckpointMode mode,
         wave_cost_ewma_us_ = stats_.waves_committed == 1
                                  ? cost_us
                                  : 0.3 * cost_us + 0.7 * wave_cost_ewma_us_;
-        if (auto* tr = platform_.tracer()) {
-          tr->end(ckpt_span_, {obs::arg("committed", true)});
-        }
-        if (*done) (*done)(true);
+        end_checkpoint(cid, /*committed=*/true, done);
       },
       [this, kind, mode, cid, attempt, done, wave_span](RootId) {
         if (auto* tr = platform_.tracer()) {
@@ -280,7 +287,7 @@ void CheckpointCoordinator::start_phase(ControlKind kind, CheckpointMode mode,
           start_phase(kind, mode, cid, attempt + 1, done);
           return;
         }
-        abort_wave(cid, done);
+        end_checkpoint(cid, /*committed=*/false, done);
       });
 }
 
@@ -455,8 +462,7 @@ void CheckpointCoordinator::send_init_attempt() {
                  obs::arg("attempt", stats_.init_attempts)});
   }
   const RootId root = send_wave(
-      ControlKind::Init, init_.checkpoint_id,
-      init_.mode == CheckpointMode::Capture,
+      ControlKind::Init, init_.checkpoint_id, init_.mode,
       [this](RootId completed) {
         if (init_.active) end_init_session(completed);
       },

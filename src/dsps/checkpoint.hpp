@@ -11,7 +11,9 @@
 //  * sequential — copies are injected at the entry tasks and swept through
 //    the dataflow edges (DSM and DCR; also CCR's COMMIT);
 //  * broadcast — one copy directly into every task instance's input queue
-//    (CCR's PREPARE and INIT).
+//    (CCR's PREPARE and INIT, and every ROLLBACK).
+// Every copy carries its wave's wiring (Event::wiring), so a wave in flight
+// keeps it whatever a strategy configures meanwhile.
 //
 // INIT re-send policies: DCR/CCR re-send every `init_resend_period` (1 s)
 // until a wave completes; DSM re-sends only when a wave *fails* after the
@@ -93,6 +95,8 @@ class CheckpointCoordinator {
   /// retried up to `PlatformConfig::checkpoint_wave_retries` times (same
   /// wave id, so executors re-align and re-persist idempotently); only after
   /// the retries are exhausted is a ROLLBACK broadcast and done(false) fired.
+  /// A request made while a wave is in flight starts when that wave commits
+  /// or rolls back; a further one made meanwhile gets done(false) at once.
   void run_checkpoint(CheckpointMode mode, Done done);
 
   /// Restore task state for `checkpoint_id` after a rebalance.  INIT waves
@@ -114,6 +118,10 @@ class CheckpointCoordinator {
   /// Wave id of the last successfully committed checkpoint (0 = none).
   [[nodiscard]] std::uint64_t last_committed() const noexcept {
     return last_committed_;
+  }
+  /// Its wiring (Wave when none), for a restore INIT outside a migration.
+  [[nodiscard]] CheckpointMode last_committed_wiring() const noexcept {
+    return last_committed_wiring_;
   }
   /// When that wave committed (0 = none) — now() − last_committed_at() is
   /// the checkpoint staleness a failure right now would roll back over.
@@ -179,9 +187,11 @@ class CheckpointCoordinator {
  private:
   using AckerOnDone = std::function<void(RootId)>;
 
-  /// Emit one wave of `kind` copies; returns the wave root id.
+  /// Emit one wave of `kind` copies, each stamped with `wiring`; returns
+  /// the wave root id.  The wiring rule lives here alone: PREPARE and INIT
+  /// follow `wiring`, COMMIT always sweeps, ROLLBACK always broadcasts.
   RootId send_wave(ControlKind kind, std::uint64_t checkpoint_id,
-                   bool broadcast, AckerOnDone on_complete,
+                   CheckpointMode wiring, AckerOnDone on_complete,
                    AckerOnDone on_fail);
 
   void on_periodic_tick();
@@ -194,7 +204,11 @@ class CheckpointCoordinator {
   /// checkpoint_wave_retries times before the checkpoint aborts.
   void start_phase(ControlKind kind, CheckpointMode mode, std::uint64_t cid,
                    int attempt, std::shared_ptr<Done> done);
-  void abort_wave(std::uint64_t cid, std::shared_ptr<Done> done);
+  /// The active checkpoint `cid` committed, or ran out of retries and is
+  /// rolled back: clear it, start the waiting request, if any, then fire
+  /// the ended one's done.
+  void end_checkpoint(std::uint64_t cid, bool committed,
+                      const std::shared_ptr<Done>& done);
   /// Tear down the INIT session: completed by wave root `completed`, or
   /// failed at the deadline when nullopt.  Every other outstanding wave
   /// root is forgotten.
@@ -228,10 +242,14 @@ class CheckpointCoordinator {
   sim::TimerId periodic_timer_{};
   std::uint64_t next_checkpoint_id_{1};
   std::uint64_t last_committed_{0};
+  CheckpointMode last_committed_wiring_{CheckpointMode::Wave};
   SimTime last_committed_at_{0};
   SimTime wave_started_at_{0};
   double wave_cost_ewma_us_{0.0};
   bool checkpoint_active_{false};
+  /// The one run_checkpoint request waiting for the active checkpoint.
+  struct Waiting { CheckpointMode mode; Done done; };
+  std::optional<Waiting> waiting_;
   /// Outstanding control root of the in-flight wave phase, and whether a
   /// participant died under it (on_worker_down fails the root; the phase
   /// failure handler then aborts instead of retrying).

@@ -18,12 +18,6 @@
 
 namespace rill::dsps {
 
-/// Checkpoint wiring mode, chosen by the migration strategy.
-///  * Wave: PREPARE/COMMIT/INIT sweep through the dataflow edges (DSM, DCR).
-///  * Capture: PREPARE/INIT are broadcast straight into every task's input
-///    queue and in-flight events are captured (CCR).
-enum class CheckpointMode : std::uint8_t { Wave, Capture };
-
 struct PlatformConfig {
   // ---- Workload ----
   /// Source emission rate, events per second.

@@ -31,6 +31,12 @@ enum class ControlKind : std::uint8_t { None, Prepare, Commit, Rollback, Init };
   return "?";
 }
 
+/// How a checkpoint wave is wired, chosen by whoever starts the wave.
+///  * Wave: PREPARE/COMMIT/INIT sweep through the dataflow edges (DSM, DCR).
+///  * Capture: PREPARE/INIT are broadcast straight into every task's input
+///    queue and in-flight events are captured (CCR).
+enum class CheckpointMode : std::uint8_t { Wave, Capture };
+
 /// One message flowing on a dataflow edge (or the broadcast channel).
 struct Event {
   /// Unique id of this event; participates in the acker's XOR hash.
@@ -52,6 +58,9 @@ struct Event {
   SimTime emitted_at{0};
   /// Control kind; None for user tuples.
   ControlKind control{ControlKind::None};
+  /// The wiring of this copy's wave (control events only), stamped by the
+  /// coordinator and kept by forwarded copies.  Never serialized.
+  CheckpointMode wiring{CheckpointMode::Wave};
   /// Checkpoint wave sequence number (control events only).
   std::uint64_t checkpoint_id{0};
   /// True if this event descends from a replayed root (DSM recovery).

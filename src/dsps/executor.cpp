@@ -465,7 +465,7 @@ void Executor::snapshot_for_prepare(std::uint64_t cid) {
 }
 
 void Executor::on_prepare(const Event& ev, std::uint64_t span) {
-  if (platform_.checkpoint_mode() == CheckpointMode::Capture) {
+  if (ev.wiring == CheckpointMode::Capture) {
     // Broadcast copy (fan-in 1): snapshot state now — everything that was
     // ahead of PREPARE in the queue has been processed — and start
     // capturing later arrivals.
@@ -568,8 +568,7 @@ void Executor::gc_superseded_blobs() {
 }
 
 void Executor::persist_commit_blob(const Event& ev, std::uint64_t span) {
-  const bool capture_mode =
-      platform_.checkpoint_mode() == CheckpointMode::Capture;
+  const bool capture_mode = ev.wiring == CheckpointMode::Capture;
   decide_commit_form(ev.checkpoint_id);
 
   const TaskState& snap = prepared_state_.has_value() ? *prepared_state_
@@ -631,8 +630,7 @@ void Executor::on_commit(const Event& ev, std::uint64_t span) {
     return;
   }
   const TaskDef& def = platform_.topology().task(ref_.task);
-  const bool capture_mode =
-      platform_.checkpoint_mode() == CheckpointMode::Capture;
+  const bool capture_mode = ev.wiring == CheckpointMode::Capture;
 
   if (!def.stateful && (!capture_mode || pending_capture_.empty())) {
     committed_this_wave_ = true;
@@ -681,8 +679,7 @@ void Executor::on_rollback(const Event& ev, std::uint64_t span) {
 }
 
 void Executor::on_init(const Event& ev, std::uint64_t span) {
-  const bool capture_mode =
-      platform_.checkpoint_mode() == CheckpointMode::Capture;
+  const bool capture_mode = ev.wiring == CheckpointMode::Capture;
 
   if (seen_init_roots_.contains(ev.root)) {
     // Another copy of a wave root we already handled (multi-input tasks in
@@ -794,9 +791,7 @@ void Executor::continue_init_fetch(std::shared_ptr<InitFetch> fetch,
           // answer).  Re-applying the blob would re-inject its pending
           // events a second time — just ack this copy.
           ++stats_.duplicate_inits;
-          const bool wave =
-              platform_.checkpoint_mode() == CheckpointMode::Wave;
-          settle(ev, span, /*forward=*/wave);
+          settle(ev, span, /*forward=*/ev.wiring == CheckpointMode::Wave);
           return;
         }
         consume(raw);
@@ -818,8 +813,7 @@ void Executor::finish_init_restore(InitFetch& fetch) {
     restored.pending = std::move(fetch.chain.front().pending);
   }
   restore_from_blob(std::move(restored));
-  const bool wave = platform_.checkpoint_mode() == CheckpointMode::Wave;
-  settle(ev, fetch.span, /*forward=*/wave);
+  settle(ev, fetch.span, /*forward=*/ev.wiring == CheckpointMode::Wave);
 }
 
 void Executor::restore_from_blob(CheckpointBlob&& blob) {

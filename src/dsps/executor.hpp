@@ -3,7 +3,7 @@
 // Mirrors Storm's executor + StatefulBoltExecutor pair (§2, §3): a
 // single-threaded FIFO input queue, user logic invoked per event with the
 // task's service time, and platform logic that intercepts the checkpoint
-// protocol events.  The platform logic implements both checkpoint wirings:
+// protocol events, by the wiring each control copy carries:
 //
 //  * Wave mode (DSM, DCR): PREPARE/COMMIT/INIT arrive through the dataflow
 //    edges with barrier alignment across upstream instances — PREPARE is a

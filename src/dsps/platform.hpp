@@ -98,10 +98,6 @@ class RILL_PINNED Platform {
   // ---- session knobs (set by migration strategies) ----
   void set_user_acking(bool on);
   [[nodiscard]] bool user_acking() const noexcept { return user_acking_; }
-  void set_checkpoint_mode(CheckpointMode m) noexcept { checkpoint_mode_ = m; }
-  [[nodiscard]] CheckpointMode checkpoint_mode() const noexcept {
-    return checkpoint_mode_;
-  }
 
   void set_listener(EventListener* listener) noexcept { listener_ = listener; }
   [[nodiscard]] EventListener& listener() noexcept {
@@ -275,7 +271,6 @@ class RILL_PINNED Platform {
   std::uint32_t next_instance_{1};
 
   bool user_acking_{false};
-  CheckpointMode checkpoint_mode_{CheckpointMode::Wave};
 
   EventListener* listener_{nullptr};
   EventListener null_listener_;

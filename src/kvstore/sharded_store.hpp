@@ -85,8 +85,6 @@ class RILL_PINNED ShardedStore {
   [[nodiscard]] Store& shard(int i) noexcept {
     return *shards_[static_cast<std::size_t>(i)];
   }
-  /// Shard 0's host — the unsharded store's VM, kept for compatibility.
-  [[nodiscard]] VmId host() const noexcept { return shards_.front()->host(); }
 
   /// Ring lookup: which shard owns `key`.  Pure function of the key and the
   /// shard count (no RNG), so placement is reproducible across runs.

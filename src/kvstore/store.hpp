@@ -166,7 +166,6 @@ class RILL_PINNED Store {
   [[nodiscard]] std::optional<Bytes> peek(const std::string& key) const;
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
   [[nodiscard]] const StoreStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] VmId host() const noexcept { return host_; }
 
  private:
   /// Server-side work for one request; returns the reply payload size, or

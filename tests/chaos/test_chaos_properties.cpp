@@ -39,7 +39,6 @@ workloads::ExperimentConfig chaos_property_cfg(const ChaosCell& cell) {
   cfg.run_duration = kRun;
   cfg.migrate_at = time::sec(60);
   cfg.controller.fallback_to_dsm = false;  // fallback would change semantics
-  cfg.controller.retry_backoff = time::sec(5);
 
   // One random protocol fault per cell, derived from the cell seed on its
   // own stream so the platform streams stay untouched.

@@ -132,7 +132,6 @@ INSTANTIATE_TEST_SUITE_P(DcrAndCcr, RestoreOutage,
 TEST(DsmFallback, ThirdConsecutiveFailureDegradesToDsm) {
   workloads::ExperimentConfig cfg = chaos_cfg(StrategyKind::DCR);
   cfg.controller.max_attempts = 3;
-  cfg.controller.retry_backoff = time::sec(5);
   cfg.controller.fallback_to_dsm = true;
   cfg.chaos.kv_outage(time::sec(60), time::sec(150));
 

@@ -53,11 +53,10 @@ struct ControllerRig {
                         [this, id](bool ok) { done.push_back(ok ? id : -id); });
   }
 
-  /// The platform carries CCR's session knobs: user acking off, the
-  /// capture wiring, no periodic waves.
+  /// The platform carries CCR's session knobs: user acking off, no
+  /// periodic waves.
   void expect_ccr_knobs() {
     EXPECT_FALSE(h.p().user_acking());
-    EXPECT_EQ(h.p().checkpoint_mode(), dsps::CheckpointMode::Capture);
     EXPECT_FALSE(h.p().coordinator().periodic_running());
   }
 
@@ -104,18 +103,19 @@ TEST(ControllerQueue, RequestDuringRetryBackoffIsRejectedSynchronously) {
   // attempt rolls back, putting the controller into its backoff window.
   ControllerConfig cc;
   cc.max_attempts = 2;
-  cc.retry_backoff = time::sec(20);
   ControllerRig rig(StrategyKind::CCR, cc);
   rig.h.p().config_mut().init_deadline = time::sec(5);
   rig.h.p().start();
   rig.h.run_for(time::sec(30));
   rig.request(rig.target_a, 1);
-  // Run until the first attempt has aborted (drain+ckpt+rebalance+deadline
-  // is well under 60 s) — the controller is between attempts, but the
-  // request is still in flight.
+  // Run until the first attempt has rolled back (its abort, re-pin and
+  // recovery end at about 89 s): the controller waits out its 5 s retry
+  // backoff, but the request is still in flight.
   rig.h.run_for(time::sec(60));
   ASSERT_TRUE(rig.controller->in_flight());
   ASSERT_GT(rig.controller->recovery().aborted_attempts, 0);
+  ASSERT_EQ(rig.instants("retry"), 1);
+  ASSERT_EQ(rig.instants("attempt"), 1);
   const int attempts = rig.controller->recovery().attempts;
 
   // Refused at once, without starting an attempt or resetting the
@@ -155,16 +155,14 @@ TEST(ControllerQueue, ExplicitStrategyKindOverridesBoundStrategy) {
 }
 
 TEST(ControllerQueue, BoundRequestAfterExplicitKindReassertsItsKnobs) {
-  // An explicit DSM request turns acking, wave wiring and periodic waves
-  // on.  The next request with the bound CCR strategy must turn them back
-  // off: a CCR migration under DSM's knobs is neither.
+  // An explicit DSM request turns acking and periodic waves on.  The next
+  // request with the bound CCR strategy must turn them back off: a CCR
+  // migration under DSM's knobs is neither.
   ControllerRig rig(StrategyKind::CCR);
   rig.h.p().start();
   rig.h.run_for(time::sec(30));
   rig.controller->request(rig.plan_to(rig.target_a), StrategyKind::DSM,
                           [&rig](bool ok) { rig.done.push_back(ok ? 1 : -1); });
-  // DSM's periodic waves run every 30 s from 30 s; request between two, so
-  // no wave is in flight to refuse CCR's checkpoint.
   rig.h.run_for(time::sec(305));
   ASSERT_EQ(rig.done, std::vector<int>{1});
   ASSERT_TRUE(rig.h.p().user_acking());
@@ -174,6 +172,31 @@ TEST(ControllerQueue, BoundRequestAfterExplicitKindReassertsItsKnobs) {
   rig.h.run_for(time::sec(300));
   EXPECT_EQ(rig.done, (std::vector<int>{1, 2}));
   // CCR ran: only a checkpointed strategy pauses and unpauses the sources.
+  EXPECT_TRUE(rig.controller->phases().sources_unpaused.has_value());
+}
+
+TEST(ControllerQueue, BoundRequestOnAPeriodicTickRunsTheBoundStrategy) {
+  // After an explicit DSM request, DSM's periodic waves tick every 30 s
+  // from 30 s.  A bound CCR request made on the 330 s tick finds that wave
+  // in flight: CCR's configure() leaves the wave's wiring alone, and CCR's
+  // checkpoint waits for the wave to commit, so the first attempt runs.
+  ControllerRig rig(StrategyKind::CCR);
+  rig.h.p().start();
+  rig.h.run_for(time::sec(30));
+  rig.controller->request(rig.plan_to(rig.target_a), StrategyKind::DSM,
+                          [&rig](bool ok) { rig.done.push_back(ok ? 1 : -1); });
+  rig.h.run_for(time::sec(300));
+  ASSERT_EQ(rig.done, std::vector<int>{1});
+  ASSERT_TRUE(rig.h.p().coordinator().checkpoint_in_progress());
+
+  rig.request(rig.target_b, 2);
+  rig.expect_ccr_knobs();
+  rig.h.run_for(time::sec(300));
+  EXPECT_EQ(rig.done, (std::vector<int>{1, 2}));
+  EXPECT_EQ(rig.controller->recovery().attempts, 1);
+  EXPECT_EQ(rig.controller->recovery().aborted_attempts, 0);
+  EXPECT_FALSE(rig.controller->recovery().fell_back);
+  EXPECT_EQ(rig.h.p().coordinator().stats().waves_aborted_on_death, 0u);
   EXPECT_TRUE(rig.controller->phases().sources_unpaused.has_value());
 }
 

@@ -133,7 +133,6 @@ TEST(Fgm, StoreOutageAbortsThenRetryResumesUnmovedRanges) {
   cfg.run_duration = time::sec(420);
   cfg.migrate_at = time::sec(60);
   cfg.controller.max_attempts = 2;
-  cfg.controller.retry_backoff = time::sec(50);
   cfg.controller.fallback_to_dsm = false;
   // Shadows come up ~37 s after the request (7 s command + ~30 s worker
   // startup), so the outage must stretch past that to cover the first

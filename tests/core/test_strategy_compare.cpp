@@ -29,22 +29,15 @@ TEST(StrategyNames, AreStable) {
 }
 
 /// The session profile configure() leaves behind.  DSM and DSM-T ack user
-/// events and run periodic Wave checkpoints; DCR and FGM use Wave with
-/// neither; CCR uses Capture with neither.
+/// events and run periodic checkpoints; DCR, CCR and FGM do neither.
 class StrategySession : public ::testing::TestWithParam<StrategyKind> {};
 
 TEST_P(StrategySession, ConfigureSetsTheSessionProfile) {
   const StrategyKind k = GetParam();
   const bool dsm = k == StrategyKind::DSM || k == StrategyKind::DSM_T;
-  const dsps::CheckpointMode mode = k == StrategyKind::CCR
-                                        ? dsps::CheckpointMode::Capture
-                                        : dsps::CheckpointMode::Wave;
   testutil::Harness h(testutil::mini_chain());
   // Start every knob at the opposite value, so configure() must set each.
   h.p().set_user_acking(!dsm);
-  h.p().set_checkpoint_mode(mode == dsps::CheckpointMode::Wave
-                                ? dsps::CheckpointMode::Capture
-                                : dsps::CheckpointMode::Wave);
   if (dsm) {
     h.p().coordinator().stop_periodic();
   } else {
@@ -56,7 +49,6 @@ TEST_P(StrategySession, ConfigureSetsTheSessionProfile) {
   EXPECT_EQ(s->kind(), k);
   s->configure(h.p());
   EXPECT_EQ(h.p().user_acking(), dsm);
-  EXPECT_EQ(h.p().checkpoint_mode(), mode);
   EXPECT_EQ(h.p().coordinator().periodic_running(), dsm);
 }
 

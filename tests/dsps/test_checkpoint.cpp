@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "test_util.hpp"
 
 namespace rill::dsps {
@@ -21,6 +23,7 @@ TEST(Checkpoint, WaveModePersistsAllStatefulTasks) {
   EXPECT_TRUE(done);
   EXPECT_TRUE(ok);
   EXPECT_EQ(h.p().coordinator().last_committed(), 1u);
+  EXPECT_EQ(h.p().coordinator().last_committed_wiring(), CheckpointMode::Wave);
 
   // Both stateful workers persisted a blob under wave id 1.
   for (const InstanceRef& ref : h.p().worker_instances()) {
@@ -62,7 +65,6 @@ TEST(Checkpoint, PrepareIsRearguardBehindInFlightEvents) {
 
 TEST(Checkpoint, CaptureModeSnapshotsInFlightEvents) {
   Harness h(testutil::mini_chain());
-  h.p().set_checkpoint_mode(CheckpointMode::Capture);
   h.p().start();
   h.run_for(time::sec(10));
   h.p().pause_sources();
@@ -72,6 +74,8 @@ TEST(Checkpoint, CaptureModeSnapshotsInFlightEvents) {
                                      [&](bool) { done = true; });
   h.run_for(time::sec(5));
   ASSERT_TRUE(done);
+  EXPECT_EQ(h.p().coordinator().last_committed_wiring(),
+            CheckpointMode::Capture);
 
   // Every instance persisted a blob; total captured events may be zero at
   // low rates, but the capture flag must have engaged everywhere.
@@ -112,6 +116,36 @@ TEST(Checkpoint, BarrierAlignmentInMultiInputTask) {
   for (int r = 0; r < h.p().topology().task(d).parallelism; ++r) {
     EXPECT_TRUE(
         h.p().store().peek(CheckpointBlob::key(1, d, r)).has_value());
+  }
+}
+
+TEST(Checkpoint, CaptureWaveBroadcastsPrepareAndSweepsCommit) {
+  // A Capture wave's PREPARE goes straight to every instance, once.  Its
+  // COMMIT sweeps the dataflow, so an instance sees one copy per upstream
+  // channel and nothing from the coordinator beyond the entry tasks: a
+  // broadcast COMMIT could overtake a user event still on the wire.
+  Harness h(testutil::mini_diamond());
+  obs::Tracer tracer;
+  h.p().set_tracer(&tracer);
+  h.p().start();
+  h.run_for(time::sec(10));
+  h.p().pause_sources();
+  bool ok = false;
+  h.p().coordinator().run_checkpoint(CheckpointMode::Capture,
+                                     [&](bool s) { ok = s; });
+  h.run_for(time::sec(5));
+  ASSERT_TRUE(ok);
+  for (const InstanceRef& ref : h.p().worker_and_sink_instances()) {
+    const obs::Track track =
+        obs::instance_track(h.p().executor(ref).id().value);
+    int prepares = 0, commits = 0;
+    for (const obs::Tracer::Record& r : tracer.records()) {
+      if (r.track != track) continue;
+      if (r.name == "PREPARE") ++prepares;
+      if (r.name == "COMMIT") ++commits;
+    }
+    EXPECT_EQ(prepares, 1);
+    EXPECT_EQ(commits, h.p().control_fanin(ref.task));
   }
 }
 
@@ -296,14 +330,45 @@ TEST(Checkpoint, TeardownWithoutInitSessionSparesOtherTimers) {
 }
 
 TEST(Checkpoint, ConcurrentCheckpointRejected) {
+  // A request made while a wave is in flight waits and commits after it;
+  // a third, made while one waits, is refused at once.
   Harness h(testutil::mini_chain());
   h.p().start();
-  bool second_result = true;
-  h.p().coordinator().run_checkpoint(CheckpointMode::Wave, [](bool) {});
-  h.p().coordinator().run_checkpoint(CheckpointMode::Wave,
-                                     [&](bool ok) { second_result = ok; });
-  EXPECT_FALSE(second_result);  // rejected immediately
+  CheckpointCoordinator& coord = h.p().coordinator();
+  std::vector<int> done;  // in order: +n committed, -n refused or failed
+  for (int n = 1; n <= 3; ++n) {
+    coord.run_checkpoint(CheckpointMode::Wave,
+                         [&done, n](bool ok) { done.push_back(ok ? n : -n); });
+  }
+  EXPECT_EQ(done, std::vector<int>{-3});
   h.run_for(time::sec(5));
+  EXPECT_EQ(done, (std::vector<int>{-3, 1, 2}));
+  EXPECT_EQ(coord.last_committed(), 2u);
+  EXPECT_EQ(coord.stats().waves_started, 2u);
+  EXPECT_EQ(coord.stats().waves_committed, 2u);
+}
+
+TEST(Checkpoint, WaveKeepsItsWiringWhenTheSessionChanges) {
+  // A strategy may configure the platform while a wave is in flight (an
+  // autoscale trigger on a periodic tick).  The wave finishes as it was
+  // sent: its PREPARE copies, still on the wire, keep the Wave wiring, so
+  // no executor snapshots early and starts capturing, and COMMIT clears.
+  Harness h(testutil::mini_chain());
+  h.p().start();
+  h.run_for(time::sec(10));
+  bool done = false, ok = false;
+  h.p().coordinator().run_checkpoint(CheckpointMode::Wave, [&](bool s) {
+    done = true;
+    ok = s;
+  });
+  core::make_strategy(core::StrategyKind::CCR)->configure(h.p());
+  h.run_for(time::sec(1));
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(h.p().coordinator().stats().wave_retries, 0u);
+  for (const InstanceRef& ref : h.p().worker_and_sink_instances()) {
+    EXPECT_FALSE(h.p().executor(ref).capturing());
+  }
 }
 
 }  // namespace

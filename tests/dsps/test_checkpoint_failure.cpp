@@ -42,7 +42,6 @@ TEST_F(FailureFixture, PrepareWaveFailsWithDeadTask) {
 }
 
 TEST_F(FailureFixture, CaptureRollbackResumesSurvivors) {
-  h.p().set_checkpoint_mode(CheckpointMode::Capture);
   h.p().start();
   h.run_for(time::sec(5));
   h.p().pause_sources();

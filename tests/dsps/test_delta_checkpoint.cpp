@@ -38,9 +38,8 @@ PlatformConfig delta_cfg() {
   return cfg;
 }
 
-/// Run one checkpoint to completion; returns its success verdict.  The mode
-/// must match the platform's wiring (Wave unless a CCR strategy configured
-/// capture mode).
+/// Run one checkpoint to completion with `mode`'s wiring; returns its
+/// success verdict.
 bool run_wave(Harness& h, CheckpointMode mode = CheckpointMode::Wave) {
   bool done = false, ok = false;
   h.p().coordinator().run_checkpoint(mode, [&](bool success) {

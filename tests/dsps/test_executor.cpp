@@ -119,13 +119,13 @@ TEST_F(ExecutorFixture, AwaitingInitPendsUserEvents) {
 }
 
 TEST_F(ExecutorFixture, CaptureFlagSnapshotsInsteadOfProcessing) {
-  h.p().set_checkpoint_mode(CheckpointMode::Capture);
   Executor& ex = first_worker();
 
   Event prepare;
   prepare.id = h.p().fresh_event_id();
   prepare.root = prepare.id;
   prepare.control = ControlKind::Prepare;
+  prepare.wiring = CheckpointMode::Capture;
   prepare.checkpoint_id = 1;
   ex.enqueue(prepare);
   h.run_for(time::ms(10));
@@ -142,7 +142,6 @@ TEST_F(ExecutorFixture, CaptureFlagSnapshotsInsteadOfProcessing) {
 }
 
 TEST_F(ExecutorFixture, CurrentEventFinishesBeforeCapture) {
-  h.p().set_checkpoint_mode(CheckpointMode::Capture);
   Executor& ex = first_worker();
   ex.enqueue(user_event(7));  // enters service immediately
   h.run_for(time::ms(10));
@@ -151,6 +150,7 @@ TEST_F(ExecutorFixture, CurrentEventFinishesBeforeCapture) {
   prepare.id = h.p().fresh_event_id();
   prepare.root = prepare.id;
   prepare.control = ControlKind::Prepare;
+  prepare.wiring = CheckpointMode::Capture;
   prepare.checkpoint_id = 1;
   ex.enqueue(prepare);
   h.run_for(time::ms(200));
@@ -161,7 +161,6 @@ TEST_F(ExecutorFixture, CurrentEventFinishesBeforeCapture) {
 }
 
 TEST_F(ExecutorFixture, KillClearsStateAndCaptures) {
-  h.p().set_checkpoint_mode(CheckpointMode::Capture);
   Executor& ex = first_worker();
   ex.enqueue(user_event(1));
   h.run_for(time::ms(200));
@@ -175,12 +174,12 @@ TEST_F(ExecutorFixture, KillClearsStateAndCaptures) {
 }
 
 TEST_F(ExecutorFixture, RollbackRequeuesCapturedEvents) {
-  h.p().set_checkpoint_mode(CheckpointMode::Capture);
   Executor& ex = first_worker();
   Event prepare;
   prepare.id = h.p().fresh_event_id();
   prepare.root = prepare.id;
   prepare.control = ControlKind::Prepare;
+  prepare.wiring = CheckpointMode::Capture;
   prepare.checkpoint_id = 1;
   ex.enqueue(prepare);
   h.run_for(time::ms(10));

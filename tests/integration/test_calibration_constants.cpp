@@ -5,6 +5,7 @@
 
 #include "autoscale/controller.hpp"
 #include "ckpt/policy.hpp"
+#include "core/controller.hpp"
 #include "dsps/acker.hpp"
 #include "dsps/config.hpp"
 #include "kvstore/store.hpp"
@@ -63,6 +64,8 @@ RILL_ASSERT_CONSTANT(ckpt::PolicyConfig, max_full_every);
 RILL_ASSERT_CONSTANT(ckpt::PolicyConfig, hysteresis);
 
 RILL_ASSERT_CONSTANT(workloads::TrafficConfig, update_period);
+
+RILL_ASSERT_CONSTANT(core::ControllerConfig, retry_backoff);
 
 #undef RILL_ASSERT_CONSTANT
 

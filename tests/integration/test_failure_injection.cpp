@@ -45,9 +45,9 @@ CrashRun crash_worker_under(core::StrategyKind kind) {
     victim.set_ready(/*awaiting_init=*/true);
   });
   h.engine.schedule_detached(time::sec(6), [&h] {
-    h.p().coordinator().run_init(h.p().coordinator().last_committed(),
-                                 h.p().checkpoint_mode(), time::sec(1),
-                                 [](bool) {});
+    dsps::CheckpointCoordinator& coord = h.p().coordinator();
+    coord.run_init(coord.last_committed(), coord.last_committed_wiring(),
+                   time::sec(1), [](bool) {});
   });
 
   h.run_for(time::sec(120));

@@ -170,7 +170,6 @@ TEST(StateConsistency, RollbackRestoresCaptureState) {
   // Drive a CCR PREPARE then roll it back: captured events must re-enter
   // the queues and processing must resume without loss.
   Harness h(testutil::mini_chain());
-  h.p().set_checkpoint_mode(CheckpointMode::Capture);
   h.p().start();
   h.run_for(time::sec(10));
   h.p().pause_sources();

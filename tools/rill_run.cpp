@@ -99,7 +99,7 @@ void print_help(std::FILE* out, const char* argv0) {
                "                        committed checkpoint (default 0)\n"
                "\n"
                "recovery supervision:\n"
-               "  --attempts N          max migration attempts (default 1)\n"
+               "  --attempts N          max migration attempts (default 3)\n"
                "  --no-fallback         do not degrade to DSM after aborts\n"
                "\n"
                "fault injection (S = start sec, D = duration sec, P = prob):\n"
